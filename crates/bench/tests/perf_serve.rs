@@ -1,25 +1,31 @@
 //! Perf smoke: regime-aware routing must cost no more than the plain
-//! least-loaded scan it structurally matches.
+//! least-loaded pick it structurally matches.
 //!
 //! Two paired-median probes on the same seeds:
 //!
 //! 1. **regime-scoring overhead** — `ServeSim` with `RegimeAware` vs
-//!    `ServeSim` with `LeastLoaded`. Both pickers are a single argmin
-//!    scan over the awake set per request, so the pair isolates the cost
-//!    of folding the regime penalty into the comparison key (~10 %
-//!    measured, asserted < 25 % so only a real regression — not a noisy
-//!    single-core host window — fails it).
+//!    `ServeSim` with `LeastLoaded`. Both pickers are the same horizon
+//!    index (an O(log n) argmin per request): one bucket for
+//!    least-loaded, one per regime penalty for regime-aware. The pair
+//!    isolates the cost of the extra buckets, asserted < 25 % so only a
+//!    real regression — not a noisy host window — fails it.
 //! 2. **serving-layer cost** — `ServeSim` vs the plain `TimedClusterSim`
 //!    on the same cluster config, reported as scalars only: the request
 //!    loop legitimately dwarfs the interval loop (hundreds of thousands
 //!    of arrivals against a handful of reallocation ticks), so a ratio
 //!    budget would gate on traffic volume, not on a code regression.
 //!
-//! Emits `BENCH_serve.json` through the standard report path.
+//! It also records the regime-aware run's request count at the default
+//! seed and its throughput (admitted requests over the best of
+//! [`ROUNDS`] run times). Emits `BENCH_serve.json` through the standard
+//! report path.
 //!
 //! ```text
 //! cargo test -p ecolb-bench --release -- --ignored perf_serve
 //! ```
+
+use std::hint::black_box;
+use std::time::Instant;
 
 use ecolb_bench::{paired_overhead, DEFAULT_SEED};
 use ecolb_cluster::cluster::ClusterConfig;
@@ -61,6 +67,16 @@ fn perf_serve_overhead() {
         },
     );
     let scoring_overhead = picker_cost.robust_overhead();
+    let regime_run = || ServeSim::new(serve(PickerKind::RegimeAware), DEFAULT_SEED).run();
+    let requests_admitted = regime_run().requests_admitted;
+    let best_run_s = (0..ROUNDS)
+        .map(|_| {
+            let start = Instant::now();
+            black_box(regime_run());
+            start.elapsed().as_secs_f64()
+        })
+        .fold(f64::INFINITY, f64::min);
+    let requests_per_s = requests_admitted as f64 / best_run_s;
     println!(
         "perf serve/scoring: least_loaded {:.3} ms, regime_aware {:.3} ms, overhead {:+.2}% \
          (budget < 25%)",
@@ -73,6 +89,10 @@ fn perf_serve_overhead() {
         layer_cost.baseline_seconds * 1e3,
         layer_cost.candidate_seconds * 1e3,
     );
+    println!(
+        "perf serve/throughput: regime_aware {requests_admitted} requests, \
+         {requests_per_s:.0} requests/s (informational)"
+    );
 
     let mut report = Report::new("BENCH_serve", DEFAULT_SEED);
     report
@@ -81,6 +101,8 @@ fn perf_serve_overhead() {
         .scalar("scoring_overhead_fraction", scoring_overhead)
         .scalar("cluster_only_seconds", layer_cost.baseline_seconds)
         .scalar("serving_seconds", layer_cost.candidate_seconds)
+        .scalar("requests_admitted", requests_admitted as f64)
+        .scalar("requests_per_s", requests_per_s)
         .scalar("size", SIZE as f64)
         .scalar("intervals", INTERVALS as f64)
         .scalar("rounds", f64::from(ROUNDS));

@@ -9,6 +9,8 @@
 //! decisions made by the §4 consolidation policy surface to the pickers
 //! as membership changes, and migrations surface as instance updates.
 
+use std::fmt;
+
 use ecolb_cluster::instances::InstanceInfo;
 use ecolb_cluster::server::ServerId;
 use ecolb_cluster::Cluster;
@@ -19,11 +21,31 @@ use ecolb_cluster::Cluster;
 /// handed in, so every picker decision is a function of the *set*, not
 /// of the discovery order — the determinism-under-reordering property
 /// checked in the picker property tests.
-#[derive(Debug, Clone, PartialEq, Default)]
+#[derive(Clone, Default)]
 pub struct InstanceSet {
     instances: Vec<InstanceInfo>,
     /// Indices (into `instances`) of the awake, routable entries.
     awake: Vec<usize>,
+    /// Identity of the current contents: redrawn by every rebuild, so
+    /// equal stamps mean equal contents (a clone shares its original's
+    /// stamp until either is rebuilt).
+    stamp: u64,
+}
+
+/// Equality of the contents; the stamp is an identity, not state.
+impl PartialEq for InstanceSet {
+    fn eq(&self, other: &Self) -> bool {
+        self.instances == other.instances && self.awake == other.awake
+    }
+}
+
+impl fmt::Debug for InstanceSet {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("InstanceSet")
+            .field("instances", &self.instances)
+            .field("awake", &self.awake)
+            .finish()
+    }
 }
 
 impl InstanceSet {
@@ -33,6 +55,7 @@ impl InstanceSet {
         let mut set = InstanceSet {
             instances,
             awake: Vec::new(),
+            stamp: 0,
         };
         set.reindex();
         set
@@ -55,6 +78,12 @@ impl InstanceSet {
                 self.awake.push(i);
             }
         }
+        self.stamp = crate::next_stamp();
+    }
+
+    /// The identity of the current contents (see the field docs).
+    pub(crate) fn stamp(&self) -> u64 {
+        self.stamp
     }
 
     /// All instances, in server-id order.

@@ -66,3 +66,14 @@ pub use resilience::{
     RetryBudgetSpec, RetryPolicy, ShedPolicy,
 };
 pub use sim::{regime_energy_multiplier, ServeConfig, ServeEvent, ServeReport, ServeSim};
+
+/// A process-wide unique identity for one state of an [`InstanceSet`] or
+/// a [`QueueModel`], keying the pickers' horizon index. Stamps are only
+/// ever compared for equality and never reach a report, so the thread
+/// interleaving that orders them cannot leak into any output; `Relaxed`
+/// suffices because a stamp publishes no data.
+pub(crate) fn next_stamp() -> u64 {
+    use std::sync::atomic::{AtomicU64, Ordering};
+    static NEXT: AtomicU64 = AtomicU64::new(1);
+    NEXT.fetch_add(1, Ordering::Relaxed)
+}

@@ -21,6 +21,17 @@
 //! Ties always break toward the lower server id, and candidates only
 //! ever come from [`InstanceSet::awake_indices`] — no picker can route
 //! to a sleeping or crashed instance.
+//!
+//! "Pure function" is the *output* contract. [`LeastLoaded`] and
+//! [`RegimeAware`] keep an internal index so that a pick costs O(log n)
+//! instead of an O(awake) scan: one min-segment tree of queue horizons
+//! per regime penalty, cached under the stamps of the instance set and
+//! of the queue model it was built from. A set rebuild, a fresh or
+//! cloned model, or a [`reset`](crate::queue::QueueModel::reset) draws a
+//! new stamp and forces an O(awake) rebuild; in between, enqueues only
+//! raise horizons, so every cached horizon is a lower bound of the true
+//! one and a query checks (and refreshes) just the leaf it lands on. The
+//! pick is always the exact argmin the linear scan would return.
 
 use crate::discover::{Change, InstanceSet};
 use crate::queue::QueueView;
@@ -86,9 +97,9 @@ impl PickerKind {
     pub fn build(self, seed: u64) -> Box<dyn Picker> {
         match self {
             PickerKind::RoundRobin => Box::new(RoundRobin::new()),
-            PickerKind::LeastLoaded => Box::new(LeastLoaded),
+            PickerKind::LeastLoaded => Box::<LeastLoaded>::default(),
             PickerKind::PowerOfTwo => Box::new(PowerOfTwo::new(seed)),
-            PickerKind::RegimeAware => Box::new(RegimeAware),
+            PickerKind::RegimeAware => Box::<RegimeAware>::default(),
         }
     }
 }
@@ -139,9 +150,176 @@ impl Picker for RoundRobin {
     }
 }
 
+/// One penalty bucket of a [`HorizonIndex`]: a min-segment tree over the
+/// queue horizons (`busy_until`, ticks) of the bucket's awake servers.
+#[derive(Debug, Clone, Default)]
+struct Bucket {
+    penalty: u64,
+    /// Leaf `i` is server `ids[i]`; ids ascend.
+    ids: Vec<ServerId>,
+    /// Heap layout: node 1 is the root, node `k` has children `2k` and
+    /// `2k + 1`, and the leaves fill `width..2 * width` with `u64::MAX`
+    /// padding. Empty when the bucket has no servers.
+    tree: Vec<u64>,
+}
+
+impl Bucket {
+    fn width(&self) -> usize {
+        self.tree.len() / 2
+    }
+
+    /// Reads every leaf afresh from `queues` and rebuilds the tree.
+    fn fill(&mut self, queues: &QueueView<'_>) {
+        self.tree.clear();
+        if self.ids.is_empty() {
+            return;
+        }
+        let width = self.ids.len().next_power_of_two();
+        self.tree.resize(2 * width, u64::MAX);
+        for (leaf, &id) in self.ids.iter().enumerate() {
+            self.tree[width + leaf] = queues.busy_until_ticks(id);
+        }
+        for node in (1..width).rev() {
+            self.tree[node] = self.tree[2 * node].min(self.tree[2 * node + 1]);
+        }
+    }
+
+    fn update(&mut self, leaf: usize, horizon: u64) {
+        let mut node = self.width() + leaf;
+        self.tree[node] = horizon;
+        while node > 1 {
+            node /= 2;
+            self.tree[node] = self.tree[2 * node].min(self.tree[2 * node + 1]);
+        }
+    }
+
+    /// The leftmost leaf whose horizon satisfies `hit`, given that the
+    /// root's does.
+    fn leftmost(&self, hit: impl Fn(u64) -> bool) -> usize {
+        let width = self.width();
+        let mut node = 1;
+        while node < width {
+            node = if hit(self.tree[2 * node]) {
+                2 * node
+            } else {
+                2 * node + 1
+            };
+        }
+        node - width
+    }
+
+    /// The bucket's exact `(penalty + backlog, id)` minimum, or `None`
+    /// when the bucket is empty or cannot beat `best`. Stale leaves met
+    /// on the way are refreshed from `queues`.
+    fn argmin(
+        &mut self,
+        queues: &QueueView<'_>,
+        best: Option<(u64, ServerId)>,
+    ) -> Option<(u64, ServerId)> {
+        let now = queues.now().ticks();
+        loop {
+            let root = *self.tree.get(1)?;
+            // Stored horizons are lower bounds, so this bounds every key
+            // in the bucket from below; on a tie a lower id may still win.
+            let bound = self.penalty.saturating_add(root.saturating_sub(now));
+            if best.is_some_and(|(key, _)| bound > key) {
+                return None;
+            }
+            // Busy bucket: the smallest horizon (lowest id among equals).
+            // Otherwise: the lowest-id server idle at `now`.
+            let leaf = if root > now {
+                self.leftmost(|h| h == root)
+            } else {
+                self.leftmost(|h| h <= now)
+            };
+            let id = self.ids[leaf];
+            let stored = self.tree[self.width() + leaf];
+            let actual = queues.busy_until_ticks(id);
+            // Exact when the true horizon matches the stored one — or,
+            // for an idle pick, when the server is still idle.
+            if actual.max(now) == stored.max(now) {
+                let key = self.penalty.saturating_add(actual.saturating_sub(now));
+                return Some((key, id));
+            }
+            self.update(leaf, actual);
+        }
+    }
+}
+
+/// The exact argmin index shared by [`LeastLoaded`] and [`RegimeAware`]:
+/// awake servers grouped by routing penalty, one [`Bucket`] per distinct
+/// penalty, in penalty order.
+///
+/// The cache is keyed on the `(InstanceSet, QueueModel)` stamps and
+/// rebuilt in O(awake) whenever either changes. Under one key the stored
+/// horizons are lower bounds of the true ones (a model only ever raises
+/// a horizon between stamp bumps), so a query validates the one leaf it
+/// lands on and, when stale, refreshes it in O(log n) and asks again.
+/// Each enqueue leaves at most one leaf stale.
+#[derive(Debug, Clone, Default)]
+struct HorizonIndex {
+    stamps: Option<(u64, u64)>,
+    buckets: Vec<Bucket>,
+}
+
+impl HorizonIndex {
+    /// The awake server minimising `(penalty(regime) + backlog, id)`.
+    fn pick(
+        &mut self,
+        set: &InstanceSet,
+        queues: &QueueView<'_>,
+        penalty: fn(OperatingRegime) -> u64,
+    ) -> Option<ServerId> {
+        let stamps = (set.stamp(), queues.stamp());
+        if self.stamps != Some(stamps) {
+            self.rebuild(set, queues, penalty);
+            self.stamps = Some(stamps);
+        }
+        let mut best = None;
+        for bucket in &mut self.buckets {
+            if let Some(candidate) = bucket.argmin(queues, best) {
+                if best.is_none_or(|b| candidate < b) {
+                    best = Some(candidate);
+                }
+            }
+        }
+        best.map(|(_, id)| id)
+    }
+
+    fn rebuild(
+        &mut self,
+        set: &InstanceSet,
+        queues: &QueueView<'_>,
+        penalty: fn(OperatingRegime) -> u64,
+    ) {
+        for bucket in &mut self.buckets {
+            bucket.ids.clear();
+        }
+        for inst in set.awake_indices().iter().filter_map(|&i| set.get(i)) {
+            let p = penalty(inst.regime);
+            match self.buckets.iter_mut().find(|b| b.penalty == p) {
+                Some(bucket) => bucket.ids.push(inst.id),
+                None => self.buckets.push(Bucket {
+                    penalty: p,
+                    ids: vec![inst.id],
+                    tree: Vec::new(),
+                }),
+            }
+        }
+        self.buckets.sort_by_key(|b| b.penalty);
+        for bucket in &mut self.buckets {
+            bucket.fill(queues);
+        }
+    }
+}
+
 /// Global argmin of queued work; ties break to the lower server id.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct LeastLoaded;
+/// The horizon index of the module docs with a single zero-penalty
+/// bucket.
+#[derive(Debug, Clone, Default)]
+pub struct LeastLoaded {
+    index: HorizonIndex,
+}
 
 impl Picker for LeastLoaded {
     fn name(&self) -> &'static str {
@@ -154,16 +332,7 @@ impl Picker for LeastLoaded {
         queues: &QueueView<'_>,
         _request: RequestId,
     ) -> Option<ServerId> {
-        let mut best: Option<(u64, ServerId)> = None;
-        for &idx in set.awake_indices() {
-            if let Some(inst) = set.get(idx) {
-                let key = (queues.backlog_ticks(inst.id), inst.id);
-                if best.is_none_or(|b| key < b) {
-                    best = Some(key);
-                }
-            }
-        }
-        best.map(|(_, id)| id)
+        self.index.pick(set, queues, |_| 0)
     }
 }
 
@@ -220,9 +389,12 @@ impl Picker for PowerOfTwo {
 }
 
 /// Regime-scored router: keep traffic on optimally loaded servers,
-/// off drain candidates and off overloaded ones.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct RegimeAware;
+/// off drain candidates and off overloaded ones. The horizon index of
+/// the module docs with one bucket per regime penalty.
+#[derive(Debug, Clone, Default)]
+pub struct RegimeAware {
+    index: HorizonIndex,
+}
 
 /// Routing penalty of a regime, as virtual backlog ticks added to the
 /// instance's real queue before comparison. Zero for the optimal band
@@ -254,21 +426,7 @@ impl Picker for RegimeAware {
         queues: &QueueView<'_>,
         _request: RequestId,
     ) -> Option<ServerId> {
-        let mut best: Option<(u64, ServerId)> = None;
-        for &idx in set.awake_indices() {
-            if let Some(inst) = set.get(idx) {
-                let key = (
-                    queues
-                        .backlog_ticks(inst.id)
-                        .saturating_add(regime_penalty_ticks(inst.regime)),
-                    inst.id,
-                );
-                if best.is_none_or(|b| key < b) {
-                    best = Some(key);
-                }
-            }
-        }
-        best.map(|(_, id)| id)
+        self.index.pick(set, queues, regime_penalty_ticks)
     }
 }
 
@@ -319,7 +477,7 @@ mod tests {
         let mut q = QueueModel::new(2);
         q.enqueue(SimTime::ZERO, ServerId(0), SimDuration::from_secs(5));
         let view = q.view(SimTime::ZERO);
-        let mut ll = LeastLoaded;
+        let mut ll = LeastLoaded::default();
         assert_eq!(ll.pick(&s, &view, RequestId(0)), Some(ServerId(1)));
     }
 
@@ -360,7 +518,7 @@ mod tests {
         ]);
         let q = QueueModel::new(3);
         let view = q.view(SimTime::ZERO);
-        let mut ra = RegimeAware;
+        let mut ra = RegimeAware::default();
         assert_eq!(ra.pick(&s, &view, RequestId(0)), Some(ServerId(1)));
     }
 
@@ -412,7 +570,107 @@ mod tests {
         let mut q = QueueModel::new(2);
         q.enqueue(SimTime::ZERO, ServerId(1), SimDuration::from_secs(5));
         let view = q.view(SimTime::ZERO);
-        let mut ra = RegimeAware;
+        let mut ra = RegimeAware::default();
         assert_eq!(ra.pick(&s, &view, RequestId(0)), Some(ServerId(0)));
+    }
+
+    fn regime_pick(s: &InstanceSet, q: &QueueModel, now: SimTime) -> Option<ServerId> {
+        RegimeAware::default().pick(s, &q.view(now), RequestId(0))
+    }
+
+    #[test]
+    fn equal_keys_across_buckets_go_to_the_lower_id() {
+        // Server 1 (optimal, 0.1 s queued) and server 0 (R4, idle) both
+        // score 100_000 ticks; the lower id wins although its bucket is
+        // searched second.
+        let s = set(vec![
+            inst(0, true, OperatingRegime::SuboptimalHigh, 0.8),
+            inst(1, true, OperatingRegime::Optimal, 0.6),
+        ]);
+        let mut q = QueueModel::new(2);
+        q.enqueue(SimTime::ZERO, ServerId(1), SimDuration::from_millis(100));
+        assert_eq!(regime_pick(&s, &q, SimTime::ZERO), Some(ServerId(0)));
+        // One tick less queued and the optimal server wins outright.
+        let mut q = QueueModel::new(2);
+        q.enqueue(SimTime::ZERO, ServerId(1), SimDuration::from_ticks(99_999));
+        assert_eq!(regime_pick(&s, &q, SimTime::ZERO), Some(ServerId(1)));
+    }
+
+    #[test]
+    fn idle_beats_busy_within_a_bucket_then_lowest_horizon_wins() {
+        let s = set((0..4)
+            .map(|i| inst(i, true, OperatingRegime::Optimal, 0.5))
+            .collect());
+        let mut q = QueueModel::new(4);
+        for (id, ms) in [(0, 300), (1, 200), (3, 200)] {
+            q.enqueue(SimTime::ZERO, ServerId(id), SimDuration::from_millis(ms));
+        }
+        // Server 2 is the only idle one.
+        assert_eq!(regime_pick(&s, &q, SimTime::ZERO), Some(ServerId(2)));
+        q.enqueue(SimTime::ZERO, ServerId(2), SimDuration::from_millis(250));
+        // All busy: 1 and 3 tie on the smallest horizon, 1 wins.
+        assert_eq!(regime_pick(&s, &q, SimTime::ZERO), Some(ServerId(1)));
+        // Later, 1 and 3 have drained: the lowest idle id wins.
+        assert_eq!(
+            regime_pick(&s, &q, SimTime::from_ticks(220_000)),
+            Some(ServerId(1))
+        );
+    }
+
+    #[test]
+    fn an_empty_bucket_is_skipped() {
+        // No optimal server at all; R4 beats R2 beats R5.
+        let s = set(vec![
+            inst(0, true, OperatingRegime::UndesirableHigh, 0.95),
+            inst(1, true, OperatingRegime::SuboptimalLow, 0.3),
+            inst(2, true, OperatingRegime::SuboptimalHigh, 0.8),
+            inst(3, false, OperatingRegime::Optimal, 0.6),
+        ]);
+        let q = QueueModel::new(4);
+        assert_eq!(regime_pick(&s, &q, SimTime::ZERO), Some(ServerId(2)));
+    }
+
+    #[test]
+    fn an_all_r5_set_routes_like_least_loaded() {
+        let s = set((0..5)
+            .map(|i| inst(i, true, OperatingRegime::UndesirableHigh, 0.95))
+            .collect());
+        let mut q = QueueModel::new(5);
+        for id in [0, 1, 3] {
+            q.enqueue(SimTime::ZERO, ServerId(id), SimDuration::from_secs(1));
+        }
+        let view = q.view(SimTime::ZERO);
+        let mut ra = RegimeAware::default();
+        let mut ll = LeastLoaded::default();
+        assert_eq!(ra.pick(&s, &view, RequestId(0)), Some(ServerId(2)));
+        assert_eq!(ll.pick(&s, &view, RequestId(0)), Some(ServerId(2)));
+    }
+
+    #[test]
+    fn reset_and_a_fresh_model_invalidate_the_index() {
+        let s = set((0..2)
+            .map(|i| inst(i, true, OperatingRegime::Optimal, 0.5))
+            .collect());
+        let mut q = QueueModel::new(2);
+        let mut ra = RegimeAware::default();
+        q.enqueue(SimTime::ZERO, ServerId(0), SimDuration::from_secs(2));
+        q.enqueue(SimTime::ZERO, ServerId(1), SimDuration::from_secs(1));
+        assert_eq!(
+            ra.pick(&s, &q.view(SimTime::ZERO), RequestId(0)),
+            Some(ServerId(1))
+        );
+        // A reset lowers server 0's horizon below the cached one.
+        q.reset(ServerId(0));
+        assert_eq!(
+            ra.pick(&s, &q.view(SimTime::ZERO), RequestId(1)),
+            Some(ServerId(0))
+        );
+        // A different model with the same set is a different index.
+        let mut other = QueueModel::new(2);
+        other.enqueue(SimTime::ZERO, ServerId(0), SimDuration::from_secs(3));
+        assert_eq!(
+            ra.pick(&s, &other.view(SimTime::ZERO), RequestId(2)),
+            Some(ServerId(1))
+        );
     }
 }

@@ -8,13 +8,46 @@
 //! no float accumulation order to worry about, and latencies come out
 //! as exact tick differences.
 
+use std::fmt;
+
 use ecolb_cluster::server::ServerId;
 use ecolb_simcore::time::{SimDuration, SimTime};
 
 /// FIFO queue horizons, one per server (indexed by server id).
-#[derive(Debug, Clone, PartialEq)]
+///
+/// Between two stamp bumps every horizon only rises:
+/// [`enqueue`](QueueModel::enqueue) never lowers one, and the only operations
+/// that can — [`reset`](QueueModel::reset), or handing a picker a
+/// different model (`new`, `clone`) — draw a fresh stamp. Pickers rely
+/// on that to keep cached horizons as lower bounds.
 pub struct QueueModel {
     busy_until: Vec<SimTime>,
+    stamp: u64,
+}
+
+impl Clone for QueueModel {
+    /// A copy with its own stamp: the two models diverge from here on.
+    fn clone(&self) -> Self {
+        QueueModel {
+            busy_until: self.busy_until.clone(),
+            stamp: crate::next_stamp(),
+        }
+    }
+}
+
+/// Equality of the horizons; the stamp is an identity, not state.
+impl PartialEq for QueueModel {
+    fn eq(&self, other: &Self) -> bool {
+        self.busy_until == other.busy_until
+    }
+}
+
+impl fmt::Debug for QueueModel {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("QueueModel")
+            .field("busy_until", &self.busy_until)
+            .finish()
+    }
 }
 
 impl QueueModel {
@@ -22,6 +55,7 @@ impl QueueModel {
     pub fn new(n: usize) -> Self {
         QueueModel {
             busy_until: vec![SimTime::ZERO; n],
+            stamp: crate::next_stamp(),
         }
     }
 
@@ -70,6 +104,7 @@ impl QueueModel {
         if let Some(slot) = self.busy_until.get_mut(server.index()) {
             *slot = SimTime::ZERO;
         }
+        self.stamp = crate::next_stamp();
     }
 
     /// A read-only view bound to an instant, handed to pickers.
@@ -95,6 +130,20 @@ impl QueueView<'_> {
     /// for tie-free comparisons.
     pub fn backlog_ticks(&self, server: ServerId) -> u64 {
         self.model.backlog(self.now, server).ticks()
+    }
+
+    /// The instant `server`'s queue drains, integer ticks (zero when it
+    /// never queued or is out of range).
+    pub fn busy_until_ticks(&self, server: ServerId) -> u64 {
+        self.model
+            .busy_until
+            .get(server.index())
+            .map_or(0, |b| b.ticks())
+    }
+
+    /// The model's current stamp (see [`QueueModel`]).
+    pub(crate) fn stamp(&self) -> u64 {
+        self.model.stamp
     }
 
     /// The instant this view is bound to.

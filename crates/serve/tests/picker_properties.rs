@@ -4,13 +4,16 @@
 //!    the max–min gap of per-instance pick counts is ≤ 1;
 //! 2. power-of-two-choices never picks a sleeping instance;
 //! 3. every picker is deterministic under instance-set reordering —
-//!    the pick is a function of the *set*, not the discovery order.
+//!    the pick is a function of the *set*, not the discovery order;
+//! 4. the indexed `LeastLoaded` and `RegimeAware` pickers return exactly
+//!    what a linear argmin scan returns, over random operation sequences
+//!    that stress the index's cache invalidation.
 
 use ecolb_cluster::instances::InstanceInfo;
 use ecolb_cluster::server::ServerId;
 use ecolb_energy::regimes::OperatingRegime;
-use ecolb_serve::picker::{Picker, PickerKind, PowerOfTwo, RoundRobin};
-use ecolb_serve::queue::QueueModel;
+use ecolb_serve::picker::{regime_penalty_ticks, Picker, PickerKind, PowerOfTwo, RoundRobin};
+use ecolb_serve::queue::{QueueModel, QueueView};
 use ecolb_serve::InstanceSet;
 use ecolb_simcore::proptest_lite::{check, Gen};
 use ecolb_simcore::time::{SimDuration, SimTime};
@@ -169,4 +172,136 @@ fn least_loaded_and_regime_aware_route_awake_only() {
             }
         }
     });
+}
+
+/// The reference the indexed pickers must match: a linear scan for the
+/// minimum `(backlog + penalty, id)` over the awake instances.
+fn scan_argmin(
+    set: &InstanceSet,
+    view: &QueueView<'_>,
+    penalty: fn(OperatingRegime) -> u64,
+) -> Option<ServerId> {
+    set.awake_indices()
+        .iter()
+        .filter_map(|&i| set.get(i))
+        .map(|inst| {
+            let key = view
+                .backlog_ticks(inst.id)
+                .saturating_add(penalty(inst.regime));
+            (key, inst.id)
+        })
+        .min()
+        .map(|(_, id)| id)
+}
+
+/// A coarse tick grid (multiples of 50 ms) so that equal keys — within a
+/// bucket and across penalty buckets — come up often.
+fn coarse_ticks(gen: &mut Gen, max_steps: u64) -> SimDuration {
+    SimDuration::from_ticks(gen.u64_in(0, max_steps) * 50_000)
+}
+
+#[test]
+fn indexed_pickers_match_a_linear_scan() {
+    check("indexed_picker_vs_scan", |gen| {
+        let n = gen.usize_in(1, 40);
+        let population = |gen: &mut Gen| -> Vec<InstanceInfo> {
+            (0..n)
+                .map(|i| InstanceInfo {
+                    id: ServerId(i as u32),
+                    awake: gen.f64_in(0.0, 1.0) < 0.8,
+                    regime: regime_of(gen.usize_in(0, 5)),
+                    load: 0.5,
+                    vms: 1,
+                })
+                .collect()
+        };
+        let full = population(gen);
+        // The breaker-filtered view of the same population.
+        let filtered: Vec<InstanceInfo> = full
+            .iter()
+            .filter(|_| gen.f64_in(0.0, 1.0) < 0.7)
+            .copied()
+            .collect();
+        for (kind, penalty) in [
+            (
+                PickerKind::LeastLoaded,
+                (|_| 0) as fn(OperatingRegime) -> u64,
+            ),
+            (PickerKind::RegimeAware, regime_penalty_ticks),
+        ] {
+            let mut sets = [
+                InstanceSet::from_instances(full.clone()),
+                InstanceSet::from_instances(filtered.clone()),
+            ];
+            let mut models = [QueueModel::new(n), QueueModel::new(n)];
+            let (mut set_at, mut model_at) = (0usize, 0usize);
+            let mut now = SimTime::ZERO;
+            let mut picker = kind.build(1);
+            for step in 0..gen.usize_in(1, 200) {
+                match gen.usize_in(0, 17) {
+                    // Pick at a non-decreasing instant, then enqueue on
+                    // the chosen server — the serve path.
+                    0..=8 => {
+                        now += coarse_ticks(gen, 4);
+                        let view = models[model_at].view(now);
+                        let set = &sets[set_at];
+                        let got = picker.pick(set, &view, RequestId(step as u64));
+                        let want = scan_argmin(set, &view, penalty);
+                        assert_eq!(got, want, "{} step {step} at {now:?}", kind.label());
+                        if let Some(server) = got {
+                            let work = coarse_ticks(gen, 6) + SimDuration::from_ticks(1);
+                            models[model_at].enqueue(now, server, work);
+                        }
+                    }
+                    // An enqueue on an arbitrary server (a hedge twin).
+                    9 | 10 => {
+                        let server = ServerId(gen.usize_in(0, n) as u32);
+                        models[model_at].enqueue(now, server, coarse_ticks(gen, 8));
+                    }
+                    // A crash destroys a server's queue.
+                    11 => models[model_at].reset(ServerId(gen.usize_in(0, n) as u32)),
+                    // Breakers open or close: the other set is routed.
+                    12 => set_at = 1 - set_at,
+                    // A discovery refresh rebuilds the routed set.
+                    13 => sets[set_at] = InstanceSet::from_instances(population(gen)),
+                    // Fork the model and diverge on the copy.
+                    14 => {
+                        models[1 - model_at] = models[model_at].clone();
+                        model_at = 1 - model_at;
+                    }
+                    // Route on the other model again.
+                    15 => model_at = 1 - model_at,
+                    // A fresh model against the same set.
+                    _ => models[model_at] = QueueModel::new(n),
+                }
+            }
+        }
+    });
+}
+
+#[test]
+fn indexed_pickers_survive_switching_back_to_an_unchanged_model() {
+    // A picker that routed on a diverged clone must not carry the
+    // clone's (higher) horizons back to the original model.
+    let set = InstanceSet::from_instances(
+        (0..3)
+            .map(|i| InstanceInfo {
+                id: ServerId(i),
+                awake: true,
+                regime: OperatingRegime::Optimal,
+                load: 0.5,
+                vms: 1,
+            })
+            .collect(),
+    );
+    let original = QueueModel::new(3);
+    let mut fork = original.clone();
+    fork.enqueue(SimTime::ZERO, ServerId(0), SimDuration::from_secs(1));
+    for kind in [PickerKind::LeastLoaded, PickerKind::RegimeAware] {
+        let mut p = kind.build(1);
+        let on_fork = p.pick(&set, &fork.view(SimTime::ZERO), RequestId(0));
+        assert_eq!(on_fork, Some(ServerId(1)), "{}", kind.label());
+        let back = p.pick(&set, &original.view(SimTime::ZERO), RequestId(1));
+        assert_eq!(back, Some(ServerId(0)), "{}", kind.label());
+    }
 }
