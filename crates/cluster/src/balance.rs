@@ -33,6 +33,7 @@ use ecolb_energy::sleep::{CState, SleepModel, SleepPolicy};
 use ecolb_simcore::time::SimTime;
 use ecolb_trace::{NoTrace, SpanKind, TraceEventKind, Tracer};
 use ecolb_workload::application::AppId;
+use std::collections::BTreeSet;
 
 /// Tolerance for load/room comparisons: demands are sums of many f64
 /// terms, so exact comparisons reject placements that fit by construction.
@@ -206,6 +207,102 @@ fn cap<'a>(ids: &'a [ServerId], config: &BalanceConfig) -> &'a [ServerId] {
     match config.max_partners {
         Some(k) => &ids[..ids.len().min(k)],
         None => ids,
+    }
+}
+
+/// Slack below `demand − EPS` under which a stored drain headroom proves a
+/// receiver cannot take `demand`. Loads, ceilings and demands all lie in
+/// `[0, 2]`, where each of the three f64 roundings involved (the stored
+/// `ceiling − load`, the live `load + demand` and `ceiling + EPS`) errs by
+/// less than 1e-15, so this margin is never eaten by rounding.
+const EARLY_EXIT_SLACK: f64 = 1e-12;
+
+/// True when a receiver whose [`DrainRank`] headroom is `stored_headroom`
+/// provably fails the placement test `load + demand <= ceiling + EPS`.
+/// Within one candidate receivers only gain load, so live headroom never
+/// exceeds the stored one; and the rank is sorted by stored headroom, so
+/// every receiver after this one fails too.
+fn cannot_fit(stored_headroom: f64, demand: f64) -> bool {
+    stored_headroom < demand - EPS - EARLY_EXIT_SLACK
+}
+
+/// Maps a headroom to a key whose unsigned order is the *reverse* of
+/// `f64::total_cmp`, so ascending keys walk headroom descending.
+fn headroom_key(h: f64) -> u64 {
+    let bits = h.to_bits();
+    // Standard total-order map: negatives flip every bit, non-negatives
+    // flip only the sign bit.
+    let ordered = if bits >> 63 == 1 {
+        !bits
+    } else {
+        bits | (1 << 63)
+    };
+    !ordered
+}
+
+/// Inverse of [`headroom_key`].
+fn key_headroom(key: u64) -> f64 {
+    let ordered = !key;
+    f64::from_bits(if ordered >> 63 == 1 {
+        ordered & !(1 << 63)
+    } else {
+        !ordered
+    })
+}
+
+/// The drain phase's receivers, kept sorted across candidates.
+///
+/// A server is ranked iff it is awake, in R2 and below the drain ceiling;
+/// the set orders members by `ceiling − load` descending, then id
+/// ascending. Membership and order must equal filtering and sorting the
+/// whole fleet from the state at each server's last refresh, or drain
+/// decisions change. Building costs O(n log n) once per round and
+/// [`DrainRank::refresh`] O(log n) per server whose load changed.
+#[derive(Debug)]
+struct DrainRank {
+    /// Each server's current key, `None` when it is not a receiver.
+    keys: Vec<Option<u64>>,
+    /// `(key, id)` of every ranked server.
+    set: BTreeSet<(u64, ServerId)>,
+}
+
+impl DrainRank {
+    /// The rank key of `s`, or `None` when it cannot receive drain load.
+    fn key_of(s: &Server, fill: FillLimit) -> Option<u64> {
+        let ceiling = fill.ceiling(s);
+        (s.is_awake() && s.regime() == OperatingRegime::SuboptimalLow && s.load() < ceiling)
+            .then(|| headroom_key(ceiling - s.load()))
+    }
+
+    fn build(servers: &[Server], fill: FillLimit) -> Self {
+        let keys: Vec<Option<u64>> = servers.iter().map(|s| Self::key_of(s, fill)).collect();
+        let set = keys
+            .iter()
+            .zip(servers)
+            .filter_map(|(k, s)| Some(((*k)?, s.id())))
+            .collect();
+        DrainRank { keys, set }
+    }
+
+    /// Re-keys `id` from its live state.
+    fn refresh(&mut self, servers: &[Server], fill: FillLimit, id: ServerId) {
+        let new = Self::key_of(&servers[id.index()], fill);
+        let slot = &mut self.keys[id.index()];
+        if *slot == new {
+            return;
+        }
+        if let Some(old) = *slot {
+            self.set.remove(&(old, id));
+        }
+        if let Some(k) = new {
+            self.set.insert((k, id));
+        }
+        *slot = new;
+    }
+
+    /// Ranked receivers with their stored headroom, most headroom first.
+    fn iter(&self) -> impl Iterator<Item = (ServerId, f64)> + '_ {
+        self.set.iter().map(|&(k, id)| (id, key_headroom(k)))
     }
 }
 
@@ -446,6 +543,15 @@ fn drain_phase(
             .then(a.cmp(&b))
     });
 
+    // Built at the first drain search. Servers a candidate's commits touch
+    // are re-keyed only when the *next* search starts: a candidate with
+    // several moves walks its receivers in the order they had when its
+    // own search began. Re-keying after each move would reorder them
+    // mid-candidate and change which receiver takes the next app.
+    let mut rank: Option<DrainRank> = None;
+    let mut touched: Vec<ServerId> = Vec::new();
+    let partner_limit = config.max_partners.unwrap_or(usize::MAX);
+
     let mut processed = 0usize;
     for &cand in candidates.iter() {
         if let Some(budget) = config.drain_candidates_per_interval {
@@ -493,6 +599,7 @@ fn drain_phase(
                 {
                     Some(rec) => {
                         trace_migration(tracer, now, &rec);
+                        touched.extend([rec.from, rec.to]);
                         outcome.migrations.push(rec);
                         ledger.record(DecisionKind::InClusterHorizontal);
                         gathered = true;
@@ -515,26 +622,17 @@ fn drain_phase(
 
         // Option B: drain into R2 receivers filled at most to the drain
         // ceiling. The per-interval transfer budget means a loaded server
-        // drains over several intervals; it sleeps only once empty.
-        partners.clear();
-        partners.extend(
-            servers
-                .iter()
-                .filter(|s| {
-                    s.is_awake()
-                        && s.id() != cand
-                        && s.regime() == OperatingRegime::SuboptimalLow
-                        && s.load() < config.drain_fill.ceiling(s)
-                })
-                .map(Server::id),
-        );
-        // Most spare drain capacity first maximises placement success.
-        partners.sort_by(|&a, &b| {
-            let ha = config.drain_fill.ceiling(&servers[a.index()]) - servers[a.index()].load();
-            let hb = config.drain_fill.ceiling(&servers[b.index()]) - servers[b.index()].load();
-            hb.total_cmp(&ha).then(a.cmp(&b))
-        });
-        let receivers = cap(partners, config);
+        // drains over several intervals; it sleeps only once empty. Most
+        // spare drain capacity first maximises placement success.
+        match &mut rank {
+            Some(rank) => {
+                for id in touched.drain(..) {
+                    rank.refresh(servers, config.drain_fill, id);
+                }
+            }
+            None => touched.clear(), // the build below reads live state
+        }
+        let rank = rank.get_or_insert_with(|| DrainRank::build(servers, config.drain_fill));
 
         // Move the largest placeable apps within the interval budget.
         let mut moved = 0usize;
@@ -548,11 +646,15 @@ fn drain_phase(
             );
             apps.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
             let mut placed = None;
-            'search: for (app, demand) in apps.iter() {
-                for &rx in receivers {
+            'search: for &(app, demand) in apps.iter() {
+                let receivers = rank.iter().filter(|&(id, _)| id != cand);
+                for (rx, stored_headroom) in receivers.take(partner_limit) {
+                    if cannot_fit(stored_headroom, demand) {
+                        break; // and neither can anyone ranked after `rx`
+                    }
                     let s = &servers[rx.index()];
                     if s.is_awake() && s.load() + demand <= config.drain_fill.ceiling(s) + EPS {
-                        placed = Some((*app, rx));
+                        placed = Some((app, rx));
                         break 'search;
                     }
                 }
@@ -562,6 +664,7 @@ fn drain_phase(
             {
                 Some(rec) => {
                     trace_migration(tracer, now, &rec);
+                    touched.extend([rec.from, rec.to]);
                     outcome.migrations.push(rec);
                     ledger.record(DecisionKind::InClusterHorizontal);
                     moved += 1;
@@ -1337,5 +1440,234 @@ mod tests {
             assert!(m.demand > 0.0);
         }
         assert!(out.migration_energy_j() > 0.0);
+    }
+
+    /// The per-candidate filter-and-sort the drain phase ran before
+    /// [`DrainRank`] existed, kept as the rank's oracle.
+    fn drain_receivers_oracle(servers: &[Server], fill: FillLimit) -> Vec<ServerId> {
+        let mut ids: Vec<ServerId> = servers
+            .iter()
+            .filter(|s| {
+                s.is_awake()
+                    && s.regime() == OperatingRegime::SuboptimalLow
+                    && s.load() < fill.ceiling(s)
+            })
+            .map(Server::id)
+            .collect();
+        ids.sort_by(|&a, &b| {
+            let ha = fill.ceiling(&servers[a.index()]) - servers[a.index()].load();
+            let hb = fill.ceiling(&servers[b.index()]) - servers[b.index()].load();
+            hb.total_cmp(&ha).then(a.cmp(&b))
+        });
+        ids
+    }
+
+    fn rank_ids(rank: &DrainRank) -> Vec<ServerId> {
+        rank.iter().map(|(id, _)| id).collect()
+    }
+
+    #[test]
+    fn drain_rank_matches_the_filter_and_sort_oracle() {
+        use crate::mix::ServerMix;
+        use ecolb_simcore::proptest_lite::check;
+        const FILLS: [FillLimit; 3] = [FillLimit::OptLow, FillLimit::OptTarget, FillLimit::OptHigh];
+        check("drain_rank_oracle", |g| {
+            let sleep_model = SleepModel::default();
+            // Half the cases are homogeneous; the rest mix enterprise
+            // power classes with per-server sampled regime ceilings.
+            let mixed = g.rng().chance(0.5);
+            let mix = ServerMix::typical_enterprise();
+            let fill = FILLS[g.usize_in(0, FILLS.len())];
+            let n = g.usize_in(1, 40);
+            let mut next_app = 0u64;
+            let mut servers: Vec<Server> = (0..n)
+                .map(|i| {
+                    let (b, power) = if mixed {
+                        let class = mix.sample(g.rng());
+                        (
+                            RegimeBoundaries::sample_paper(g.rng()),
+                            mix.power_spec(class),
+                        )
+                    } else {
+                        (boundaries(), ServerPowerSpec::default())
+                    };
+                    let mut s = Server::new(ServerId(i as u32), b, power, SimTime::ZERO);
+                    for _ in 0..g.usize_in(0, 4) {
+                        let d = g.f64_in(0.0, 0.2);
+                        s.place_app(Application::new(AppId(next_app), d, 0.01, 4.0));
+                        next_app += 1;
+                    }
+                    s
+                })
+                .collect();
+            // Equal loads on a few servers exercise the id tie-break.
+            if n > 2 && g.rng().chance(0.5) {
+                for s in &mut servers[..2] {
+                    s.drain_apps();
+                    s.place_app(Application::new(AppId(next_app), 0.25, 0.01, 4.0));
+                    next_app += 1;
+                }
+            }
+            let mut rank = DrainRank::build(&servers, fill);
+            assert_eq!(rank_ids(&rank), drain_receivers_oracle(&servers, fill));
+
+            let mut now = SimTime::ZERO;
+            for _ in 0..g.usize_in(1, 30) {
+                now += ecolb_simcore::time::SimDuration::from_secs(3600);
+                let id = ServerId(g.usize_in(0, n) as u32);
+                let s = &mut servers[id.index()];
+                match g.usize_in(0, 4) {
+                    0 if s.is_awake() => {
+                        let d = g.f64_in(0.0, 0.15);
+                        s.place_app(Application::new(AppId(next_app), d, 0.01, 4.0));
+                        next_app += 1;
+                    }
+                    1 => {
+                        if let Some(app) = s.apps().first().map(|a| a.id) {
+                            s.take_app(app);
+                        }
+                    }
+                    2 if s.is_awake() => {
+                        s.drain_apps();
+                        s.enter_sleep(now, CState::C3, &sleep_model);
+                    }
+                    3 if s.is_sleeping() => {
+                        // Half the wakes are still in flight at the check.
+                        let ready = s.begin_wake(now, &sleep_model);
+                        if g.rng().chance(0.5) {
+                            s.complete_wake(ready);
+                            now = ready;
+                        }
+                    }
+                    _ => continue,
+                }
+                rank.refresh(&servers, fill, id);
+                assert_eq!(rank_ids(&rank), drain_receivers_oracle(&servers, fill));
+            }
+            for (id, stored) in rank.iter() {
+                let s = &servers[id.index()];
+                assert_eq!(stored.to_bits(), (fill.ceiling(s) - s.load()).to_bits());
+            }
+        });
+    }
+
+    #[test]
+    fn early_exit_bound_implies_the_placement_test_fails() {
+        use ecolb_simcore::proptest_lite::check;
+        check("drain_early_exit_exact", |g| {
+            let ceiling = g.f64_in(0.0, 1.0);
+            let load0 = g.f64_in(0.0, ceiling);
+            let stored = ceiling - load0;
+            // Demands straddle the bound to within a few hundred ulps, plus
+            // unconstrained draws.
+            let demand = if g.rng().chance(0.7) {
+                let ulps = g.u64_in(0, 400) as f64 - 200.0;
+                (stored + EPS + EARLY_EXIT_SLACK + ulps * 1e-16).max(0.0)
+            } else {
+                g.f64_in(0.0, 1.0)
+            };
+            // Receivers only gain load between a refresh and the search.
+            let mut load = load0;
+            for _ in 0..g.usize_in(0, 3) {
+                load += g.f64_in(0.0, 1e-9);
+            }
+            if cannot_fit(stored, demand) {
+                assert!(
+                    load + demand > ceiling + EPS,
+                    "early exit on a receiver that fits: load {load} demand {demand} \
+                     ceiling {ceiling}"
+                );
+            }
+        });
+    }
+
+    #[test]
+    fn headroom_key_follows_total_cmp_including_signed_zero_and_subnormals() {
+        let values = [
+            f64::NEG_INFINITY,
+            -1.0,
+            -f64::MIN_POSITIVE,
+            -f64::from_bits(1),
+            -0.0,
+            0.0,
+            f64::from_bits(1),
+            f64::from_bits(0x000F_FFFF_FFFF_FFFF), // largest subnormal
+            f64::MIN_POSITIVE,
+            0.05,
+            1.0,
+            f64::INFINITY,
+        ];
+        for &a in &values {
+            assert_eq!(key_headroom(headroom_key(a)).to_bits(), a.to_bits());
+            for &b in &values {
+                assert_eq!(
+                    headroom_key(a).cmp(&headroom_key(b)),
+                    b.total_cmp(&a),
+                    "{a:e} vs {b:e}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn equal_drain_headroom_breaks_ties_by_lower_id() {
+        // Receivers 1 and 2 have identical headroom; the lower id wins.
+        let (mut servers, mut leader) = mk_cluster(&[&[0.03], &[0.25], &[0.25]]);
+        let rank = DrainRank::build(&servers, FillLimit::OptLow);
+        assert_eq!(rank_ids(&rank), vec![ServerId(1), ServerId(2)]);
+        let out = run(&mut servers, &mut leader, &BalanceConfig::default());
+        assert_eq!(out.migrations.len(), 1);
+        assert_eq!(out.migrations[0].to, ServerId(1));
+    }
+
+    #[test]
+    fn drain_partner_cap_limits_receivers_per_candidate() {
+        // Receiver 1 (headroom 0.08) takes the first app and is then too
+        // full for the second; only receiver 2 could take it.
+        let loads: [&[f64]; 3] = [&[0.05, 0.05], &[0.22], &[0.23]];
+        let config = |max_partners| BalanceConfig {
+            max_partners,
+            drain_moves_per_candidate: 8,
+            ..Default::default()
+        };
+        let (mut servers, mut leader) = mk_cluster(&loads);
+        let out = run(&mut servers, &mut leader, &config(Some(1)));
+        let targets: Vec<ServerId> = out.migrations.iter().map(|m| m.to).collect();
+        assert_eq!(targets, vec![ServerId(1)]);
+        assert_eq!(out.failed_drains, vec![ServerId(0)]);
+
+        let (mut servers, mut leader) = mk_cluster(&loads);
+        let out = run(&mut servers, &mut leader, &config(None));
+        let targets: Vec<ServerId> = out.migrations.iter().map(|m| m.to).collect();
+        assert_eq!(targets, vec![ServerId(1), ServerId(2)]);
+        assert_eq!(out.slept.len(), 1);
+    }
+
+    #[test]
+    fn multi_move_drain_keeps_the_candidate_start_order() {
+        // Candidate 0 (load 0.08) drains first. Receiver 2 starts with the
+        // most headroom (0.09 vs 0.08) and still fits the second app after
+        // taking the first, even though receiver 3 then has more room: the
+        // candidate walks the order its search began with. Candidate 1
+        // (load 0.1) searches after the refresh and sees receiver 3 first.
+        let (mut servers, mut leader) =
+            mk_cluster(&[&[0.04, 0.04], &[0.05, 0.05], &[0.21], &[0.22]]);
+        let config = BalanceConfig {
+            drain_moves_per_candidate: 8,
+            ..Default::default()
+        };
+        let out = run(&mut servers, &mut leader, &config);
+        let moves: Vec<(ServerId, ServerId)> =
+            out.migrations.iter().map(|m| (m.from, m.to)).collect();
+        assert_eq!(
+            moves,
+            vec![
+                (ServerId(0), ServerId(2)),
+                (ServerId(0), ServerId(2)),
+                (ServerId(1), ServerId(3)),
+            ]
+        );
+        assert_eq!(out.slept.len(), 1);
+        assert_eq!(out.failed_drains, vec![ServerId(1)]);
     }
 }

@@ -31,6 +31,13 @@ pub struct DirectoryEntry {
 /// zero the search answers in O(1) instead of scanning the whole
 /// directory — at low cluster load "no donors anywhere" is the common
 /// case, which used to cost O(n) per drain candidate.
+///
+/// Otherwise each search answers from a cached sorted list of *every*
+/// matching entry, so a reply is a copy minus the requester rather than
+/// a scan and a sort. Migrations do not touch the directory, so between
+/// two directory mutations the lists are fixed; every mutation
+/// (`receive_report`, `issue_wake_order`, `mark_offline`,
+/// `reset_directory`) drops both caches.
 #[derive(Debug, Clone)]
 pub struct Leader {
     directory: Vec<Option<DirectoryEntry>>,
@@ -41,6 +48,11 @@ pub struct Leader {
     overloaded_awake: u32,
     /// Reusable sort buffer for the partner searches.
     scratch: Vec<(ServerId, OperatingRegime, f64)>,
+    /// Every receiver in [`Leader::find_receivers`] order, or `None` when
+    /// the directory changed since it was sorted.
+    receivers: Option<Vec<ServerId>>,
+    /// Every donor in [`Leader::find_donors`] order; same validity rule.
+    donors: Option<Vec<ServerId>>,
 }
 
 /// This entry's contribution to the (underloaded, overloaded) occupancy
@@ -56,6 +68,26 @@ fn occupancy(e: &DirectoryEntry) -> (u32, u32) {
     }
 }
 
+/// Ids of every awake directory entry whose regime satisfies `keep`,
+/// sorted by `order` over `(id, regime, load)`.
+fn sorted_partners(
+    directory: &[Option<DirectoryEntry>],
+    scratch: &mut Vec<(ServerId, OperatingRegime, f64)>,
+    keep: fn(OperatingRegime) -> bool,
+    order: impl FnMut(
+        &(ServerId, OperatingRegime, f64),
+        &(ServerId, OperatingRegime, f64),
+    ) -> std::cmp::Ordering,
+) -> Vec<ServerId> {
+    scratch.clear();
+    scratch.extend(directory.iter().enumerate().filter_map(|(i, e)| {
+        let e = (*e)?;
+        (!e.sleeping && keep(e.regime)).then_some((ServerId(i as u32), e.regime, e.load))
+    }));
+    scratch.sort_by(order);
+    scratch.iter().map(|&(id, _, _)| id).collect()
+}
+
 impl Leader {
     /// Creates a leader for a cluster of `n` servers.
     pub fn new(n: usize) -> Self {
@@ -65,7 +97,15 @@ impl Leader {
             underloaded_awake: 0,
             overloaded_awake: 0,
             scratch: Vec::new(),
+            receivers: None,
+            donors: None,
         }
+    }
+
+    /// Drops the cached partner lists; every directory mutation calls it.
+    fn invalidate_partner_lists(&mut self) {
+        self.receivers = None;
+        self.donors = None;
     }
 
     /// Number of directory slots.
@@ -84,6 +124,7 @@ impl Leader {
     ) {
         let msg = Message::RegimeReport { from, regime, load };
         self.stats.record(&msg);
+        self.invalidate_partner_lists();
         let entry = DirectoryEntry {
             regime,
             load,
@@ -149,19 +190,18 @@ impl Leader {
         if self.underloaded_awake == 0 {
             return;
         }
-        self.scratch.clear();
-        self.scratch
-            .extend(self.directory.iter().enumerate().filter_map(|(i, e)| {
-                let e = (*e)?;
-                let id = ServerId(i as u32);
-                (id != requester && !e.sleeping && e.regime.is_underloaded())
-                    .then_some((id, e.regime, e.load))
-            }));
-        // total_cmp keeps the broker panic-free even if a load ever went
-        // NaN; ordering for finite loads is identical to partial_cmp.
-        self.scratch
-            .sort_by(|a, b| b.2.total_cmp(&a.2).then(a.0.cmp(&b.0)));
-        out.extend(self.scratch.iter().map(|&(id, _, _)| id));
+        let cached = self.receivers.get_or_insert_with(|| {
+            sorted_partners(
+                &self.directory,
+                &mut self.scratch,
+                OperatingRegime::is_underloaded,
+                // total_cmp keeps the broker panic-free even if a load ever
+                // went NaN; ordering for finite loads is identical to
+                // partial_cmp.
+                |a, b| b.2.total_cmp(&a.2).then(a.0.cmp(&b.0)),
+            )
+        });
+        out.extend(cached.iter().copied().filter(|&id| id != requester));
     }
 
     /// Searches for **donors**: awake servers reported in R4 or R5,
@@ -180,21 +220,20 @@ impl Leader {
         if self.overloaded_awake == 0 {
             return;
         }
-        self.scratch.clear();
-        self.scratch
-            .extend(self.directory.iter().enumerate().filter_map(|(i, e)| {
-                let e = (*e)?;
-                let id = ServerId(i as u32);
-                (id != requester && !e.sleeping && e.regime.is_overloaded())
-                    .then_some((id, e.regime, e.load))
-            }));
-        self.scratch.sort_by(|a, b| {
-            b.1.index()
-                .cmp(&a.1.index())
-                .then(b.2.total_cmp(&a.2))
-                .then(a.0.cmp(&b.0))
+        let cached = self.donors.get_or_insert_with(|| {
+            sorted_partners(
+                &self.directory,
+                &mut self.scratch,
+                OperatingRegime::is_overloaded,
+                |a, b| {
+                    b.1.index()
+                        .cmp(&a.1.index())
+                        .then(b.2.total_cmp(&a.2))
+                        .then(a.0.cmp(&b.0))
+                },
+            )
         });
-        out.extend(self.scratch.iter().map(|&(id, _, _)| id));
+        out.extend(cached.iter().copied().filter(|&id| id != requester));
     }
 
     /// Sleeping servers eligible for a wake order (§4 action 5), shallowest
@@ -212,6 +251,7 @@ impl Leader {
     /// Issues (and accounts) a wake order.
     pub fn issue_wake_order(&mut self, to: ServerId) {
         self.stats.record(&Message::WakeOrder { to });
+        self.invalidate_partner_lists();
         if let Some(e) = &mut self.directory[to.index()] {
             let (u, o) = occupancy(e);
             self.underloaded_awake -= u;
@@ -227,6 +267,7 @@ impl Leader {
     /// to have crashed, so the broker stops offering it as a partner until
     /// it reports again after recovery.
     pub fn mark_offline(&mut self, id: ServerId) {
+        self.invalidate_partner_lists();
         if let Some(e) = self.directory[id.index()].take() {
             let (u, o) = occupancy(&e);
             self.underloaded_awake -= u;
@@ -238,6 +279,7 @@ impl Leader {
     /// A freshly elected leader starts from an empty directory and must
     /// rebuild it with a [`Leader::full_report_sweep`].
     pub fn reset_directory(&mut self) {
+        self.invalidate_partner_lists();
         for e in &mut self.directory {
             *e = None;
         }

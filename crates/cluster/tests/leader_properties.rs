@@ -7,6 +7,9 @@
 //! failure-recovery protocol leans on — after a failover the directory is
 //! rebuilt from a fresh report sweep whose arrival order differs from the
 //! original, and the new leader must still make the same decisions.
+//!
+//! The leader answers from cached sorted lists, so the last property runs
+//! random mutation sequences and checks every reply against a fresh scan.
 
 use ecolb_cluster::leader::Leader;
 use ecolb_cluster::server::ServerId;
@@ -164,5 +167,114 @@ fn rebuilt_directory_reproduces_the_original_selection() {
         }
         assert_eq!(rebuilt.find_donors(requester), donors);
         assert_eq!(rebuilt.find_receivers(requester), receivers);
+    });
+}
+
+/// What the directory should hold, kept beside a [`Leader`] so every
+/// reply can be checked against a fresh scan and sort.
+#[derive(Debug, Clone)]
+struct Oracle {
+    entries: Vec<Option<ReportLine>>,
+    replies: u64,
+}
+
+impl Oracle {
+    fn scan(&self, requester: ServerId, keep: fn(OperatingRegime) -> bool) -> Vec<ReportLine> {
+        self.entries
+            .iter()
+            .flatten()
+            .copied()
+            .filter(|r| r.from != requester && !r.sleeping && keep(r.regime))
+            .collect()
+    }
+
+    fn receivers(&self, requester: ServerId) -> Vec<ServerId> {
+        let mut hits = self.scan(requester, OperatingRegime::is_underloaded);
+        hits.sort_by(|a, b| b.load.total_cmp(&a.load).then(a.from.cmp(&b.from)));
+        hits.iter().map(|r| r.from).collect()
+    }
+
+    fn donors(&self, requester: ServerId) -> Vec<ServerId> {
+        let mut hits = self.scan(requester, OperatingRegime::is_overloaded);
+        hits.sort_by(|a, b| {
+            b.regime
+                .index()
+                .cmp(&a.regime.index())
+                .then(b.load.total_cmp(&a.load))
+                .then(a.from.cmp(&b.from))
+        });
+        hits.iter().map(|r| r.from).collect()
+    }
+}
+
+/// Applies one random directory mutation or query to `leader` and its
+/// oracle, checking every reply and the partner-list count.
+fn random_step(g: &mut Gen, leader: &mut Leader, oracle: &mut Oracle) {
+    // A few distinct loads make equal-key ties common.
+    const LOADS: [f64; 4] = [0.1, 0.25, 0.5, 0.9];
+    let n = oracle.entries.len();
+    let id = ServerId(g.usize_in(0, n) as u32);
+    match g.usize_in(0, 20) {
+        0..=5 => {
+            let r = ReportLine {
+                from: id,
+                regime: REGIMES[g.usize_in(0, REGIMES.len())],
+                load: if g.rng().chance(0.5) {
+                    LOADS[g.usize_in(0, LOADS.len())]
+                } else {
+                    g.f64_in(0.0, 1.0)
+                },
+                sleeping: g.rng().chance(0.3),
+            };
+            leader.receive_report(r.from, r.regime, r.load, r.sleeping);
+            oracle.entries[id.index()] = Some(r);
+        }
+        6..=7 => {
+            leader.issue_wake_order(id);
+            if let Some(r) = &mut oracle.entries[id.index()] {
+                r.sleeping = false;
+            }
+        }
+        8..=9 => {
+            leader.mark_offline(id);
+            oracle.entries[id.index()] = None;
+        }
+        10 => {
+            leader.reset_directory();
+            oracle.entries.iter_mut().for_each(|e| *e = None);
+        }
+        11..=15 => {
+            oracle.replies += 1;
+            assert_eq!(leader.find_receivers(id), oracle.receivers(id));
+        }
+        _ => {
+            oracle.replies += 1;
+            let mut out = vec![ServerId(u32::MAX)]; // the reply clears it
+            leader.find_donors_into(id, &mut out);
+            assert_eq!(out, oracle.donors(id));
+        }
+    }
+    assert_eq!(leader.stats().partner_lists, oracle.replies);
+}
+
+#[test]
+fn cached_replies_match_a_fresh_scan_across_mutations_and_clones() {
+    check("partner_cache_vs_fresh_scan", |g| {
+        let n = g.usize_in(2, 12);
+        let mut leader = Leader::new(n);
+        let mut oracle = Oracle {
+            entries: vec![None; n],
+            replies: 0,
+        };
+        for _ in 0..g.usize_in(0, 80) {
+            random_step(g, &mut leader, &mut oracle);
+        }
+        // A clone carries the caches; it and the original then diverge.
+        let mut fork = leader.clone();
+        let mut fork_oracle = oracle.clone();
+        for _ in 0..80 {
+            random_step(g, &mut leader, &mut oracle);
+            random_step(g, &mut fork, &mut fork_oracle);
+        }
     });
 }
