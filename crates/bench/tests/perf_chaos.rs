@@ -13,6 +13,7 @@
 //! cargo test -p ecolb-bench --release -- --ignored perf_chaos
 //! ```
 
+use ecolb_bench::perf::emit;
 use ecolb_bench::{paired_overhead, DEFAULT_SEED};
 use ecolb_chaos::InvariantChecker;
 use ecolb_cluster::cluster::ClusterConfig;
@@ -65,17 +66,7 @@ fn perf_chaos_checker_overhead() {
         .scalar("size", SIZE as f64)
         .scalar("intervals", INTERVALS as f64)
         .scalar("rounds", f64::from(ROUNDS));
-    // Integration tests run with the crate as cwd; results/ sits two up,
-    // and the repo-root mirror keeps the latest numbers visible at a glance.
-    let json = report.to_json();
-    std::fs::create_dir_all("../../results/perf").expect("create results/perf");
-    for path in [
-        "../../results/perf/BENCH_chaos.json",
-        "../../BENCH_chaos.json",
-    ] {
-        std::fs::write(path, &json).expect("write BENCH_chaos.json");
-        println!("wrote {path}");
-    }
+    emit(&report).expect("emit BENCH_chaos.json");
 
     assert!(
         overhead < 0.08,

@@ -16,6 +16,7 @@
 //! cargo test -p ecolb-bench --release -- --ignored perf_resilience
 //! ```
 
+use ecolb_bench::perf::emit;
 use ecolb_bench::{paired_overhead, DEFAULT_SEED};
 use ecolb_cluster::cluster::ClusterConfig;
 use ecolb_metrics::report::Report;
@@ -89,17 +90,7 @@ fn perf_resilience_overhead() {
         .scalar("size", SIZE as f64)
         .scalar("intervals", INTERVALS as f64)
         .scalar("rounds", f64::from(ROUNDS));
-    // Integration tests run with the crate as cwd; results/ sits two up,
-    // and the repo-root mirror keeps the latest numbers visible at a glance.
-    let json = report.to_json();
-    std::fs::create_dir_all("../../results/perf").expect("create results/perf");
-    for path in [
-        "../../results/perf/BENCH_resilience.json",
-        "../../BENCH_resilience.json",
-    ] {
-        std::fs::write(path, &json).expect("write BENCH_resilience.json");
-        println!("wrote {path}");
-    }
+    emit(&report).expect("emit BENCH_resilience.json");
 
     assert!(
         overhead < 0.05,

@@ -27,6 +27,7 @@
 //! cargo test -p ecolb-bench --release -- --ignored perf_scale
 //! ```
 
+use ecolb_bench::perf::emit;
 use ecolb_bench::{paired_overhead, DEFAULT_SEED};
 use ecolb_cluster::cluster::ClusterConfig;
 use ecolb_cluster::sim::TimedClusterSim;
@@ -156,17 +157,7 @@ fn perf_scale_grid() {
         .scalar("ratchet_budget", RATCHET_BUDGET)
         .scalar("ratchet_rounds", f64::from(RATCHET_ROUNDS));
 
-    // Integration tests run with the crate as cwd; results/ sits two up,
-    // and the repo root mirror makes the curve visible at a glance.
-    let json = report.to_json();
-    std::fs::create_dir_all("../../results/perf").expect("create results/perf");
-    for path in [
-        "../../results/perf/BENCH_scale.json",
-        "../../BENCH_scale.json",
-    ] {
-        std::fs::write(path, &json).expect("write BENCH_scale.json");
-        println!("wrote {path}");
-    }
+    emit(&report).expect("emit BENCH_scale.json");
 
     assert!(
         ratio < RATCHET_BUDGET,

@@ -27,6 +27,7 @@
 use std::hint::black_box;
 use std::time::Instant;
 
+use ecolb_bench::perf::emit;
 use ecolb_bench::{paired_overhead, DEFAULT_SEED};
 use ecolb_cluster::cluster::ClusterConfig;
 use ecolb_cluster::sim::TimedClusterSim;
@@ -106,17 +107,7 @@ fn perf_serve_overhead() {
         .scalar("size", SIZE as f64)
         .scalar("intervals", INTERVALS as f64)
         .scalar("rounds", f64::from(ROUNDS));
-    // Integration tests run with the crate as cwd; results/ sits two up,
-    // and the repo-root mirror keeps the latest numbers visible at a glance.
-    let json = report.to_json();
-    std::fs::create_dir_all("../../results/perf").expect("create results/perf");
-    for path in [
-        "../../results/perf/BENCH_serve.json",
-        "../../BENCH_serve.json",
-    ] {
-        std::fs::write(path, &json).expect("write BENCH_serve.json");
-        println!("wrote {path}");
-    }
+    emit(&report).expect("emit BENCH_serve.json");
 
     assert!(
         scoring_overhead < 0.25,

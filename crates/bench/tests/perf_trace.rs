@@ -14,6 +14,7 @@
 //! cargo test -p ecolb-bench --release -- --ignored perf_trace
 //! ```
 
+use ecolb_bench::perf::emit;
 use ecolb_bench::{paired_overhead, DEFAULT_SEED};
 use ecolb_cluster::cluster::ClusterConfig;
 use ecolb_cluster::sim::TimedClusterSim;
@@ -64,17 +65,7 @@ fn perf_trace_ring_tracer_overhead() {
         .scalar("size", SIZE as f64)
         .scalar("intervals", INTERVALS as f64)
         .scalar("rounds", f64::from(ROUNDS));
-    // Integration tests run with the crate as cwd; results/ sits two up,
-    // and the repo-root mirror keeps the latest numbers visible at a glance.
-    let json = report.to_json();
-    std::fs::create_dir_all("../../results/perf").expect("create results/perf");
-    for path in [
-        "../../results/perf/BENCH_trace.json",
-        "../../BENCH_trace.json",
-    ] {
-        std::fs::write(path, &json).expect("write BENCH_trace.json");
-        println!("wrote {path}");
-    }
+    emit(&report).expect("emit BENCH_trace.json");
 
     assert!(
         overhead < 0.10,

@@ -25,13 +25,13 @@
 use crate::leader::Leader;
 use crate::messages::RetryPolicy;
 use crate::migration::{MigrationCost, MigrationCostModel};
-use crate::recovery::{FaultHooks, NoFaults, RecoveryStats};
+use crate::recovery::{FaultHooks, RecoveryStats};
 use crate::scaling::{DecisionKind, DecisionLedger};
 use crate::server::{Server, ServerId};
 use ecolb_energy::regimes::OperatingRegime;
 use ecolb_energy::sleep::{CState, SleepModel, SleepPolicy};
 use ecolb_simcore::time::SimTime;
-use ecolb_trace::{NoTrace, SpanKind, TraceEventKind, Tracer};
+use ecolb_trace::{SpanKind, TraceEventKind, Tracer};
 use ecolb_workload::application::AppId;
 use std::collections::BTreeSet;
 
@@ -782,96 +782,20 @@ fn report_sweep_with_hooks(
 
 /// Runs one full balancing round at instant `now`. Servers whose pending
 /// wake has completed by `now` are brought online first.
+///
+/// Every seam is explicit: report delivery and wake orders pass through
+/// `hooks` (recovery bookkeeping lands in `stats`), the round is
+/// bracketed by a `balance` span in `tracer` with every protocol action
+/// (assistance requests, migrations, sleep/wake transitions, report
+/// deliveries) recorded, and the phases' working buffers live in the
+/// caller-owned `scratch`, so an interval-driving loop allocates them
+/// once per simulation. With [`NoFaults`], [`NoTrace`] and a fresh
+/// [`BalanceScratch`] this is exactly the fault-free, untraced round.
+///
+/// [`NoFaults`]: crate::recovery::NoFaults
+/// [`NoTrace`]: ecolb_trace::NoTrace
+#[allow(clippy::too_many_arguments)] // one parameter per seam
 pub fn balance_round(
-    servers: &mut [Server],
-    leader: &mut Leader,
-    ledger: &mut DecisionLedger,
-    migration_model: &MigrationCostModel,
-    sleep_model: &SleepModel,
-    config: &BalanceConfig,
-    now: SimTime,
-) -> BalanceOutcome {
-    balance_round_with_hooks(
-        servers,
-        leader,
-        ledger,
-        migration_model,
-        sleep_model,
-        config,
-        now,
-        &mut NoFaults,
-        &mut RecoveryStats::default(),
-    )
-}
-
-/// [`balance_round`] with an explicit fault injector: report delivery and
-/// wake orders pass through `hooks`, recovery bookkeeping lands in
-/// `stats`. With [`NoFaults`] this is exactly the fault-free round.
-#[allow(clippy::too_many_arguments)] // the hooked variant adds two seams
-pub fn balance_round_with_hooks(
-    servers: &mut [Server],
-    leader: &mut Leader,
-    ledger: &mut DecisionLedger,
-    migration_model: &MigrationCostModel,
-    sleep_model: &SleepModel,
-    config: &BalanceConfig,
-    now: SimTime,
-    hooks: &mut dyn FaultHooks,
-    stats: &mut RecoveryStats,
-) -> BalanceOutcome {
-    balance_round_traced(
-        servers,
-        leader,
-        ledger,
-        migration_model,
-        sleep_model,
-        config,
-        now,
-        hooks,
-        stats,
-        &mut NoTrace,
-    )
-}
-
-/// [`balance_round_with_hooks`] with a tracer: the round is bracketed by
-/// a `balance` span and every protocol action (assistance requests,
-/// migrations, sleep/wake transitions, report deliveries) lands in the
-/// trace. With [`NoTrace`] nothing is recorded and the round is exactly
-/// the untraced one.
-#[allow(clippy::too_many_arguments)] // the traced variant adds one more seam
-pub fn balance_round_traced(
-    servers: &mut [Server],
-    leader: &mut Leader,
-    ledger: &mut DecisionLedger,
-    migration_model: &MigrationCostModel,
-    sleep_model: &SleepModel,
-    config: &BalanceConfig,
-    now: SimTime,
-    hooks: &mut dyn FaultHooks,
-    stats: &mut RecoveryStats,
-    tracer: &mut dyn Tracer,
-) -> BalanceOutcome {
-    balance_round_scratch(
-        servers,
-        leader,
-        ledger,
-        migration_model,
-        sleep_model,
-        config,
-        now,
-        hooks,
-        stats,
-        tracer,
-        &mut BalanceScratch::default(),
-    )
-}
-
-/// [`balance_round_traced`] with caller-owned [`BalanceScratch`] so an
-/// interval-driving loop pays the phases' working-buffer allocations once
-/// per simulation instead of once per list per interval. Same results,
-/// byte for byte.
-#[allow(clippy::too_many_arguments)] // the reusing variant adds the scratch
-pub fn balance_round_scratch(
     servers: &mut [Server],
     leader: &mut Leader,
     ledger: &mut DecisionLedger,
@@ -947,8 +871,10 @@ pub fn balance_round_scratch(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::recovery::NoFaults;
     use crate::server::ServerPowerSpec;
     use ecolb_energy::regimes::RegimeBoundaries;
+    use ecolb_trace::NoTrace;
     use ecolb_workload::application::Application;
 
     fn boundaries() -> RegimeBoundaries {
@@ -979,15 +905,12 @@ mod tests {
     }
 
     fn run(servers: &mut [Server], leader: &mut Leader, config: &BalanceConfig) -> BalanceOutcome {
-        let mut ledger = DecisionLedger::new();
-        balance_round(
+        run_hooked(
             servers,
             leader,
-            &mut ledger,
-            &MigrationCostModel::default(),
-            &SleepModel::default(),
             config,
-            SimTime::ZERO,
+            &mut NoFaults,
+            &mut RecoveryStats::default(),
         )
     }
 
@@ -1191,15 +1114,18 @@ mod tests {
         servers.push(extra);
         let mut leader2 = Leader::new(2);
         std::mem::swap(&mut leader, &mut leader2);
-        let mut ledger = DecisionLedger::new();
         balance_round(
             &mut servers,
             &mut leader,
-            &mut ledger,
+            &mut DecisionLedger::new(),
             &MigrationCostModel::default(),
             &SleepModel::default(),
             &BalanceConfig::default(),
             ready + ecolb_simcore::time::SimDuration::from_secs(1),
+            &mut NoFaults,
+            &mut RecoveryStats::default(),
+            &mut NoTrace,
+            &mut BalanceScratch::default(),
         );
         assert!(servers[1].is_awake());
     }
@@ -1270,17 +1196,18 @@ mod tests {
         hooks: &mut dyn FaultHooks,
         stats: &mut RecoveryStats,
     ) -> BalanceOutcome {
-        let mut ledger = DecisionLedger::new();
-        balance_round_with_hooks(
+        balance_round(
             servers,
             leader,
-            &mut ledger,
+            &mut DecisionLedger::new(),
             &MigrationCostModel::default(),
             &SleepModel::default(),
             config,
             SimTime::ZERO,
             hooks,
             stats,
+            &mut NoTrace,
+            &mut BalanceScratch::default(),
         )
     }
 
@@ -1354,31 +1281,6 @@ mod tests {
             leader.entry(ServerId(0)).is_none(),
             "never-delivered report leaves no entry"
         );
-    }
-
-    #[test]
-    fn no_faults_hooks_match_plain_round() {
-        let (mut a_servers, mut a_leader) =
-            mk_cluster(&[&[0.5, 0.4], &[0.25], &[0.1], &[0.72], &[0.3, 0.3]]);
-        let (mut b_servers, mut b_leader) =
-            mk_cluster(&[&[0.5, 0.4], &[0.25], &[0.1], &[0.72], &[0.3, 0.3]]);
-        let out_a = run(&mut a_servers, &mut a_leader, &BalanceConfig::default());
-        let mut stats = RecoveryStats::default();
-        let out_b = run_hooked(
-            &mut b_servers,
-            &mut b_leader,
-            &BalanceConfig::default(),
-            &mut NoFaults,
-            &mut stats,
-        );
-        assert_eq!(out_a.migrations, out_b.migrations);
-        assert_eq!(out_a.slept, out_b.slept);
-        assert_eq!(out_a.woken, out_b.woken);
-        assert_eq!(stats, RecoveryStats::default(), "no recovery work done");
-        assert_eq!(a_leader.stats(), b_leader.stats());
-        for (x, y) in a_servers.iter().zip(&b_servers) {
-            assert_eq!(x.load(), y.load());
-        }
     }
 
     /// `Server::take_app` uses `swap_remove`, so two servers hosting the

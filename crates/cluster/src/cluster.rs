@@ -22,7 +22,7 @@ use crate::admission::{
     AdmissionController, AdmissionPolicy, AdmissionStats, ArrivalSpec, ServiceRequest,
 };
 use crate::balance::{
-    balance_round_scratch, cluster_load_fraction, BalanceConfig, BalanceOutcome, BalanceScratch,
+    balance_round, cluster_load_fraction, BalanceConfig, BalanceOutcome, BalanceScratch,
     MigrationRecord,
 };
 use crate::leader::Leader;
@@ -779,6 +779,30 @@ impl Cluster {
         }
     }
 
+    /// The crash path every driver shares: records a `server_crashed`
+    /// trace event, crash-stops `server` at `now` and queues its orphaned
+    /// VMs for re-admission. Returns how many VMs were orphaned, or
+    /// `None` (and does nothing, not even the trace event) when the
+    /// server is already down.
+    pub fn crash_and_readmit(
+        &mut self,
+        server: ServerId,
+        now: SimTime,
+        tracer: &mut dyn Tracer,
+    ) -> Option<usize> {
+        if self.servers[server.index()].is_crashed() {
+            return None;
+        }
+        tracer.event(
+            now.ticks(),
+            TraceEventKind::ServerCrashed { server: server.0 },
+        );
+        let orphans = self.crash_server(server, now);
+        let orphaned = orphans.len();
+        self.readmit_orphans(orphans);
+        Some(orphaned)
+    }
+
     /// Elects a successor leader: the lowest-id awake server, falling
     /// back to the lowest-id non-crashed one (woken if asleep). The new
     /// leader starts from an empty directory and rebuilds it with a full
@@ -862,23 +886,18 @@ impl Cluster {
 
     /// Runs one reallocation interval; returns the balancing outcome.
     pub fn run_interval(&mut self) -> BalanceOutcome {
-        self.run_interval_with_hooks(&mut NoFaults)
+        self.run_interval_traced(&mut NoFaults, &mut NoTrace)
     }
 
-    /// [`Cluster::run_interval`] with an explicit fault injector. With
-    /// [`NoFaults`] the behaviour — and every report — is identical to
-    /// the plain entry point: the hook layer draws no randomness and the
-    /// recovery bookkeeping never reaches [`ClusterRunReport`].
-    pub fn run_interval_with_hooks(&mut self, hooks: &mut dyn FaultHooks) -> BalanceOutcome {
-        self.run_interval_traced(hooks, &mut NoTrace)
-    }
-
-    /// [`Cluster::run_interval_with_hooks`] with a tracer: the interval is
-    /// bracketed by an `interval` span (covering the τ it simulates) and
+    /// [`Cluster::run_interval`] with both seams explicit. Report
+    /// delivery and wake orders pass through `hooks`; with [`NoFaults`]
+    /// the hook layer draws no randomness and the recovery bookkeeping
+    /// never reaches [`ClusterRunReport`]. The interval is bracketed by
+    /// an `interval` span in `tracer` (covering the τ it simulates) and
     /// every scaling decision, regime sample, migration, sleep/wake
-    /// transition, and leader-liveness action lands in the trace. With
-    /// [`NoTrace`] nothing is recorded and the interval is exactly the
-    /// untraced one — same state evolution, same reports.
+    /// transition, and leader-liveness action lands in the trace; with
+    /// [`NoTrace`] nothing is recorded. Either no-op leaves the state
+    /// evolution and every report exactly as in the plain entry point.
     pub fn run_interval_traced(
         &mut self,
         hooks: &mut dyn FaultHooks,
@@ -968,7 +987,7 @@ impl Cluster {
             self.recovery_stats.leaderless_intervals += 1;
             BalanceOutcome::default()
         } else {
-            balance_round_scratch(
+            balance_round(
                 &mut self.servers,
                 &mut self.leader,
                 &mut self.ledger,
@@ -1101,18 +1120,31 @@ impl Cluster {
             sleeping.push(asleep as f64);
             load.push(frac);
         }
-        let elapsed = self.now.as_secs_f64();
+        self.run_report(initial_census, sleeping, load)
+    }
+
+    /// Assembles the run report from the cluster's state so far, the
+    /// census taken before the first interval and the per-interval
+    /// sleeping/load series the driving loop sampled. Every driver
+    /// (this cluster's [`Cluster::run`], the timed simulation and the
+    /// serving co-simulation) builds its report here.
+    pub fn run_report(
+        &self,
+        initial_census: RegimeCensus,
+        sleeping_series: TimeSeries,
+        load_series: TimeSeries,
+    ) -> ClusterRunReport {
         ClusterRunReport {
             initial_census,
             final_census: self.census(),
             ratio_series: self.ledger.ratio_series(),
-            sleeping_series: sleeping,
-            load_series: load,
+            sleeping_series,
+            load_series,
             decision_totals: self.ledger.totals(),
             migrations: self.migrations,
             energy: self.energy(),
             migration_energy_j: self.migration_energy_j,
-            reference_energy_j: self.reference_power_w * elapsed,
+            reference_energy_j: self.reference_power_w * self.now.as_secs_f64(),
             admission: self.admission.stats(),
             saturation_violations: self.saturation_violations,
             undesirable_server_intervals: self.undesirable_server_intervals,
@@ -1290,17 +1322,11 @@ mod tests {
     }
 
     #[test]
-    fn fault_free_hooked_run_matches_plain_run() {
-        let mut a = Cluster::new(small_config(), 42);
+    fn fault_free_run_does_no_recovery_work() {
         let mut b = Cluster::new(small_config(), 42);
         for _ in 0..10 {
-            a.run_interval();
-            b.run_interval_with_hooks(&mut NoFaults);
+            b.run_interval();
         }
-        assert_eq!(a.energy(), b.energy());
-        assert_eq!(a.migrations(), b.migrations());
-        assert_eq!(a.leader().stats(), b.leader().stats());
-        assert_eq!(a.recovery_stats(), b.recovery_stats());
         let s = b.recovery_stats();
         assert_eq!(s.heartbeats_sent, 10, "live leader beacons every interval");
         assert_eq!(

@@ -56,8 +56,7 @@ pub use admission::{
     AdmissionController, AdmissionPolicy, AdmissionStats, ArrivalSpec, ServiceRequest,
 };
 pub use balance::{
-    balance_round, balance_round_scratch, balance_round_traced, balance_round_with_hooks,
-    BalanceConfig, BalanceOutcome, BalanceScratch, FillLimit, MigrationRecord,
+    balance_round, BalanceConfig, BalanceOutcome, BalanceScratch, FillLimit, MigrationRecord,
 };
 pub use cluster::{Cluster, ClusterConfig, ClusterRunReport};
 pub use federation::{Federation, FederationConfig, FederationReport};
@@ -66,7 +65,7 @@ pub use leader::Leader;
 pub use messages::{CommLedger, Message, MessageStats, RetryPolicy};
 pub use migration::{MigrationCost, MigrationCostModel};
 pub use mix::ServerMix;
-pub use recovery::{FaultHooks, NoFaults, RecoveryConfig, RecoveryStats};
+pub use recovery::{FaultEventKind, FaultHooks, NoFaults, RecoveryConfig, RecoveryStats};
 pub use scaling::{DecisionKind, DecisionLedger, IntervalCounts};
 pub use server::{Server, ServerId, ServerPowerSpec};
-pub use sim::{SimEvent, TimedClusterSim, TimedRunReport};
+pub use sim::{FaultLedger, SimEvent, TimedClusterSim, TimedRunReport};

@@ -11,9 +11,50 @@
 //! implementation [`NoFaults`] is a zero-sized type whose methods are
 //! trivially inlined — running the cluster through the hooked entry points
 //! with `NoFaults` is byte-identical to the unhooked code path.
+//!
+//! Scheduled faults ([`FaultEventKind`]) are what the timed driver
+//! applies at their fire time; the injection crate builds plans of them.
 
 use crate::messages::RetryPolicy;
 use crate::server::ServerId;
+use ecolb_simcore::engine::Disposition;
+use ecolb_simcore::time::SimDuration;
+
+/// What a scheduled fault does when it fires.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum FaultEventKind {
+    /// Crash a specific host. `recover_after: None` is crash-stop; with a
+    /// duration the host reboots that long after the crash.
+    ServerCrash {
+        /// The host to crash.
+        server: ServerId,
+        /// Crash-recover delay, or `None` for crash-stop.
+        recover_after: Option<SimDuration>,
+    },
+    /// Reboot a crashed host (scheduled internally by crash-recover, but
+    /// also available for scripting exact repair times).
+    ServerRecover {
+        /// The host to reboot.
+        server: ServerId,
+    },
+    /// Crash whichever host carries the leader role *at fire time* — this
+    /// is what exercises the heartbeat-timeout failover path.
+    LeaderCrash {
+        /// Crash-recover delay, or `None` for crash-stop.
+        recover_after: Option<SimDuration>,
+    },
+}
+
+impl FaultEventKind {
+    /// Stable snake_case discriminant used as the JSON `"kind"` field.
+    pub fn name(&self) -> &'static str {
+        match self {
+            FaultEventKind::ServerCrash { .. } => "server_crash",
+            FaultEventKind::ServerRecover { .. } => "server_recover",
+            FaultEventKind::LeaderCrash { .. } => "leader_crash",
+        }
+    }
+}
 
 /// Decision points a fault injector may perturb. Every method has a
 /// "nothing fails" default so implementors only override the faults they
@@ -33,6 +74,14 @@ pub trait FaultHooks {
     fn wake_fails(&mut self, server: ServerId) -> bool {
         let _ = server;
         false
+    }
+
+    /// Called by the timed driver's engine interceptor when a migrated
+    /// VM image is about to arrive at `to`: `Deliver` it now, or `Delay`
+    /// it on the wire. The cluster never observes the verdict.
+    fn arrival_disposition(&mut self, to: ServerId) -> Disposition {
+        let _ = to;
+        Disposition::Deliver
     }
 }
 
@@ -108,6 +157,7 @@ mod tests {
             assert!(!h.report_lost(ServerId(0), attempt));
         }
         assert!(!h.wake_fails(ServerId(3)));
+        assert_eq!(h.arrival_disposition(ServerId(1)), Disposition::Deliver);
     }
 
     #[test]

@@ -9,21 +9,31 @@
 //!
 //! [`TimedClusterSim`] runs the same cluster on the discrete-event engine
 //! of `ecolb-simcore`, scheduling one event per reallocation tick, per VM
-//! arrival, and per wake completion. The capacity decisions are identical
-//! to the synchronous cluster by construction (it drives the same
-//! [`Cluster`]); what the timed layer adds is the **service-interruption
-//! accounting**: while a VM image is on the wire its application does not
-//! execute, and until a woken server reaches C0 its capacity is
-//! unavailable. Both show up in the [`TimedRunReport`].
+//! arrival, per wake completion and per scheduled fault. The capacity
+//! decisions are identical to the synchronous cluster by construction (it
+//! drives the same [`Cluster`]); what the timed layer adds is the
+//! **service-interruption accounting**: while a VM image is on the wire
+//! its application does not execute, and until a woken server reaches C0
+//! its capacity is unavailable. Both show up in the [`TimedRunReport`].
+//!
+//! [`TimedClusterSim::run_with`] is the one timed event loop. Its fault
+//! seams are explicit: a schedule of [`FaultEventKind`]s fires as engine
+//! events (crashes orphan VMs into the admission queue, a leader crash
+//! exercises the heartbeat-timeout failover), and a [`FaultHooks`]
+//! injector decides report loss, wake failures and, through the engine's
+//! interceptor, the wire delay of each migration arrival. The loop keeps
+//! the [`FaultLedger`] of what the faults cost. With no schedule and
+//! [`NoFaults`] the run is the plain timed simulation.
 
-use crate::balance::MigrationRecord;
 use crate::cluster::{Cluster, ClusterConfig, ClusterRunReport};
-use crate::recovery::NoFaults;
+use crate::recovery::{FaultEventKind, FaultHooks, NoFaults, RecoveryStats};
 use crate::server::ServerId;
 use ecolb_metrics::summary::OnlineStats;
-use ecolb_simcore::engine::{Control, Engine, RunOutcome};
+use ecolb_metrics::timeseries::TimeSeries;
+use ecolb_metrics::DegradationSummary;
+use ecolb_simcore::engine::{Control, Disposition, Engine, RunOutcome, Scheduler};
 use ecolb_simcore::time::{SimDuration, SimTime};
-use ecolb_trace::{NoTrace, Tracer};
+use ecolb_trace::{NoTrace, TraceEventKind, Tracer};
 use ecolb_workload::application::AppId;
 
 /// Events of the timed cluster simulation.
@@ -32,7 +42,7 @@ pub enum SimEvent {
     /// End of a reallocation interval: demand evolution + balancing.
     ReallocationTick,
     /// A migrated VM image finished its transfer and starts executing on
-    /// the receiver.
+    /// the receiver (the event a fault injector may postpone on the wire).
     MigrationArrive {
         /// The application whose VM arrived.
         app: AppId,
@@ -41,11 +51,13 @@ pub enum SimEvent {
         /// Demand that was suspended while in flight.
         demand: f64,
     },
-    /// A sleeping server ordered awake reaches C0.
+    /// A sleeping (or rebooting) server ordered awake reaches C0.
     WakeComplete {
         /// The server that finished waking.
         server: ServerId,
     },
+    /// A scheduled fault fires.
+    Fault(FaultEventKind),
 }
 
 /// Timing metrics collected on top of the capacity simulation.
@@ -107,6 +119,31 @@ impl TimedRunReport {
     }
 }
 
+/// What the faults of a [`TimedClusterSim::run_with`] run cost: the
+/// degradation ledger plus the recovery protocol's end state. A
+/// fault-free run has availability 1 and no degradation.
+#[derive(Debug, Clone, PartialEq)]
+pub struct FaultLedger {
+    /// The compact degradation answer (availability, SLA, consolidation,
+    /// wasted energy).
+    pub degradation: DegradationSummary,
+    /// What the recovery protocol observed (failovers, retries, orphan
+    /// re-admissions …).
+    pub recovery: RecoveryStats,
+    /// Per-interval wasted energy, Joules (leaderless intervals plus
+    /// aborted wake cycles).
+    pub wasted_energy_series: TimeSeries,
+    /// Total server-seconds spent crashed (windows clamped to the run).
+    pub crashed_server_seconds: f64,
+    /// Seconds orphaned VMs spent waiting for re-admission.
+    pub orphan_downtime_seconds: f64,
+    /// Election epoch at the end of the run (0 = the bootstrap leader
+    /// survived).
+    pub leader_epoch: u64,
+    /// Host carrying the leader role at the end of the run.
+    pub leader_host: ServerId,
+}
+
 /// The event-driven wrapper.
 #[derive(Debug)]
 pub struct TimedClusterSim {
@@ -114,8 +151,9 @@ pub struct TimedClusterSim {
     intervals: u64,
 }
 
-struct SimState {
+struct SimState<'h, H> {
     cluster: Cluster,
+    hooks: &'h mut H,
     intervals_left: u64,
     realloc_interval: SimDuration,
     downtime_demand_seconds: f64,
@@ -123,8 +161,23 @@ struct SimState {
     wake_latency_s: OnlineStats,
     in_flight: usize,
     max_in_flight: usize,
-    arrivals_seen: u64,
-    wakes_seen: u64,
+    /// The series the base `Cluster::run` would have recorded.
+    sleeping: TimeSeries,
+    load: TimeSeries,
+    /// Whether any fault is scheduled. Only a scheduled crash can leave
+    /// the cluster leaderless, so only then does the ledger need the
+    /// fleet's energy total at every tick.
+    faults_scheduled: bool,
+    /// Open crash windows: when each currently-crashed server went down.
+    crash_start: Vec<Option<SimTime>>,
+    /// Closed crash windows `(down, back_up)`; clamped to the run length
+    /// at report time.
+    closed_windows: Vec<(SimTime, SimTime)>,
+    orphan_downtime_seconds: f64,
+    /// Per-interval energy burned while degraded (leaderless intervals
+    /// plus aborted wake cycles), Joules.
+    wasted_energy: TimeSeries,
+    prev_energy_j: f64,
 }
 
 impl TimedClusterSim {
@@ -134,6 +187,11 @@ impl TimedClusterSim {
             cluster: Cluster::new(config, seed),
             intervals,
         }
+    }
+
+    /// The simulated cluster's configuration.
+    pub fn config(&self) -> &ClusterConfig {
+        self.cluster.config()
     }
 
     /// Runs to completion and returns the timing-augmented report.
@@ -146,15 +204,42 @@ impl TimedClusterSim {
     /// structurally identical to [`TimedClusterSim::run`] — same events,
     /// same clock, byte-identical [`TimedRunReport`].
     pub fn run_traced<T: Tracer>(self, tracer: &mut T) -> TimedRunReport {
+        self.run_with([], &mut NoFaults, tracer).0
+    }
+
+    /// Runs to completion with every seam explicit: `faults` fire as
+    /// engine events at their instants (those past the horizon are
+    /// dropped, since no report could observe them), `hooks` decides
+    /// report loss, wake failures and migration wire delays, and `tracer`
+    /// sees the engine, every interval and every applied fault. Returns
+    /// the timed report plus the run's [`FaultLedger`].
+    pub fn run_with<H: FaultHooks, T: Tracer>(
+        self,
+        faults: impl IntoIterator<Item = (SimTime, FaultEventKind)>,
+        hooks: &mut H,
+        tracer: &mut T,
+    ) -> (TimedRunReport, FaultLedger) {
+        let n_servers = self.cluster.config().n_servers;
         let realloc_interval = self.cluster.config().realloc_interval;
+        let horizon = SimTime::ZERO
+            + SimDuration::from_ticks(realloc_interval.ticks().saturating_mul(self.intervals));
         // Pre-size the queue for the tick plus a typical interval's burst
         // of in-flight migration/wake events; the dispatch loop then never
         // reallocates it.
         let mut engine: Engine<SimEvent> = Engine::with_capacity(64);
         engine.schedule_at(SimTime::ZERO + realloc_interval, SimEvent::ReallocationTick);
+        let mut faults_scheduled = false;
+        for (at, kind) in faults {
+            if at <= horizon {
+                engine.schedule_at(at, SimEvent::Fault(kind));
+                faults_scheduled = true;
+            }
+        }
 
+        let initial_census = self.cluster.census();
         let mut state = SimState {
             cluster: self.cluster,
+            hooks,
             intervals_left: self.intervals,
             realloc_interval,
             downtime_demand_seconds: 0.0,
@@ -162,114 +247,217 @@ impl TimedClusterSim {
             wake_latency_s: OnlineStats::new(),
             in_flight: 0,
             max_in_flight: 0,
-            arrivals_seen: 0,
-            wakes_seen: 0,
+            sleeping: TimeSeries::new("sleeping_servers"),
+            load: TimeSeries::new("cluster_load"),
+            faults_scheduled,
+            crash_start: vec![None; n_servers],
+            closed_windows: Vec::new(),
+            orphan_downtime_seconds: 0.0,
+            wasted_energy: TimeSeries::new("wasted_energy_j"),
+            prev_energy_j: 0.0,
         };
 
-        // Series the base Cluster::run would have recorded.
-        let mut sleeping = ecolb_metrics::timeseries::TimeSeries::new("sleeping_servers");
-        let mut load = ecolb_metrics::timeseries::TimeSeries::new("cluster_load");
-        let initial_census = state.cluster.census();
-
-        let outcome = engine.run_traced(&mut state, tracer, |state, sched, event| {
-            match event {
-                SimEvent::ReallocationTick => {
-                    let now = sched.now();
-                    let outcome = state
-                        .cluster
-                        .run_interval_traced(&mut NoFaults, sched.tracer());
-                    let (asleep, frac) = state.cluster.interval_stats();
-                    sleeping.push(asleep as f64);
-                    load.push(frac);
-
-                    // Timed effects of this interval's decisions: every VM
-                    // transfer (scaling + protocol) becomes an arrival
-                    // event. `MigrationRecord` is `Copy`, so an index loop
-                    // sidesteps both the borrow conflict and the clone of
-                    // the whole record list.
-                    for r in 0..state.cluster.interval_migrations().len() {
-                        let rec = state.cluster.interval_migrations()[r];
-                        schedule_arrival(state, sched, &rec);
-                    }
-                    for &woken in &outcome.woken {
-                        if let Some(ready) = state.cluster.servers()[woken.index()].wake_ready_at()
-                        {
-                            state.wake_latency_s.push((ready - now).as_secs_f64());
-                            sched.schedule_at(ready, SimEvent::WakeComplete { server: woken });
-                        }
-                    }
-
-                    state.intervals_left -= 1;
-                    if state.intervals_left > 0 {
-                        sched.schedule_in(state.realloc_interval, SimEvent::ReallocationTick);
-                        Control::Continue
-                    } else if sched.pending() == 0 {
-                        Control::Stop
-                    } else {
-                        Control::Continue // drain remaining arrivals/wakes
-                    }
-                }
+        let outcome = engine.run_with(
+            &mut state,
+            tracer,
+            |state, _, event| match event {
+                SimEvent::MigrationArrive { to, .. } => state.hooks.arrival_disposition(*to),
+                _ => Disposition::Deliver,
+            },
+            |state, sched, event| match event {
+                SimEvent::ReallocationTick => on_tick(state, sched),
                 SimEvent::MigrationArrive { .. } => {
-                    state.arrivals_seen += 1;
                     state.in_flight -= 1;
                     Control::Continue
                 }
-                SimEvent::WakeComplete { .. } => {
-                    // The wake is completed inside the next balance round
-                    // (the cluster checks matured wakes); the event exists
-                    // so the engine's clock observes the §3 latency.
-                    state.wakes_seen += 1;
+                // The wake is completed inside the next balance round
+                // (the cluster checks matured wakes); the event exists so
+                // the engine's clock observes the §3 latency.
+                SimEvent::WakeComplete { .. } => Control::Continue,
+                SimEvent::Fault(kind) => {
+                    // Past the final tick no report observes the fault.
+                    if state.intervals_left > 0 {
+                        apply_fault(state, sched, kind);
+                    }
                     Control::Continue
                 }
-            }
-        });
+            },
+        );
         debug_assert!(matches!(outcome, RunOutcome::Stopped | RunOutcome::Drained));
 
-        let elapsed = state.cluster.now().as_secs_f64();
-        let base = ClusterRunReport {
-            initial_census,
-            final_census: state.cluster.census(),
-            ratio_series: state.cluster.ledger().ratio_series(),
-            sleeping_series: sleeping,
-            load_series: load,
-            decision_totals: state.cluster.ledger().totals(),
-            migrations: state.cluster.migrations(),
-            energy: state.cluster.energy(),
-            migration_energy_j: state.cluster.migration_energy_j(),
-            reference_energy_j: state.cluster.reference_power_w() * elapsed,
-            admission: state.cluster.admission_stats(),
-            saturation_violations: state.cluster.saturation_violations(),
-            undesirable_server_intervals: state.cluster.undesirable_server_intervals(),
+        let cluster = &state.cluster;
+        let end = cluster.now();
+        let elapsed = end.as_secs_f64();
+        // Crash-stop windows still open at the end of the run close there;
+        // crash-recover reboots that outlived the horizon are clamped.
+        let open_windows = state.crash_start.iter().flatten().map(|&down| (down, end));
+        let crashed_server_seconds: f64 = (state.closed_windows.iter().copied())
+            .chain(open_windows)
+            .map(|(down, up)| up.min(end).saturating_sub(down).as_secs_f64())
+            .sum();
+        let base = cluster.run_report(initial_census, state.sleeping, state.load);
+        let recovery = cluster.recovery_stats();
+        let availability = if elapsed > 0.0 && n_servers > 0 {
+            1.0 - crashed_server_seconds / (n_servers as f64 * elapsed)
+        } else {
+            1.0
         };
-        TimedRunReport {
+        let degradation = DegradationSummary {
+            availability,
+            sla_violation_seconds: base.saturation_violations as f64
+                * realloc_interval.as_secs_f64()
+                + state.orphan_downtime_seconds,
+            failed_consolidations: recovery.failed_consolidations,
+            wasted_energy_j: state.wasted_energy.values().iter().sum(),
+            lost_reports: recovery.reports_abandoned,
+        };
+        let report = TimedRunReport {
             base,
             downtime_demand_seconds: state.downtime_demand_seconds,
             transfer_time_s: state.transfer_time_s,
             wake_latency_s: state.wake_latency_s,
             max_in_flight: state.max_in_flight,
             events_processed: engine.events_processed(),
-        }
+        };
+        let ledger = FaultLedger {
+            degradation,
+            recovery,
+            wasted_energy_series: state.wasted_energy,
+            crashed_server_seconds,
+            orphan_downtime_seconds: state.orphan_downtime_seconds,
+            leader_epoch: cluster.leader_epoch(),
+            leader_host: cluster.leader_host(),
+        };
+        (report, ledger)
     }
 }
 
-fn schedule_arrival<T: Tracer>(
-    state: &mut SimState,
-    sched: &mut ecolb_simcore::engine::Scheduler<'_, SimEvent, T>,
-    rec: &MigrationRecord,
+/// End of a reallocation interval: run it, sample the series, charge the
+/// degradation ledger, and turn the interval's transfers and wakes into
+/// timed events.
+fn on_tick<H: FaultHooks, T: Tracer>(
+    state: &mut SimState<'_, H>,
+    sched: &mut Scheduler<'_, SimEvent, T>,
+) -> Control {
+    let now = sched.now();
+    let was_leaderless = state.cluster.leaderless();
+    let outcome = state
+        .cluster
+        .run_interval_traced(&mut *state.hooks, sched.tracer());
+    let (asleep, frac) = state.cluster.interval_stats();
+    state.sleeping.push(asleep as f64);
+    state.load.push(frac);
+
+    // Degradation ledger: energy burned during a leaderless interval is
+    // wasted (no balancing could act on it), and every aborted wake cycle
+    // pays the full transition energy with nothing to show.
+    let mut wasted = 0.0;
+    if state.faults_scheduled {
+        let energy_now = state.cluster.energy().total_j() + state.cluster.migration_energy_j();
+        if was_leaderless {
+            wasted = energy_now - state.prev_energy_j;
+        }
+        state.prev_energy_j = energy_now;
+    }
+    for &failed in &outcome.wake_failures {
+        let cstate = state.cluster.servers()[failed.index()].cstate();
+        wasted += state.cluster.config().sleep.failed_wake_energy_j(cstate);
+    }
+    state.wasted_energy.push(wasted);
+
+    // Timed effects of this interval's decisions: every VM transfer
+    // (scaling + protocol) becomes an arrival event. `MigrationRecord` is
+    // `Copy`, so an index loop sidesteps both the borrow conflict and the
+    // clone of the whole record list.
+    for r in 0..state.cluster.interval_migrations().len() {
+        let rec = state.cluster.interval_migrations()[r];
+        state.in_flight += 1;
+        state.max_in_flight = state.max_in_flight.max(state.in_flight);
+        let transfer = rec.cost.duration;
+        state.transfer_time_s.push(transfer.as_secs_f64());
+        state.downtime_demand_seconds += rec.demand * transfer.as_secs_f64();
+        sched.schedule_in(
+            transfer,
+            SimEvent::MigrationArrive {
+                app: rec.app,
+                to: rec.to,
+                demand: rec.demand,
+            },
+        );
+    }
+    for &woken in &outcome.woken {
+        if let Some(ready) = state.cluster.servers()[woken.index()].wake_ready_at() {
+            state.wake_latency_s.push((ready - now).as_secs_f64());
+            sched.schedule_at(ready, SimEvent::WakeComplete { server: woken });
+        }
+    }
+
+    state.intervals_left -= 1;
+    if state.intervals_left > 0 {
+        sched.schedule_in(state.realloc_interval, SimEvent::ReallocationTick);
+        Control::Continue
+    } else if sched.pending() == 0 {
+        Control::Stop
+    } else {
+        Control::Continue // drain remaining arrivals/wakes
+    }
+}
+
+/// Applies a scheduled fault. A crash orphans the host's VMs into the
+/// admission queue (their wait for the next tick is SLA time) and opens
+/// the host's crash window; a recovery reboots the host through the C6
+/// wake path and closes the window once it is serviceable again.
+fn apply_fault<H: FaultHooks, T: Tracer>(
+    state: &mut SimState<'_, H>,
+    sched: &mut Scheduler<'_, SimEvent, T>,
+    kind: FaultEventKind,
 ) {
-    state.in_flight += 1;
-    state.max_in_flight = state.max_in_flight.max(state.in_flight);
-    let transfer = rec.cost.duration;
-    state.transfer_time_s.push(transfer.as_secs_f64());
-    state.downtime_demand_seconds += rec.demand * transfer.as_secs_f64();
-    sched.schedule_in(
-        transfer,
-        SimEvent::MigrationArrive {
-            app: rec.app,
-            to: rec.to,
-            demand: rec.demand,
+    let now = sched.now();
+    let (server, recover_after) = match kind {
+        FaultEventKind::ServerCrash {
+            server,
+            recover_after,
+        } => (server, recover_after),
+        FaultEventKind::LeaderCrash { recover_after } => {
+            (state.cluster.leader_host(), recover_after)
+        }
+        FaultEventKind::ServerRecover { server } => {
+            if let Some(ready) = state.cluster.recover_server(server, now) {
+                sched.tracer().event(
+                    now.ticks(),
+                    TraceEventKind::ServerRecovered { server: server.0 },
+                );
+                if let Some(start) = state.crash_start[server.index()].take() {
+                    state.closed_windows.push((start, ready));
+                }
+                state.wake_latency_s.push((ready - now).as_secs_f64());
+                sched.schedule_at(ready, SimEvent::WakeComplete { server });
+            }
+            return;
+        }
+    };
+    sched.tracer().event(
+        now.ticks(),
+        TraceEventKind::FaultInjected {
+            fault: kind.name(),
+            server: server.0,
         },
     );
+    let Some(orphans) = state.cluster.crash_and_readmit(server, now, sched.tracer()) else {
+        return;
+    };
+    // Orphans wait in the admission queue until the next reallocation
+    // tick; that waiting time is SLA-violation time.
+    let tau = state.realloc_interval.ticks().max(1);
+    let next_tick = SimTime::from_ticks(now.ticks().div_ceil(tau).saturating_mul(tau));
+    state.orphan_downtime_seconds += orphans as f64 * next_tick.saturating_sub(now).as_secs_f64();
+    state.crash_start[server.index()] = Some(now);
+    if let Some(delay) = recover_after {
+        sched.schedule_in(
+            delay,
+            SimEvent::Fault(FaultEventKind::ServerRecover { server }),
+        );
+    }
 }
 
 #[cfg(test)]

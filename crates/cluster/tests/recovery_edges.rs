@@ -1,12 +1,54 @@
 //! Edge cases of the failure-recovery protocol that the sweep-style
 //! fault tests never hit: correlated crashes taking out the leader *and*
-//! its would-be successor in the same interval, and a failover landing
-//! on a server that is itself stuck mid-drain.
+//! its would-be successor in the same interval, a failover landing on a
+//! server that is itself stuck mid-drain, and a repeated crash of the
+//! same host through the shared crash path.
 
 use ecolb_cluster::cluster::{Cluster, ClusterConfig};
+use ecolb_cluster::recovery::NoFaults;
 use ecolb_cluster::server::ServerId;
 use ecolb_simcore::time::SimTime;
+use ecolb_trace::check::InvariantChecker;
+use ecolb_trace::RingTracer;
 use ecolb_workload::generator::WorkloadSpec;
+
+/// `crash_and_readmit` is the crash path every driver shares. A fresh
+/// crash returns the hosted-VM count and queues every orphan for
+/// admission; crashing the same host again does nothing at all: no
+/// second `server_crashed` event and no second orphan entry, so the VM
+/// ledger in the next state digest still balances.
+#[test]
+fn crash_and_readmit_orphans_a_host_once() {
+    let config = ClusterConfig::paper(30, WorkloadSpec::paper_low_load());
+    let mut cluster = Cluster::new(config, 20140109);
+    let host = ServerId(3);
+    let hosted = cluster.servers()[host.index()].app_count();
+    assert!(hosted > 0, "paper-load servers start populated");
+    let mut tracer = RingTracer::new();
+    let at = SimTime::from_secs(10);
+
+    assert_eq!(
+        cluster.crash_and_readmit(host, at, &mut tracer),
+        Some(hosted)
+    );
+    assert_eq!(cluster.recovery_stats().orphans_readmitted, hosted as u64);
+    assert_eq!(cluster.admission_stats().submitted, hosted as u64);
+
+    assert_eq!(cluster.crash_and_readmit(host, at, &mut tracer), None);
+    let crash_events = tracer
+        .events()
+        .filter(|e| e.kind.name() == "server_crashed")
+        .count();
+    assert_eq!(crash_events, 1, "the repeated crash emitted an event");
+    assert_eq!(cluster.recovery_stats().servers_crashed, 1);
+    assert_eq!(cluster.recovery_stats().orphans_readmitted, hosted as u64);
+    assert_eq!(cluster.admission_stats().submitted, hosted as u64);
+
+    let mut checker = InvariantChecker::new(30);
+    cluster.run_interval_traced(&mut NoFaults, &mut checker);
+    assert_eq!(checker.digests_checked(), 1);
+    assert!(checker.ok(), "{:?}", checker.into_violations());
+}
 
 /// Leader (server 0) and the lowest-id successor candidate (server 1)
 /// crash in the same instant. The election must skip both dead hosts

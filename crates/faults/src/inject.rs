@@ -3,9 +3,9 @@
 //!
 //! [`FaultInjector`] owns one RNG stream per `(fault kind, server)` pair,
 //! derived by [`fault_stream`](crate::plan::fault_stream). It implements
-//! the cluster's [`FaultHooks`] seam for report loss and wake failures,
-//! and exposes [`FaultInjector::arrival_disposition`] for the engine-level
-//! message-delay interception of migration transfers.
+//! the cluster's [`FaultHooks`] seam for report loss, wake failures and
+//! the message delay of migration transfers, which the timed driver
+//! applies through the engine's interceptor.
 //!
 //! Determinism rules enforced here:
 //!
@@ -38,8 +38,8 @@ pub struct InjectionStats {
 }
 
 /// Per-run fault decision engine; plugs into
-/// [`Cluster::run_interval_with_hooks`](ecolb_cluster::cluster::Cluster::run_interval_with_hooks)
-/// and the timed simulation's event interceptor.
+/// [`TimedClusterSim::run_with`](ecolb_cluster::sim::TimedClusterSim::run_with)
+/// as its [`FaultHooks`].
 #[derive(Debug, Clone)]
 pub struct FaultInjector {
     loss_prob: f64,
@@ -80,26 +80,6 @@ impl FaultInjector {
     pub fn stats(&self) -> InjectionStats {
         self.stats
     }
-
-    /// Engine-level interception for a migration transfer arriving at
-    /// `to`: `Deliver` untouched, or `Delay` by a uniform draw in
-    /// `[0, max_message_delay)` from the receiver's stream.
-    pub fn arrival_disposition(&mut self, to: ServerId) -> Disposition {
-        if self.delay_prob <= 0.0 {
-            return Disposition::Deliver;
-        }
-        let rng = &mut self.delay[to.index()];
-        if !rng.chance(self.delay_prob) {
-            return Disposition::Deliver;
-        }
-        let extra = SimDuration::from_secs_f64(rng.uniform(0.0, self.max_delay.as_secs_f64()));
-        if extra.is_zero() {
-            return Disposition::Deliver;
-        }
-        self.stats.migrations_delayed += 1;
-        self.stats.injected_delay_seconds += extra.as_secs_f64();
-        Disposition::Delay(extra)
-    }
 }
 
 impl FaultHooks for FaultInjector {
@@ -124,6 +104,25 @@ impl FaultHooks for FaultInjector {
             self.stats.wake_failures += 1;
         }
         failed
+    }
+
+    /// `Deliver` untouched, or `Delay` by a uniform draw in
+    /// `[0, max_message_delay)` from the receiver's stream.
+    fn arrival_disposition(&mut self, to: ServerId) -> Disposition {
+        if self.delay_prob <= 0.0 {
+            return Disposition::Deliver;
+        }
+        let rng = &mut self.delay[to.index()];
+        if !rng.chance(self.delay_prob) {
+            return Disposition::Deliver;
+        }
+        let extra = SimDuration::from_secs_f64(rng.uniform(0.0, self.max_delay.as_secs_f64()));
+        if extra.is_zero() {
+            return Disposition::Deliver;
+        }
+        self.stats.migrations_delayed += 1;
+        self.stats.injected_delay_seconds += extra.as_secs_f64();
+        Disposition::Delay(extra)
     }
 }
 

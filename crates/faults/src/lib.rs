@@ -15,10 +15,12 @@
 //!   draw comes from an RNG stream keyed by `(seed, fault kind, server)`,
 //!   so plans replay byte-identically and never perturb the workload.
 //! * [`inject`] — [`FaultInjector`]: evaluates the plan at the cluster's
-//!   `FaultHooks` seam and the engine's `run_intercepted` seam.
-//! * [`sim`] — [`FaultyClusterSim`]: the timed cluster simulation with
-//!   faults wired in; drives heartbeat-timeout failover, directory
-//!   rebuild and orphan re-admission in `ecolb-cluster`.
+//!   `FaultHooks` seam (report loss, wake failures, and the wire delay the
+//!   timed loop applies through the engine's interceptor).
+//! * [`sim`] — [`FaultyClusterSim`]: an adapter that runs the plan on the
+//!   timed cluster simulation's one event loop (`TimedClusterSim::run_with`);
+//!   drives heartbeat-timeout failover, directory rebuild and orphan
+//!   re-admission in `ecolb-cluster`.
 //! * [`report`] — [`FaultyRunReport`], [`FaultImpact`] and the
 //!   [`CompareWithFaulty`] seam for faulty-vs-fault-free diffs.
 //!
@@ -56,4 +58,4 @@ pub mod sim;
 pub use inject::{FaultInjector, InjectionStats};
 pub use plan::{fault_stream, FaultEvent, FaultEventKind, FaultKind, FaultPlan};
 pub use report::{CompareWithFaulty, FaultImpact, FaultyRunReport};
-pub use sim::{FaultSimEvent, FaultyClusterSim};
+pub use sim::FaultyClusterSim;

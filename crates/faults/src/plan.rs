@@ -16,6 +16,7 @@
 //! family or server, so experiments stay byte-identical under replay and
 //! comparable across plans that share a seed.
 
+pub use ecolb_cluster::recovery::FaultEventKind;
 use ecolb_cluster::server::ServerId;
 use ecolb_metrics::json::{ObjectWriter, ToJson};
 use ecolb_simcore::rng::{splitmix64, Rng};
@@ -66,31 +67,6 @@ pub fn fault_stream(seed: u64, kind: FaultKind, server: ServerId) -> Rng {
     state ^= server.0 as u64;
     let c = splitmix64(&mut state);
     Rng::new(a ^ b.rotate_left(21) ^ c.rotate_left(42))
-}
-
-/// What a scheduled fault does when it fires.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FaultEventKind {
-    /// Crash a specific host. `recover_after: None` is crash-stop; with a
-    /// duration the host reboots that long after the crash.
-    ServerCrash {
-        /// The host to crash.
-        server: ServerId,
-        /// Crash-recover delay, or `None` for crash-stop.
-        recover_after: Option<SimDuration>,
-    },
-    /// Reboot a crashed host (scheduled internally by crash-recover, but
-    /// also available for scripting exact repair times).
-    ServerRecover {
-        /// The host to reboot.
-        server: ServerId,
-    },
-    /// Crash whichever host carries the leader role *at fire time* — this
-    /// is what exercises the heartbeat-timeout failover path.
-    LeaderCrash {
-        /// Crash-recover delay, or `None` for crash-stop.
-        recover_after: Option<SimDuration>,
-    },
 }
 
 /// A scheduled fault: a [`FaultEventKind`] pinned to a simulated instant.
@@ -239,17 +215,6 @@ impl FaultPlan {
         self.events.push(ev);
         // Stable sort keeps same-instant events in insertion order.
         self.events.sort_by_key(|e| e.at);
-    }
-}
-
-impl FaultEventKind {
-    /// Stable snake_case discriminant used as the JSON `"kind"` field.
-    pub fn name(&self) -> &'static str {
-        match self {
-            FaultEventKind::ServerCrash { .. } => "server_crash",
-            FaultEventKind::ServerRecover { .. } => "server_recover",
-            FaultEventKind::LeaderCrash { .. } => "leader_crash",
-        }
     }
 }
 

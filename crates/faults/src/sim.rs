@@ -1,6 +1,6 @@
-//! The faulty timed simulation: a
-//! [`TimedClusterSim`](ecolb_cluster::sim::TimedClusterSim) with a
-//! [`FaultPlan`] wired into every seam.
+//! The faulty timed simulation: a [`TimedClusterSim`] with a
+//! [`FaultPlan`] wired into every seam of its
+//! [`run_with`](TimedClusterSim::run_with) loop.
 //!
 //! Three injection points cover the plan's fault families:
 //!
@@ -8,16 +8,17 @@
 //!   host's VMs (re-admitted through the leader's admission queue), and a
 //!   leader crash additionally exercises the heartbeat-timeout failover.
 //! * **Report loss and wake failures** flow through the cluster's
-//!   [`FaultHooks`] seam inside `run_interval_with_hooks`.
-//! * **Message delay** uses the engine's
-//!   [`run_intercepted`](ecolb_simcore::engine::Engine::run_intercepted)
-//!   seam: a migration-arrival event can be postponed on the wire without
-//!   the cluster ever knowing.
+//!   [`FaultHooks`](ecolb_cluster::recovery::FaultHooks) seam, which the
+//!   [`FaultInjector`] implements.
+//! * **Message delay** goes through the same hooks into the engine's
+//!   interceptor: a migration-arrival event can be postponed on the wire
+//!   without the cluster ever knowing.
 //!
-//! On top of the usual timing metrics the faulty run keeps the
-//! *degradation ledger*: crashed-server seconds (availability), orphan
-//! waiting time (SLA), energy burned while leaderless or on aborted wake
-//! transitions (wasted energy), and the recovery protocol's own counters.
+//! On top of the usual timing metrics the faulty run reports the
+//! *degradation ledger* the timed loop keeps: crashed-server seconds
+//! (availability), orphan waiting time (SLA), energy burned while
+//! leaderless or on aborted wake transitions (wasted energy), and the
+//! recovery protocol's own counters.
 //!
 //! An **empty plan is a proven no-op**: the injector draws nothing, the
 //! interceptor always delivers, and the produced
@@ -26,74 +27,18 @@
 //! the workspace determinism suite).
 
 use crate::inject::FaultInjector;
-use crate::plan::{FaultEventKind, FaultPlan};
+use crate::plan::FaultPlan;
 use crate::report::FaultyRunReport;
-use ecolb_cluster::balance::MigrationRecord;
-use ecolb_cluster::cluster::{Cluster, ClusterConfig, ClusterRunReport};
-use ecolb_cluster::server::ServerId;
-use ecolb_cluster::sim::TimedRunReport;
-use ecolb_metrics::summary::OnlineStats;
-use ecolb_metrics::timeseries::TimeSeries;
-use ecolb_metrics::DegradationSummary;
-use ecolb_simcore::engine::{Control, Disposition, Engine, RunOutcome, Scheduler};
-use ecolb_simcore::time::{SimDuration, SimTime};
-use ecolb_trace::{NoTrace, TraceEventKind, Tracer};
-use ecolb_workload::application::AppId;
-
-/// Events of the faulty timed simulation — the timed cluster's events
-/// plus scheduled faults.
-#[derive(Debug, Clone, PartialEq)]
-pub enum FaultSimEvent {
-    /// End of a reallocation interval.
-    ReallocationTick,
-    /// A migrated VM image finished its transfer (the event the plan's
-    /// message-delay family postpones on the wire).
-    MigrationArrive {
-        /// The application whose VM arrived.
-        app: AppId,
-        /// The receiving server.
-        to: ServerId,
-        /// Demand suspended while in flight.
-        demand: f64,
-    },
-    /// A woken (or rebooting) server reaches C0.
-    WakeComplete {
-        /// The server that finished waking.
-        server: ServerId,
-    },
-    /// A scheduled fault from the plan fires.
-    Fault(FaultEventKind),
-}
+use ecolb_cluster::cluster::ClusterConfig;
+use ecolb_cluster::sim::TimedClusterSim;
+use ecolb_trace::{NoTrace, Tracer};
 
 /// The fault-injected event-driven simulation.
 #[derive(Debug)]
 pub struct FaultyClusterSim {
-    cluster: Cluster,
+    sim: TimedClusterSim,
     seed: u64,
-    intervals: u64,
     plan: FaultPlan,
-}
-
-struct SimState {
-    cluster: Cluster,
-    injector: FaultInjector,
-    intervals_left: u64,
-    realloc_interval: SimDuration,
-    downtime_demand_seconds: f64,
-    transfer_time_s: OnlineStats,
-    wake_latency_s: OnlineStats,
-    in_flight: usize,
-    max_in_flight: usize,
-    /// Open crash windows: when each currently-crashed server went down.
-    crash_start: Vec<Option<SimTime>>,
-    /// Closed crash windows `(down, back_up)`; clamped to the run length
-    /// at report time.
-    closed_windows: Vec<(SimTime, SimTime)>,
-    orphan_downtime_seconds: f64,
-    /// Per-interval energy burned while degraded (leaderless intervals
-    /// plus aborted wake cycles), Joules.
-    wasted_energy: TimeSeries,
-    prev_energy_j: f64,
 }
 
 impl FaultyClusterSim {
@@ -101,9 +46,8 @@ impl FaultyClusterSim {
     /// the given fault plan.
     pub fn new(config: ClusterConfig, seed: u64, intervals: u64, plan: FaultPlan) -> Self {
         FaultyClusterSim {
-            cluster: Cluster::new(config, seed),
+            sim: TimedClusterSim::new(config, seed, intervals),
             seed,
-            intervals,
             plan,
         }
     }
@@ -119,299 +63,33 @@ impl FaultyClusterSim {
     /// [`NoTrace`] the run is structurally identical to
     /// [`FaultyClusterSim::run`].
     pub fn run_traced<T: Tracer>(self, tracer: &mut T) -> FaultyRunReport {
-        let n_servers = self.cluster.config().n_servers;
-        let realloc_interval = self.cluster.config().realloc_interval;
-        let horizon = SimTime::ZERO + mul_interval(realloc_interval, self.intervals);
-        let plan_is_empty = self.plan.is_empty();
-
-        let mut engine: Engine<FaultSimEvent> = Engine::new();
-        engine.schedule_at(
-            SimTime::ZERO + realloc_interval,
-            FaultSimEvent::ReallocationTick,
-        );
-        // Faults beyond the simulated horizon can never be observed by a
-        // report; dropping them keeps the engine drain bounded.
-        for ev in &self.plan.events {
-            if ev.at <= horizon {
-                engine.schedule_at(ev.at, FaultSimEvent::Fault(ev.kind));
-            }
-        }
-
-        let mut state = SimState {
-            injector: FaultInjector::new(&self.plan, n_servers),
-            cluster: self.cluster,
-            intervals_left: self.intervals,
-            realloc_interval,
-            downtime_demand_seconds: 0.0,
-            transfer_time_s: OnlineStats::new(),
-            wake_latency_s: OnlineStats::new(),
-            in_flight: 0,
-            max_in_flight: 0,
-            crash_start: vec![None; n_servers],
-            closed_windows: Vec::new(),
-            orphan_downtime_seconds: 0.0,
-            wasted_energy: TimeSeries::new("wasted_energy_j"),
-            prev_energy_j: 0.0,
-        };
-
-        let mut sleeping = TimeSeries::new("sleeping_servers");
-        let mut load = TimeSeries::new("cluster_load");
-        let initial_census = state.cluster.census();
-
-        let outcome = engine.run_intercepted_traced(
-            &mut state,
-            tracer,
-            |state, _now, ev| match ev {
-                FaultSimEvent::MigrationArrive { to, .. } => {
-                    state.injector.arrival_disposition(*to)
-                }
-                _ => Disposition::Deliver,
-            },
-            |state, sched, event| match event {
-                FaultSimEvent::ReallocationTick => {
-                    let now = sched.now();
-                    let was_leaderless = state.cluster.leaderless();
-                    let SimState {
-                        cluster, injector, ..
-                    } = state;
-                    let outcome = cluster.run_interval_traced(injector, sched.tracer());
-                    sleeping.push(state.cluster.sleeping_count() as f64);
-                    load.push(state.cluster.load_fraction());
-
-                    // Degradation ledger: energy burned during a
-                    // leaderless interval is wasted (no balancing could
-                    // act on it), and every aborted wake cycle pays the
-                    // full transition energy with nothing to show.
-                    let energy_now =
-                        state.cluster.energy().total_j() + state.cluster.migration_energy_j();
-                    let mut wasted = if was_leaderless {
-                        energy_now - state.prev_energy_j
-                    } else {
-                        0.0
-                    };
-                    state.prev_energy_j = energy_now;
-                    for &failed in &outcome.wake_failures {
-                        let cstate = state.cluster.servers()[failed.index()].cstate();
-                        wasted += state.cluster.config().sleep.failed_wake_energy_j(cstate);
-                    }
-                    state.wasted_energy.push(wasted);
-
-                    let records: Vec<MigrationRecord> =
-                        state.cluster.interval_migrations().to_vec();
-                    for rec in &records {
-                        schedule_arrival(state, sched, rec);
-                    }
-                    for &woken in &outcome.woken {
-                        if let Some(ready) = state.cluster.servers()[woken.index()].wake_ready_at()
-                        {
-                            state.wake_latency_s.push((ready - now).as_secs_f64());
-                            sched.schedule_at(ready, FaultSimEvent::WakeComplete { server: woken });
-                        }
-                    }
-
-                    state.intervals_left -= 1;
-                    if state.intervals_left > 0 {
-                        sched.schedule_in(state.realloc_interval, FaultSimEvent::ReallocationTick);
-                        Control::Continue
-                    } else if sched.pending() == 0 {
-                        Control::Stop
-                    } else {
-                        Control::Continue // drain remaining arrivals/wakes
-                    }
-                }
-                FaultSimEvent::MigrationArrive { .. } => {
-                    state.in_flight -= 1;
-                    Control::Continue
-                }
-                FaultSimEvent::WakeComplete { .. } => Control::Continue,
-                FaultSimEvent::Fault(kind) => {
-                    // Past the final tick no report observes the fault.
-                    if state.intervals_left > 0 {
-                        apply_fault(state, sched, kind, sched.now());
-                    }
-                    Control::Continue
-                }
-            },
-        );
-        debug_assert!(matches!(outcome, RunOutcome::Stopped | RunOutcome::Drained));
-
-        let end = state.cluster.now();
-        let elapsed = end.as_secs_f64();
-        // Close any crash-stop windows still open at the end of the run
-        // and clamp crash-recover reboots that outlived the horizon.
-        for slot in &mut state.crash_start {
-            if let Some(start) = slot.take() {
-                state.closed_windows.push((start, end));
-            }
-        }
-        let crashed_server_seconds: f64 = state
-            .closed_windows
-            .iter()
-            .map(|&(down, up)| up.min(end).saturating_sub(down).as_secs_f64())
-            .sum();
-
-        let base = ClusterRunReport {
-            initial_census,
-            final_census: state.cluster.census(),
-            ratio_series: state.cluster.ledger().ratio_series(),
-            sleeping_series: sleeping,
-            load_series: load,
-            decision_totals: state.cluster.ledger().totals(),
-            migrations: state.cluster.migrations(),
-            energy: state.cluster.energy(),
-            migration_energy_j: state.cluster.migration_energy_j(),
-            reference_energy_j: state.cluster.reference_power_w() * elapsed,
-            admission: state.cluster.admission_stats(),
-            saturation_violations: state.cluster.saturation_violations(),
-            undesirable_server_intervals: state.cluster.undesirable_server_intervals(),
-        };
-        let recovery = state.cluster.recovery_stats();
-        let wasted_energy_j: f64 = state.wasted_energy.values().iter().sum();
-        let availability = if elapsed > 0.0 && n_servers > 0 {
-            1.0 - crashed_server_seconds / (n_servers as f64 * elapsed)
-        } else {
-            1.0
-        };
-        let tau_s = realloc_interval.as_secs_f64();
-        let degradation = DegradationSummary {
-            availability,
-            sla_violation_seconds: base.saturation_violations as f64 * tau_s
-                + state.orphan_downtime_seconds,
-            failed_consolidations: recovery.failed_consolidations,
-            wasted_energy_j,
-            lost_reports: recovery.reports_abandoned,
-        };
-
+        let config = self.sim.config();
+        let mut injector = FaultInjector::new(&self.plan, config.n_servers);
+        let realloc_interval_seconds = config.realloc_interval.as_secs_f64();
+        let faults = self.plan.events.iter().map(|ev| (ev.at, ev.kind));
+        let (timed, ledger) = self.sim.run_with(faults, &mut injector, tracer);
         FaultyRunReport {
-            timed: TimedRunReport {
-                base,
-                downtime_demand_seconds: state.downtime_demand_seconds,
-                transfer_time_s: state.transfer_time_s,
-                wake_latency_s: state.wake_latency_s,
-                max_in_flight: state.max_in_flight,
-                events_processed: engine.events_processed(),
-            },
-            degradation,
-            recovery,
-            injection: state.injector.stats(),
-            wasted_energy_series: state.wasted_energy,
-            crashed_server_seconds,
-            orphan_downtime_seconds: state.orphan_downtime_seconds,
-            leader_epoch: state.cluster.leader_epoch(),
-            leader_host: state.cluster.leader_host(),
-            realloc_interval_seconds: tau_s,
+            timed,
+            degradation: ledger.degradation,
+            recovery: ledger.recovery,
+            injection: injector.stats(),
+            wasted_energy_series: ledger.wasted_energy_series,
+            crashed_server_seconds: ledger.crashed_server_seconds,
+            orphan_downtime_seconds: ledger.orphan_downtime_seconds,
+            leader_epoch: ledger.leader_epoch,
+            leader_host: ledger.leader_host,
+            realloc_interval_seconds,
             seed: self.seed,
-            plan_was_empty: plan_is_empty,
+            plan_was_empty: self.plan.is_empty(),
         }
-    }
-}
-
-/// `interval × count` without floating-point round trips.
-fn mul_interval(interval: SimDuration, count: u64) -> SimDuration {
-    SimDuration::from_ticks(interval.ticks().saturating_mul(count))
-}
-
-fn schedule_arrival<T: Tracer>(
-    state: &mut SimState,
-    sched: &mut Scheduler<'_, FaultSimEvent, T>,
-    rec: &MigrationRecord,
-) {
-    state.in_flight += 1;
-    state.max_in_flight = state.max_in_flight.max(state.in_flight);
-    let transfer = rec.cost.duration;
-    state.transfer_time_s.push(transfer.as_secs_f64());
-    state.downtime_demand_seconds += rec.demand * transfer.as_secs_f64();
-    sched.schedule_in(
-        transfer,
-        FaultSimEvent::MigrationArrive {
-            app: rec.app,
-            to: rec.to,
-            demand: rec.demand,
-        },
-    );
-}
-
-fn apply_fault<T: Tracer>(
-    state: &mut SimState,
-    sched: &mut Scheduler<'_, FaultSimEvent, T>,
-    kind: FaultEventKind,
-    now: SimTime,
-) {
-    match kind {
-        FaultEventKind::ServerCrash {
-            server,
-            recover_after,
-        } => {
-            sched.tracer().event(
-                now.ticks(),
-                TraceEventKind::FaultInjected {
-                    fault: "server_crash",
-                    server: server.0,
-                },
-            );
-            apply_crash(state, sched, server, recover_after, now)
-        }
-        FaultEventKind::LeaderCrash { recover_after } => {
-            let leader = state.cluster.leader_host();
-            sched.tracer().event(
-                now.ticks(),
-                TraceEventKind::FaultInjected {
-                    fault: "leader_crash",
-                    server: leader.0,
-                },
-            );
-            apply_crash(state, sched, leader, recover_after, now);
-        }
-        FaultEventKind::ServerRecover { server } => {
-            if let Some(ready) = state.cluster.recover_server(server, now) {
-                sched.tracer().event(
-                    now.ticks(),
-                    TraceEventKind::ServerRecovered { server: server.0 },
-                );
-                if let Some(start) = state.crash_start[server.index()].take() {
-                    state.closed_windows.push((start, ready));
-                }
-                state.wake_latency_s.push((ready - now).as_secs_f64());
-                sched.schedule_at(ready, FaultSimEvent::WakeComplete { server });
-            }
-        }
-    }
-}
-
-fn apply_crash<T: Tracer>(
-    state: &mut SimState,
-    sched: &mut Scheduler<'_, FaultSimEvent, T>,
-    server: ServerId,
-    recover_after: Option<SimDuration>,
-    now: SimTime,
-) {
-    if state.cluster.servers()[server.index()].is_crashed() {
-        return;
-    }
-    sched.tracer().event(
-        now.ticks(),
-        TraceEventKind::ServerCrashed { server: server.0 },
-    );
-    let orphans = state.cluster.crash_server(server, now);
-    // Orphans wait in the admission queue until the next reallocation
-    // tick; that waiting time is SLA-violation time.
-    let tau = state.realloc_interval.ticks().max(1);
-    let next_tick = SimTime::from_ticks(now.ticks().div_ceil(tau).saturating_mul(tau));
-    state.orphan_downtime_seconds +=
-        orphans.len() as f64 * next_tick.saturating_sub(now).as_secs_f64();
-    state.cluster.readmit_orphans(orphans);
-    state.crash_start[server.index()] = Some(now);
-    if let Some(delay) = recover_after {
-        sched.schedule_in(
-            delay,
-            FaultSimEvent::Fault(FaultEventKind::ServerRecover { server }),
-        );
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ecolb_cluster::server::ServerId;
+    use ecolb_simcore::time::{SimDuration, SimTime};
     use ecolb_workload::generator::WorkloadSpec;
 
     fn config(n: usize) -> ClusterConfig {

@@ -494,13 +494,9 @@ mod tests {
     #[test]
     fn entry_points_match_the_documented_set() {
         assert!(is_entry_point("run", Some("Engine"), "simcore"));
-        assert!(is_entry_point(
-            "run_intercepted_traced",
-            Some("Engine"),
-            "simcore"
-        ));
+        assert!(is_entry_point("run_with", Some("Engine"), "simcore"));
         assert!(is_entry_point("run_interval", Some("Cluster"), "cluster"));
-        assert!(is_entry_point("balance_round_scratch", None, "cluster"));
+        assert!(is_entry_point("balance_round", None, "cluster"));
         assert!(is_entry_point("run", Some("FaultyClusterSim"), "faults"));
         assert!(is_entry_point("run_plan", None, "chaos"));
         assert!(!is_entry_point("run", None, "cluster"));

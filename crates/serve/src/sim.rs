@@ -50,7 +50,7 @@ use ecolb_faults::inject::FaultInjector;
 use ecolb_faults::plan::{FaultEventKind, FaultPlan};
 use ecolb_metrics::latency::{LatencyRecorder, SlaClassCounters};
 use ecolb_metrics::resilience::ResilienceCounters;
-use ecolb_simcore::engine::{Control, Engine, RunOutcome};
+use ecolb_simcore::engine::{Control, Disposition, Engine, RunOutcome};
 use ecolb_simcore::time::{SimDuration, SimTime};
 use ecolb_trace::{NoTrace, TraceEventKind, Tracer};
 use ecolb_workload::processes::{RateModulation, SourceProfile};
@@ -458,51 +458,42 @@ impl ServeSim {
             }
         }
 
-        let outcome = engine.run_traced(&mut state, tracer, |state, sched, event| match event {
-            ServeEvent::ReallocationTick => on_tick(state, sched, &cfg),
-            ServeEvent::Arrival { source } => on_arrival(state, sched, &cfg, source),
-            ServeEvent::Completion {
-                request,
-                server,
-                admitted_ticks,
-                class,
-                attempt,
-            } => on_completion(
-                state,
-                sched,
-                &cfg,
-                request,
-                server,
-                admitted_ticks,
-                class,
-                attempt,
-            ),
-            ServeEvent::Retry {
-                request,
-                class,
-                admitted_ticks,
-                attempt,
-            } => on_retry(state, sched, &cfg, request, class, admitted_ticks, attempt),
-            ServeEvent::Fault(kind) => on_fault(state, sched, &cfg, kind),
-        });
+        let outcome = engine.run_with(
+            &mut state,
+            tracer,
+            |_, _, _| Disposition::Deliver,
+            |state, sched, event| match event {
+                ServeEvent::ReallocationTick => on_tick(state, sched, &cfg),
+                ServeEvent::Arrival { source } => on_arrival(state, sched, &cfg, source),
+                ServeEvent::Completion {
+                    request,
+                    server,
+                    admitted_ticks,
+                    class,
+                    attempt,
+                } => on_completion(
+                    state,
+                    sched,
+                    &cfg,
+                    request,
+                    server,
+                    admitted_ticks,
+                    class,
+                    attempt,
+                ),
+                ServeEvent::Retry {
+                    request,
+                    class,
+                    admitted_ticks,
+                    attempt,
+                } => on_retry(state, sched, &cfg, request, class, admitted_ticks, attempt),
+                ServeEvent::Fault(kind) => on_fault(state, sched, &cfg, kind),
+            },
+        );
         debug_assert!(matches!(outcome, RunOutcome::Stopped | RunOutcome::Drained));
 
-        let elapsed = state.cluster.now().as_secs_f64();
-        let base = ClusterRunReport {
-            initial_census,
-            final_census: state.cluster.census(),
-            ratio_series: state.cluster.ledger().ratio_series(),
-            sleeping_series: state.sleeping_series,
-            load_series: state.load_series,
-            decision_totals: state.cluster.ledger().totals(),
-            migrations: state.cluster.migrations(),
-            energy: state.cluster.energy(),
-            migration_energy_j: state.cluster.migration_energy_j(),
-            reference_energy_j: state.cluster.reference_power_w() * elapsed,
-            admission: state.cluster.admission_stats(),
-            saturation_violations: state.cluster.saturation_violations(),
-            undesirable_server_intervals: state.cluster.undesirable_server_intervals(),
-        };
+        let (sleeping, load) = (state.sleeping_series, state.load_series);
+        let base = state.cluster.run_report(initial_census, sleeping, load);
         ServeReport {
             picker: cfg.picker.label(),
             base,
@@ -1139,15 +1130,13 @@ fn apply_serve_crash<T: Tracer>(
     recover_after: Option<SimDuration>,
     now: SimTime,
 ) {
-    if state.cluster.servers()[server.index()].is_crashed() {
+    if state
+        .cluster
+        .crash_and_readmit(server, now, sched.tracer())
+        .is_none()
+    {
         return;
     }
-    sched.tracer().event(
-        now.ticks(),
-        TraceEventKind::ServerCrashed { server: server.0 },
-    );
-    let orphans = state.cluster.crash_server(server, now);
-    state.cluster.readmit_orphans(orphans);
     // Surface the reclaim to the pickers right away — routing to a
     // crashed host between now and the next tick would be wrong.
     state.discover.refresh(&state.cluster);

@@ -117,7 +117,7 @@ pub enum Control {
 }
 
 /// An interceptor's verdict on an event about to be delivered — the
-/// injection seam of [`Engine::run_intercepted`]. Fault layers use it to
+/// injection seam of [`Engine::run_with`]. Fault layers use it to
 /// model lossy or slow links without the handler ever knowing.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Disposition {
@@ -208,48 +208,30 @@ impl<E> Engine<E> {
     /// Runs the loop until drained, horizon, budget, or handler stop.
     ///
     /// The handler receives each event together with a [`Scheduler`] for
-    /// follow-up scheduling and a `&mut S` simulation state.
+    /// follow-up scheduling and a `&mut S` simulation state. This is
+    /// [`Engine::run_with`] with no tracer and no interceptor.
     pub fn run<S>(
         &mut self,
         state: &mut S,
         handler: impl FnMut(&mut S, &mut Scheduler<'_, E>, E) -> Control,
     ) -> RunOutcome {
-        self.run_intercepted(state, |_, _, _| Disposition::Deliver, handler)
+        self.run_with(state, &mut NoTrace, |_, _, _| Disposition::Deliver, handler)
     }
 
-    /// [`Engine::run`] with a tracer: the loop emits `engine_started` /
-    /// `engine_finished` events, an `engine` span, and per-dispatch
-    /// counters. With [`NoTrace`] this monomorphizes back to the plain
-    /// loop.
-    pub fn run_traced<S, T: Tracer>(
-        &mut self,
-        state: &mut S,
-        tracer: &mut T,
-        handler: impl FnMut(&mut S, &mut Scheduler<'_, E, T>, E) -> Control,
-    ) -> RunOutcome {
-        self.run_intercepted_traced(state, tracer, |_, _, _| Disposition::Deliver, handler)
-    }
-
-    /// [`Engine::run`] with an injection seam: before each event reaches
-    /// the handler, `intercept` may [`Disposition::Drop`] it (lossy link)
-    /// or [`Disposition::Delay`] it (slow link, requeued at `now + d`).
-    /// An interceptor that always answers [`Disposition::Deliver`] makes
-    /// this loop identical to [`Engine::run`] — same clock, same event
-    /// order, same `events_processed` count.
-    pub fn run_intercepted<S>(
-        &mut self,
-        state: &mut S,
-        intercept: impl FnMut(&mut S, SimTime, &E) -> Disposition,
-        handler: impl FnMut(&mut S, &mut Scheduler<'_, E>, E) -> Control,
-    ) -> RunOutcome {
-        self.run_intercepted_traced(state, &mut NoTrace, intercept, handler)
-    }
-
-    /// [`Engine::run_intercepted`] with a tracer. Interceptor verdicts
-    /// become `event_dropped` / `event_delayed` trace events, so fault
-    /// injection dispositions are visible in the trace without the fault
-    /// layer knowing about the tracer.
-    pub fn run_intercepted_traced<S, T: Tracer>(
+    /// [`Engine::run`] with both seams explicit.
+    ///
+    /// * `tracer` sees `engine_started` / `engine_finished` events, an
+    ///   `engine` span and per-dispatch counters; with [`NoTrace`] this
+    ///   monomorphizes back to the plain loop.
+    /// * `intercept` runs before each event reaches the handler and may
+    ///   [`Disposition::Drop`] it (lossy link) or [`Disposition::Delay`]
+    ///   it (slow link, requeued at `now + d`). Its verdicts become
+    ///   `event_dropped` / `event_delayed` trace events, so fault
+    ///   dispositions are visible without the fault layer knowing about
+    ///   the tracer. An interceptor that always answers
+    ///   [`Disposition::Deliver`] leaves the clock, the event order and
+    ///   the `events_processed` count exactly as in [`Engine::run`].
+    pub fn run_with<S, T: Tracer>(
         &mut self,
         state: &mut S,
         tracer: &mut T,
@@ -400,48 +382,15 @@ mod tests {
     }
 
     #[test]
-    fn always_deliver_interception_matches_plain_run() {
-        let mk = || {
-            let mut e = Engine::new();
-            for i in 0..5 {
-                e.schedule_at(SimTime::from_secs(i), Ev::Tick(i as u32));
-            }
-            e
-        };
-        let mut plain = mk();
-        let mut seen_plain = Vec::new();
-        plain.run(&mut seen_plain, |seen, _s, ev| {
-            if let Ev::Tick(i) = ev {
-                seen.push(i);
-            }
-            Control::Continue
-        });
-        let mut hooked = mk();
-        let mut seen_hooked = Vec::new();
-        hooked.run_intercepted(
-            &mut seen_hooked,
-            |_, _, _| Disposition::Deliver,
-            |seen, _s, ev| {
-                if let Ev::Tick(i) = ev {
-                    seen.push(i);
-                }
-                Control::Continue
-            },
-        );
-        assert_eq!(seen_plain, seen_hooked);
-        assert_eq!(plain.events_processed(), hooked.events_processed());
-        assert_eq!(plain.now(), hooked.now());
-    }
-
-    #[test]
     fn dropped_events_never_reach_the_handler() {
         let mut engine = Engine::new();
         for i in 0..6 {
             engine.schedule_at(SimTime::from_secs(i), Ev::Tick(i as u32));
         }
         let mut seen = Vec::new();
-        let outcome = engine.run_intercepted(
+        let outcome = engine.run_with(
             &mut seen,
+            &mut NoTrace,
             |_, _, ev| match ev {
                 Ev::Tick(i) if i % 2 == 1 => Disposition::Drop,
                 _ => Disposition::Deliver,
@@ -472,8 +421,9 @@ mod tests {
             delayed_once: false,
             order: Vec::new(),
         };
-        engine.run_intercepted(
+        engine.run_with(
             &mut st,
+            &mut NoTrace,
             |st, _, ev| {
                 if matches!(ev, Ev::Tick(1)) && !st.delayed_once {
                     st.delayed_once = true;
@@ -497,8 +447,9 @@ mod tests {
         let mut engine = Engine::new();
         engine.schedule_at(SimTime::from_secs(1), Ev::Tick(1));
         let mut count = 0u32;
-        let outcome = engine.run_intercepted(
+        let outcome = engine.run_with(
             &mut count,
+            &mut NoTrace,
             |_, _, _| Disposition::Delay(SimDuration::ZERO),
             |count, _s, _ev| {
                 *count += 1;
@@ -531,10 +482,15 @@ mod tests {
             engine.schedule_at(SimTime::from_secs(i), Ev::Tick(i as u32));
         }
         let mut tracer = RingTracer::new();
-        let outcome = engine.run_traced(&mut (), &mut tracer, |_, s, _| {
-            s.tracer().counter("test.handled", 1);
-            Control::Continue
-        });
+        let outcome = engine.run_with(
+            &mut (),
+            &mut tracer,
+            |_, _, _| Disposition::Deliver,
+            |_, s, _| {
+                s.tracer().counter("test.handled", 1);
+                Control::Continue
+            },
+        );
         assert_eq!(outcome, RunOutcome::Drained);
         let kinds: Vec<&'static str> = tracer.events().map(|e| e.kind.name()).collect();
         assert_eq!(
@@ -565,7 +521,7 @@ mod tests {
         let mut tracer = RingTracer::new();
         let mut seen = Vec::new();
         let mut delayed_once = false;
-        engine.run_intercepted_traced(
+        engine.run_with(
             &mut seen,
             &mut tracer,
             |_, _, ev| match ev {
@@ -610,13 +566,18 @@ mod tests {
         });
         let mut traced = mk();
         let mut rt = RingTracer::new();
-        let traced_outcome = traced.run_traced(&mut 0u32, &mut rt, |n, s, _| {
-            *n += 1;
-            if *n < 10 {
-                s.schedule_in(SimDuration::from_secs(1), Ev::Tick(*n));
-            }
-            Control::Continue
-        });
+        let traced_outcome = traced.run_with(
+            &mut 0u32,
+            &mut rt,
+            |_, _, _| Disposition::Deliver,
+            |n, s, _| {
+                *n += 1;
+                if *n < 10 {
+                    s.schedule_in(SimDuration::from_secs(1), Ev::Tick(*n));
+                }
+                Control::Continue
+            },
+        );
         assert_eq!(plain_outcome, traced_outcome);
         assert_eq!(plain.now(), traced.now());
         assert_eq!(plain.events_processed(), traced.events_processed());

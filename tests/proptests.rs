@@ -6,10 +6,11 @@ use ecolb::prelude::*;
 use ecolb::simcore::proptest_lite::check;
 use ecolb::simcore::rng::Rng;
 use ecolb::workload::application::{AppId, Application};
-use ecolb_cluster::balance::{balance_round, BalanceConfig};
+use ecolb_cluster::balance::{balance_round, BalanceConfig, BalanceScratch};
 use ecolb_cluster::migration::MigrationCostModel;
 use ecolb_cluster::scaling::DecisionLedger;
-use ecolb_cluster::{Leader, Server};
+use ecolb_cluster::{Leader, NoFaults, RecoveryStats, Server};
+use ecolb_trace::NoTrace;
 
 /// The five regimes partition [0, 1]: every load classifies, and the
 /// classification is monotone in the load.
@@ -75,6 +76,10 @@ fn balance_round_conserves_load() {
                 ..Default::default()
             },
             SimTime::ZERO,
+            &mut NoFaults,
+            &mut RecoveryStats::default(),
+            &mut NoTrace,
+            &mut BalanceScratch::default(),
         );
         let after: f64 = servers.iter().map(Server::load).sum();
         assert!((before - after).abs() < 1e-6, "load {before} -> {after}");
