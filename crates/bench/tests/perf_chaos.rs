@@ -5,9 +5,11 @@
 //! tracers and (b) the checker's own bookkeeping. This smoke test times
 //! a checked fault-free run against the plain `TimedClusterSim` on the
 //! same seeds with the paired-median probe and asserts the overhead
-//! stays under the budget (~2 % measured, asserted at < 8 % so only a
-//! regression — not a noisy single-core host window — fails it), then
-//! emits `BENCH_chaos.json` through the standard report path.
+//! stays under the 8 % budget, then emits `BENCH_chaos.json` through the
+//! standard report path. The smoke currently fails the budget: on a
+//! 2-vCPU x86-64 host the paired statistic reads +8–16 %, because the
+//! run got ~3× cheaper since the budget was set while the checker's
+//! per-event work (a window clone for every regime sample) did not.
 //!
 //! ```text
 //! cargo test -p ecolb-bench --release -- --ignored perf_chaos
@@ -48,7 +50,7 @@ fn perf_chaos_checker_overhead() {
     let overhead = measured.robust_overhead();
     println!(
         "perf chaos/checker: plain {:.3} ms, checked {:.3} ms, overhead {:+.2}% \
-         (minima {:+.2}%, median {:+.2}%; measured ~2%, budget < 8%)",
+         (minima {:+.2}%, median {:+.2}%; budget < 8%)",
         plain_s * 1e3,
         checked_s * 1e3,
         overhead * 100.0,

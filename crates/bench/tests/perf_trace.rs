@@ -3,11 +3,12 @@
 //! The disabled path is structural — `run()` delegates through `NoTrace`,
 //! whose methods are empty `#[inline(always)]` bodies, so there is
 //! nothing to time. What this smoke test bounds is the **enabled** cost:
-//! a `RingTracer` on the same seeds must stay within the overhead budget.
-//! The paired-median measurement puts the true ring-tracer cost at
-//! ~6–7 % on a 400-server run (the earlier batched-minima method
-//! under-read it); the budget is 10 % so a regression, not host noise,
-//! fails the smoke. `BENCH_trace.json` goes through the standard report
+//! a `RingTracer` on the same seeds must stay within the overhead budget
+//! of 10 %. The smoke currently fails it: on a 2-vCPU x86-64 host the
+//! paired statistic reads +13–31 % on the 400-server run. The run itself
+//! got ~3× cheaper since the budget was set (the incremental partner
+//! search), while the per-event cost of the ring push for every regime
+//! sample did not. `BENCH_trace.json` goes through the standard report
 //! path.
 //!
 //! ```text
@@ -47,7 +48,7 @@ fn perf_trace_ring_tracer_overhead() {
     let overhead = measured.robust_overhead();
     println!(
         "perf trace/ring-tracer: plain {:.3} ms, traced {:.3} ms, overhead {:+.2}% \
-         (minima {:+.2}%, median {:+.2}%; measured ~6-7%, budget < 10%)",
+         (minima {:+.2}%, median {:+.2}%; budget < 10%)",
         plain_s * 1e3,
         traced_s * 1e3,
         overhead * 100.0,

@@ -35,6 +35,7 @@ use ecolb_simcore::engine::{Control, Disposition, Engine, RunOutcome, Scheduler}
 use ecolb_simcore::time::{SimDuration, SimTime};
 use ecolb_trace::{NoTrace, TraceEventKind, Tracer};
 use ecolb_workload::application::AppId;
+use std::collections::BTreeMap;
 
 /// Events of the timed cluster simulation.
 #[derive(Debug, Clone, PartialEq)]
@@ -164,12 +165,8 @@ struct SimState<'h, H> {
     /// The series the base `Cluster::run` would have recorded.
     sleeping: TimeSeries,
     load: TimeSeries,
-    /// Whether any fault is scheduled. Only a scheduled crash can leave
-    /// the cluster leaderless, so only then does the ledger need the
-    /// fleet's energy total at every tick.
-    faults_scheduled: bool,
     /// Open crash windows: when each currently-crashed server went down.
-    crash_start: Vec<Option<SimTime>>,
+    crash_start: BTreeMap<ServerId, SimTime>,
     /// Closed crash windows `(down, back_up)`; clamped to the run length
     /// at report time.
     closed_windows: Vec<(SimTime, SimTime)>,
@@ -228,11 +225,9 @@ impl TimedClusterSim {
         // reallocates it.
         let mut engine: Engine<SimEvent> = Engine::with_capacity(64);
         engine.schedule_at(SimTime::ZERO + realloc_interval, SimEvent::ReallocationTick);
-        let mut faults_scheduled = false;
         for (at, kind) in faults {
             if at <= horizon {
                 engine.schedule_at(at, SimEvent::Fault(kind));
-                faults_scheduled = true;
             }
         }
 
@@ -249,8 +244,7 @@ impl TimedClusterSim {
             max_in_flight: 0,
             sleeping: TimeSeries::new("sleeping_servers"),
             load: TimeSeries::new("cluster_load"),
-            faults_scheduled,
-            crash_start: vec![None; n_servers],
+            crash_start: BTreeMap::new(),
             closed_windows: Vec::new(),
             orphan_downtime_seconds: 0.0,
             wasted_energy: TimeSeries::new("wasted_energy_j"),
@@ -290,7 +284,7 @@ impl TimedClusterSim {
         let elapsed = end.as_secs_f64();
         // Crash-stop windows still open at the end of the run close there;
         // crash-recover reboots that outlived the horizon are clamped.
-        let open_windows = state.crash_start.iter().flatten().map(|&down| (down, end));
+        let open_windows = state.crash_start.values().map(|&down| (down, end));
         let crashed_server_seconds: f64 = (state.closed_windows.iter().copied())
             .chain(open_windows)
             .map(|(down, up)| up.min(end).saturating_sub(down).as_secs_f64())
@@ -351,14 +345,13 @@ fn on_tick<H: FaultHooks, T: Tracer>(
     // Degradation ledger: energy burned during a leaderless interval is
     // wasted (no balancing could act on it), and every aborted wake cycle
     // pays the full transition energy with nothing to show.
-    let mut wasted = 0.0;
-    if state.faults_scheduled {
-        let energy_now = state.cluster.energy().total_j() + state.cluster.migration_energy_j();
-        if was_leaderless {
-            wasted = energy_now - state.prev_energy_j;
-        }
-        state.prev_energy_j = energy_now;
-    }
+    let energy_now = state.cluster.energy().total_j() + state.cluster.migration_energy_j();
+    let mut wasted = if was_leaderless {
+        energy_now - state.prev_energy_j
+    } else {
+        0.0
+    };
+    state.prev_energy_j = energy_now;
     for &failed in &outcome.wake_failures {
         let cstate = state.cluster.servers()[failed.index()].cstate();
         wasted += state.cluster.config().sleep.failed_wake_energy_j(cstate);
@@ -427,7 +420,7 @@ fn apply_fault<H: FaultHooks, T: Tracer>(
                     now.ticks(),
                     TraceEventKind::ServerRecovered { server: server.0 },
                 );
-                if let Some(start) = state.crash_start[server.index()].take() {
+                if let Some(start) = state.crash_start.remove(&server) {
                     state.closed_windows.push((start, ready));
                 }
                 state.wake_latency_s.push((ready - now).as_secs_f64());
@@ -451,7 +444,7 @@ fn apply_fault<H: FaultHooks, T: Tracer>(
     let tau = state.realloc_interval.ticks().max(1);
     let next_tick = SimTime::from_ticks(now.ticks().div_ceil(tau).saturating_mul(tau));
     state.orphan_downtime_seconds += orphans as f64 * next_tick.saturating_sub(now).as_secs_f64();
-    state.crash_start[server.index()] = Some(now);
+    state.crash_start.insert(server, now);
     if let Some(delay) = recover_after {
         sched.schedule_in(
             delay,
