@@ -424,17 +424,6 @@ impl Cluster {
         self.servers[server.index()].place_app(app);
     }
 
-    /// Saturation violations so far (server-intervals with demand above
-    /// capacity).
-    pub fn saturation_violations(&self) -> u64 {
-        self.saturation_violations
-    }
-
-    /// Undesirable-regime server-intervals so far.
-    pub fn undesirable_server_intervals(&self) -> u64 {
-        self.undesirable_server_intervals
-    }
-
     /// Table 1 class of each server, aligned with [`Cluster::servers`].
     pub fn server_classes(&self) -> &[ecolb_energy::server_class::ServerClass] {
         &self.classes
@@ -499,12 +488,6 @@ impl Cluster {
             &self.config.sleep,
             self.now,
         );
-    }
-
-    /// Power the initial placement would draw with every server awake —
-    /// the always-on reference rate, Watts.
-    pub fn reference_power_w(&self) -> f64 {
-        self.reference_power_w
     }
 
     /// Demand evolution + scaling decisions for one interval (step 1).
@@ -1323,11 +1306,11 @@ mod tests {
 
     #[test]
     fn fault_free_run_does_no_recovery_work() {
-        let mut b = Cluster::new(small_config(), 42);
+        let mut c = Cluster::new(small_config(), 42);
         for _ in 0..10 {
-            b.run_interval();
+            c.run_interval();
         }
-        let s = b.recovery_stats();
+        let s = c.recovery_stats();
         assert_eq!(s.heartbeats_sent, 10, "live leader beacons every interval");
         assert_eq!(
             RecoveryStats {
@@ -1337,7 +1320,7 @@ mod tests {
             RecoveryStats::default(),
             "no recovery work in a fault-free run"
         );
-        assert_eq!(b.leader_epoch(), 0);
+        assert_eq!(c.leader_epoch(), 0);
     }
 
     #[test]

@@ -9,8 +9,8 @@
 //!
 //! The hook trait defaults to "nothing ever fails", and the no-fault
 //! implementation [`NoFaults`] is a zero-sized type whose methods are
-//! trivially inlined — running the cluster through the hooked entry points
-//! with `NoFaults` is byte-identical to the unhooked code path.
+//! trivially inlined — the plain entry points pass `NoFaults` through the
+//! same hooked code, and it changes nothing.
 //!
 //! Scheduled faults ([`FaultEventKind`]) are what the timed driver
 //! applies at their fire time; the injection crate builds plans of them.
