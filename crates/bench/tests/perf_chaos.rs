@@ -7,8 +7,8 @@
 //! same seeds with the paired-median probe and asserts the overhead
 //! stays under the 8 % budget, then emits `BENCH_chaos.json` through the
 //! standard report path. The smoke currently fails the budget: on a
-//! 2-vCPU x86-64 host the paired statistic reads +8–16 %, because the
-//! run got ~3× cheaper since the budget was set while the checker's
+//! 2-vCPU x86-64 host the paired statistic reads a median +13 %, because
+//! the run got ~3× cheaper since the budget was set while the checker's
 //! per-event work (a window clone for every regime sample) did not.
 //!
 //! ```text

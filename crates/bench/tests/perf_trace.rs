@@ -5,11 +5,11 @@
 //! nothing to time. What this smoke test bounds is the **enabled** cost:
 //! a `RingTracer` on the same seeds must stay within the overhead budget
 //! of 10 %. The smoke currently fails it: on a 2-vCPU x86-64 host the
-//! paired statistic reads +13–31 % on the 400-server run. The run itself
-//! got ~3× cheaper since the budget was set (the incremental partner
-//! search), while the per-event cost of the ring push for every regime
-//! sample did not. `BENCH_trace.json` goes through the standard report
-//! path.
+//! paired statistic reads a median +16 % on the 400-server run. The run
+//! itself got ~3× cheaper since the budget was set (the incremental
+//! partner search), while the per-event cost of the ring push for every
+//! regime sample did not. `BENCH_trace.json` goes through the standard
+//! report path.
 //!
 //! ```text
 //! cargo test -p ecolb-bench --release -- --ignored perf_trace

@@ -285,7 +285,10 @@ impl TimedClusterSim {
         // Crash-stop windows still open at the end of the run close there;
         // crash-recover reboots that outlived the horizon are clamped.
         let open_windows = state.crash_start.values().map(|&down| (down, end));
-        let crashed_server_seconds: f64 = (state.closed_windows.iter().copied())
+        let crashed_server_seconds: f64 = state
+            .closed_windows
+            .iter()
+            .copied()
             .chain(open_windows)
             .map(|(down, up)| up.min(end).saturating_sub(down).as_secs_f64())
             .sum();
