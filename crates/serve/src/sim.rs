@@ -1397,6 +1397,47 @@ mod tests {
         );
     }
 
+    /// A crash whose recovery beats the drain of the dead queue: the
+    /// server reboots 10 ms after the crash, rejoins at the 600 s tick
+    /// and takes new traffic while completions of its killed attempts
+    /// are still pending. Those completions must stay dead, and the new
+    /// attempts must complete on their own schedule.
+    #[test]
+    fn recovery_before_the_dead_queue_drains_keeps_kills_dead() {
+        use ecolb_energy::sleep::CState;
+        use ecolb_simcore::time::SimTime;
+        let mut cluster = ClusterConfig::paper(6, WorkloadSpec::paper_high_load());
+        cluster.sleep = cluster
+            .sleep
+            .with_wake_latency(CState::C6, SimDuration::from_millis(1));
+        let mut cfg = ServeConfig::paper(cluster, PickerKind::RoundRobin, 4);
+        cfg.load.requests_per_demand *= 4.0;
+        cfg.faults = Some(FaultPlan::empty(3).with_server_crash(
+            SimTime::from_ticks(599_500_000),
+            ServerId(2),
+            Some(SimDuration::from_millis(10)),
+        ));
+        let r = ServeSim::new(cfg, 3).run();
+        assert!(r.requests_failed > 0, "the dead queue was not empty");
+        assert_eq!(
+            r.requests_admitted,
+            r.requests_completed + r.requests_rejected + r.requests_failed
+        );
+        assert_eq!(r.latency.count(), r.requests_completed);
+        assert_eq!(
+            r.p99_s().to_bits(),
+            0x4019_b872_e219_8cbb,
+            "p99 {}",
+            r.p99_s()
+        );
+        assert_eq!(
+            r.latency.mean().to_bits(),
+            0x4006_6aa8_92ea_48af,
+            "mean {}",
+            r.latency.mean()
+        );
+    }
+
     #[test]
     fn full_stack_is_deterministic_and_conserves_requests() {
         use ecolb_simcore::time::SimTime;
