@@ -21,7 +21,7 @@ use ecolb_bench::{paired_overhead, DEFAULT_SEED};
 use ecolb_cluster::cluster::ClusterConfig;
 use ecolb_metrics::report::Report;
 use ecolb_serve::picker::PickerKind;
-use ecolb_serve::resilience::ResiliencePolicy;
+use ecolb_serve::resilience::{HedgePolicy, ResiliencePolicy, ShedPolicy};
 use ecolb_serve::sim::{ServeConfig, ServeSim};
 use ecolb_workload::generator::WorkloadSpec;
 
@@ -33,12 +33,17 @@ const ROUNDS: u32 = 9;
 /// hedges and sheds can never fire on a fault-free run, so the candidate
 /// run does all the per-request bookkeeping and none of the physics.
 fn armed_idle_policy() -> ResiliencePolicy {
-    let mut policy = ResiliencePolicy::full();
-    policy.deadline_objective_multiplier = 1e9;
-    policy.hedge.threshold_s = f64::INFINITY;
-    policy.shed.bronze_watermark_s = f64::INFINITY;
-    policy.shed.gold_watermark_s = f64::INFINITY;
-    policy
+    ResiliencePolicy {
+        deadline: Some(1e9),
+        hedge: Some(HedgePolicy {
+            threshold_s: f64::INFINITY,
+        }),
+        shed: Some(ShedPolicy {
+            bronze_watermark_s: f64::INFINITY,
+            gold_watermark_s: f64::INFINITY,
+        }),
+        ..ResiliencePolicy::full()
+    }
 }
 
 fn config(policy: ResiliencePolicy) -> ServeConfig {

@@ -5,7 +5,7 @@
 //!
 //! The §4 protocol decides *migrations and sleeps*; what a user of the
 //! cloud sees is *request latency*. This crate closes that gap with
-//! four pieces, shaped like the loadbalance module of a production RPC
+//! five pieces, shaped like the loadbalance module of a production RPC
 //! stack but fully deterministic and I/O-free:
 //!
 //! * [`discover`] — [`Discover`](discover::Discover): the live instance
@@ -21,12 +21,16 @@
 //! * [`resilience`] — the request-level resilience layer: SLA-class
 //!   deadlines, budgeted retries with keyed backoff jitter, gold-class
 //!   hedging, per-instance circuit breakers and bronze-first load
-//!   shedding ([`ResiliencePolicy`](resilience::ResiliencePolicy));
-//!   `disabled()` is a structural no-op;
+//!   shedding ([`ResiliencePolicy`](resilience::ResiliencePolicy)).
+//!   Each mechanism is an `Option`, off when `None`; `disabled()`
+//!   (all `None`) is a structural no-op;
 //! * [`sim`] — [`ServeSim`](sim::ServeSim): one engine co-simulating
 //!   open-loop request traffic with the reallocation protocol, so
 //!   energy decisions and routing decisions interact and a picker
 //!   comparison yields an energy-vs-p99 frontier (EXPERIMENTS.md "RQ").
+//!   Each server keeps a FIFO ledger of its queued attempts and a crash
+//!   epoch, so a completion event names only the server and the epoch
+//!   it was queued in.
 //!
 //! Everything is a pure function of `(config, seed)`: replaying a run
 //! byte-identically reproduces its [`ServeReport`](sim::ServeReport).

@@ -7,7 +7,7 @@
 //!
 //! * **Deadlines** — every request carries a deadline derived from its
 //!   SLA-class latency objective
-//!   ([`ResiliencePolicy::deadline_objective_multiplier`]). An attempt
+//!   ([`ResiliencePolicy::deadline`]). An attempt
 //!   whose *predicted* latency (queue backlog + effective service)
 //!   already exceeds the deadline is failed at dispatch instead of
 //!   being enqueued to miss it — the failure feeds the retry ladder and
@@ -30,9 +30,11 @@
 //!   sit below gold ([`ShedPolicy`]), so bronze sheds first and gold
 //!   capacity survives the longest.
 //!
-//! [`ResiliencePolicy::disabled`] is a structural no-op: the simulation
-//! draws zero extra random numbers, emits zero extra trace events and
-//! produces a byte-identical report.
+//! A mechanism is off by being absent: each is an `Option` in
+//! [`ResiliencePolicy`], and [`ResiliencePolicy::disabled`] (all `None`)
+//! is a structural no-op: the simulation draws zero extra random
+//! numbers, emits zero extra trace events and produces a byte-identical
+//! report.
 
 use ecolb_cluster::server::ServerId;
 use ecolb_simcore::time::{SimDuration, SimTime};
@@ -41,37 +43,27 @@ use ecolb_workload::requests::{request_stream, RequestId, RequestStreamDomain};
 /// One milli-token; a retry withdraws exactly this much.
 pub const RETRY_COST_MTOKENS: u64 = 1000;
 
-/// The full resilience configuration of a serving run.
-#[derive(Debug, Clone, Copy, PartialEq)]
+/// The full resilience configuration of a serving run. `None` turns a
+/// mechanism off.
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct ResiliencePolicy {
-    /// Master switch. `false` short-circuits every mechanism and makes
-    /// the layer a structural no-op regardless of the other fields.
-    pub enabled: bool,
     /// Deadline per class as a multiple of its latency objective
-    /// (gold 0.5 s × 2.0 → 1.0 s deadline). `0.0` disables the
-    /// dispatch-time deadline guard.
-    pub deadline_objective_multiplier: f64,
+    /// (gold 0.5 s × 2.0 → 1.0 s deadline), guarded at dispatch.
+    pub deadline: Option<f64>,
     /// Retry ladder and budget.
-    pub retry: RetryPolicy,
+    pub retry: Option<RetryPolicy>,
     /// Gold-class hedging.
-    pub hedge: HedgePolicy,
+    pub hedge: Option<HedgePolicy>,
     /// Per-instance circuit breakers.
-    pub breaker: BreakerPolicy,
+    pub breaker: Option<BreakerPolicy>,
     /// SLA-class load shedding.
-    pub shed: ShedPolicy,
+    pub shed: Option<ShedPolicy>,
 }
 
 impl ResiliencePolicy {
     /// The structural no-op default: every mechanism off.
     pub fn disabled() -> Self {
-        ResiliencePolicy {
-            enabled: false,
-            deadline_objective_multiplier: 0.0,
-            retry: RetryPolicy::disabled(),
-            hedge: HedgePolicy::disabled(),
-            breaker: BreakerPolicy::disabled(),
-            shed: ShedPolicy::disabled(),
-        }
+        Self::default()
     }
 
     /// Retries only: crash-killed attempts are retried under the
@@ -79,12 +71,8 @@ impl ResiliencePolicy {
     /// shedding — the middle column of the EXPERIMENTS "RS" sweep.
     pub fn retry_only() -> Self {
         ResiliencePolicy {
-            enabled: true,
-            deadline_objective_multiplier: 0.0,
-            retry: RetryPolicy::default_enabled(),
-            hedge: HedgePolicy::disabled(),
-            breaker: BreakerPolicy::disabled(),
-            shed: ShedPolicy::disabled(),
+            retry: Some(RetryPolicy::default()),
+            ..Self::disabled()
         }
     }
 
@@ -93,31 +81,24 @@ impl ResiliencePolicy {
     /// bronze-first shedding.
     pub fn full() -> Self {
         ResiliencePolicy {
-            enabled: true,
-            deadline_objective_multiplier: 2.0,
-            retry: RetryPolicy::default_enabled(),
-            hedge: HedgePolicy::default_enabled(),
-            breaker: BreakerPolicy::default_enabled(),
-            shed: ShedPolicy::default_enabled(),
+            deadline: Some(2.0),
+            retry: Some(RetryPolicy::default()),
+            hedge: Some(HedgePolicy::default()),
+            breaker: Some(BreakerPolicy::default()),
+            shed: Some(ShedPolicy::default()),
         }
     }
 
     /// The deadline for a request with the given class objective, or
     /// `None` when the deadline guard is off.
     pub fn deadline_s(&self, objective_s: f64) -> Option<f64> {
-        if self.enabled && self.deadline_objective_multiplier > 0.0 {
-            Some(objective_s * self.deadline_objective_multiplier)
-        } else {
-            None
-        }
+        self.deadline.map(|multiplier| objective_s * multiplier)
     }
 }
 
 /// Exponential-backoff retry configuration.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RetryPolicy {
-    /// Whether failed attempts are retried at all.
-    pub enabled: bool,
     /// Maximum retry attempts per request (not counting the original).
     pub max_attempts: u32,
     /// Backoff before the first retry, seconds.
@@ -134,31 +115,17 @@ pub struct RetryPolicy {
     pub budget: RetryBudgetSpec,
 }
 
-impl RetryPolicy {
-    /// Retries off entirely.
-    pub fn disabled() -> Self {
-        RetryPolicy {
-            enabled: false,
-            max_attempts: 0,
-            base_backoff_s: 0.0,
-            backoff_multiplier: 1.0,
-            max_backoff_s: 0.0,
-            jitter_fraction: 0.0,
-            budget: RetryBudgetSpec::unlimited(),
-        }
-    }
-
+impl Default for RetryPolicy {
     /// Up to 3 budgeted retries at 50 ms × 2^k capped at 400 ms, with
     /// 20 % jitter.
-    pub fn default_enabled() -> Self {
+    fn default() -> Self {
         RetryPolicy {
-            enabled: true,
             max_attempts: 3,
             base_backoff_s: 0.05,
             backoff_multiplier: 2.0,
             max_backoff_s: 0.4,
             jitter_fraction: 0.2,
-            budget: RetryBudgetSpec::default_enabled(),
+            budget: RetryBudgetSpec::default(),
         }
     }
 }
@@ -167,9 +134,6 @@ impl RetryPolicy {
 /// costs [`RETRY_COST_MTOKENS`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RetryBudgetSpec {
-    /// `false` makes the budget unlimited: every withdrawal is granted
-    /// and no state moves.
-    pub enabled: bool,
     /// Milli-tokens deposited per admitted request (100 ⇒ a sustained
     /// retry ratio of 10 % of admissions).
     pub fill_per_admit_mtokens: u64,
@@ -178,20 +142,10 @@ pub struct RetryBudgetSpec {
     pub burst_mtokens: u64,
 }
 
-impl RetryBudgetSpec {
-    /// An unlimited budget (the disabled spec).
-    pub fn unlimited() -> Self {
-        RetryBudgetSpec {
-            enabled: false,
-            fill_per_admit_mtokens: 0,
-            burst_mtokens: 0,
-        }
-    }
-
+impl Default for RetryBudgetSpec {
     /// 10 % sustained retry ratio with a 200-retry burst.
-    pub fn default_enabled() -> Self {
+    fn default() -> Self {
         RetryBudgetSpec {
-            enabled: true,
             fill_per_admit_mtokens: 100,
             burst_mtokens: 200 * RETRY_COST_MTOKENS,
         }
@@ -201,55 +155,30 @@ impl RetryBudgetSpec {
 /// Gold-class hedging configuration.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct HedgePolicy {
-    /// Whether gold requests may be hedged.
-    pub enabled: bool,
     /// Predicted primary latency above which a hedge is issued, seconds.
     pub threshold_s: f64,
 }
 
-impl HedgePolicy {
-    /// Hedging off.
-    pub fn disabled() -> Self {
-        HedgePolicy {
-            enabled: false,
-            threshold_s: f64::INFINITY,
-        }
-    }
-
+impl Default for HedgePolicy {
     /// Hedge gold requests predicted slower than 350 ms.
-    pub fn default_enabled() -> Self {
-        HedgePolicy {
-            enabled: true,
-            threshold_s: 0.35,
-        }
+    fn default() -> Self {
+        HedgePolicy { threshold_s: 0.35 }
     }
 }
 
 /// Per-instance circuit-breaker configuration.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BreakerPolicy {
-    /// Whether breakers eject instances at all.
-    pub enabled: bool,
     /// Consecutive dispatch failures that trip a closed breaker.
     pub failure_threshold: u32,
     /// Open window before the half-open probe, seconds (sim ticks).
     pub open_s: f64,
 }
 
-impl BreakerPolicy {
-    /// Breakers off.
-    pub fn disabled() -> Self {
-        BreakerPolicy {
-            enabled: false,
-            failure_threshold: u32::MAX,
-            open_s: 0.0,
-        }
-    }
-
+impl Default for BreakerPolicy {
     /// Trip after 5 consecutive failures, eject for 20 s.
-    pub fn default_enabled() -> Self {
+    fn default() -> Self {
         BreakerPolicy {
-            enabled: true,
             failure_threshold: 5,
             open_s: 20.0,
         }
@@ -259,8 +188,6 @@ impl BreakerPolicy {
 /// SLA-class load-shedding configuration.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ShedPolicy {
-    /// Whether admission control sheds at all.
-    pub enabled: bool,
     /// Bronze requests shed once the chosen server queues more than
     /// this many seconds of work.
     pub bronze_watermark_s: f64,
@@ -268,26 +195,18 @@ pub struct ShedPolicy {
     pub gold_watermark_s: f64,
 }
 
-impl ShedPolicy {
-    /// Shedding off.
-    pub fn disabled() -> Self {
-        ShedPolicy {
-            enabled: false,
-            bronze_watermark_s: f64::INFINITY,
-            gold_watermark_s: f64::INFINITY,
-        }
-    }
-
+impl Default for ShedPolicy {
     /// Shed bronze past 1.2 s of backlog, gold past 1.6 s (both below
     /// the 2 s hard admission bound).
-    pub fn default_enabled() -> Self {
+    fn default() -> Self {
         ShedPolicy {
-            enabled: true,
             bronze_watermark_s: 1.2,
             gold_watermark_s: 1.6,
         }
     }
+}
 
+impl ShedPolicy {
     /// The watermark for a class index (0 = gold, 1 = bronze).
     pub fn watermark_s(&self, class: usize) -> f64 {
         if class == 0 {
@@ -369,11 +288,8 @@ impl RetryBudget {
         }
     }
 
-    /// Deposits the per-admission fill. Disabled budgets hold no state.
+    /// Deposits the per-admission fill.
     pub fn deposit(&mut self) {
-        if !self.spec.enabled {
-            return;
-        }
         let fill = self.spec.fill_per_admit_mtokens;
         self.deposited += fill;
         let room = self.spec.burst_mtokens - self.balance;
@@ -383,11 +299,8 @@ impl RetryBudget {
     }
 
     /// Withdraws one retry's worth of tokens; `false` means the retry
-    /// is denied. A disabled budget always grants and never moves.
+    /// is denied.
     pub fn try_withdraw(&mut self) -> bool {
-        if !self.spec.enabled {
-            return true;
-        }
         if self.balance >= RETRY_COST_MTOKENS {
             self.balance -= RETRY_COST_MTOKENS;
             self.withdrawn += RETRY_COST_MTOKENS;
@@ -581,12 +494,11 @@ mod tests {
     #[test]
     fn disabled_policy_turns_everything_off() {
         let p = ResiliencePolicy::disabled();
-        assert!(!p.enabled);
         assert_eq!(p.deadline_s(0.5), None);
-        assert!(!p.retry.enabled);
-        assert!(!p.hedge.enabled);
-        assert!(!p.breaker.enabled);
-        assert!(!p.shed.enabled);
+        assert!(p.retry.is_none());
+        assert!(p.hedge.is_none());
+        assert!(p.breaker.is_none());
+        assert!(p.shed.is_none());
     }
 
     #[test]
@@ -594,12 +506,14 @@ mod tests {
         let p = ResiliencePolicy::full();
         assert_eq!(p.deadline_s(0.5), Some(1.0));
         assert_eq!(p.deadline_s(2.0), Some(4.0));
-        assert!(p.shed.watermark_s(1) < p.shed.watermark_s(0));
+        let shed = ShedPolicy::default();
+        assert_eq!(p.shed, Some(shed));
+        assert!(shed.watermark_s(1) < shed.watermark_s(0));
     }
 
     #[test]
     fn backoff_is_deterministic_monotone_and_capped() {
-        let policy = RetryPolicy::default_enabled();
+        let policy = RetryPolicy::default();
         let a = BackoffSchedule::new(7, RequestId(42), &policy);
         let b = BackoffSchedule::new(7, RequestId(42), &policy);
         assert_eq!(a, b);
@@ -616,7 +530,7 @@ mod tests {
     fn zero_jitter_schedule_is_exact_exponential() {
         let policy = RetryPolicy {
             jitter_fraction: 0.0,
-            ..RetryPolicy::default_enabled()
+            ..RetryPolicy::default()
         };
         let s = BackoffSchedule::new(1, RequestId(0), &policy);
         assert_eq!(s.delay_s(1), 0.05);
@@ -629,7 +543,6 @@ mod tests {
     #[test]
     fn budget_conserves_tokens_and_never_goes_negative() {
         let mut b = RetryBudget::new(RetryBudgetSpec {
-            enabled: true,
             fill_per_admit_mtokens: 300,
             burst_mtokens: 2000,
         });
@@ -652,21 +565,8 @@ mod tests {
     }
 
     #[test]
-    fn disabled_budget_is_unlimited_and_stateless() {
-        let mut b = RetryBudget::new(RetryBudgetSpec::unlimited());
-        for _ in 0..1000 {
-            assert!(b.try_withdraw());
-            b.deposit();
-        }
-        assert_eq!(b.balance_mtokens(), 0);
-        assert_eq!(b.withdrawn_mtokens(), 0);
-        assert_eq!(b.deposited_mtokens(), 0);
-    }
-
-    #[test]
     fn breaker_trips_on_threshold_and_probes_half_open() {
         let policy = BreakerPolicy {
-            enabled: true,
             failure_threshold: 3,
             open_s: 10.0,
         };
@@ -697,7 +597,6 @@ mod tests {
     #[test]
     fn success_closes_a_half_open_breaker_and_clears_streaks() {
         let policy = BreakerPolicy {
-            enabled: true,
             failure_threshold: 2,
             open_s: 1.0,
         };
@@ -718,7 +617,7 @@ mod tests {
 
     #[test]
     fn trip_and_reset_pair_for_crash_and_rejoin() {
-        let policy = BreakerPolicy::default_enabled();
+        let policy = BreakerPolicy::default();
         let mut bank = BreakerBank::new(3);
         let s = ServerId(2);
         assert!(bank.trip(s, SimTime::ZERO, &policy));

@@ -36,7 +36,7 @@
 //! picker comparison isolates the routing policy: same migrations, same
 //! sleeps — different latency and different serve-side energy.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::{BTreeMap, VecDeque};
 
 use crate::discover::{Change, ClusterDiscover, Discover, InstanceSet};
 use crate::picker::{Picker, PickerKind};
@@ -162,20 +162,13 @@ pub enum ServeEvent {
         /// Index into the source table.
         source: u32,
     },
-    /// A routed request finishes service.
+    /// The head attempt of a server's queue finishes service.
     Completion {
-        /// The request id.
-        request: u64,
         /// The server that served it.
         server: ServerId,
-        /// Admission instant, integer ticks, for exact latency.
-        admitted_ticks: u64,
-        /// SLA class index of the request.
-        class: u8,
-        /// Attempt identity (0 = original; retries count up; the hedge
-        /// twin carries [`HEDGE_BIT`]). Distinguishes a live completion
-        /// from one whose attempt was crash-killed earlier.
-        attempt: u32,
+        /// The server's crash epoch when the attempt was queued; a stale
+        /// epoch marks an attempt a crash killed after it was scheduled.
+        epoch: u32,
     },
     /// A backoff delay elapsed: the resilience layer re-dispatches a
     /// failed request.
@@ -197,7 +190,7 @@ pub enum ServeEvent {
 }
 
 /// Attempt-id flag marking the hedged (duplicate) attempt of a request.
-pub const HEDGE_BIT: u32 = 1 << 31;
+const HEDGE_BIT: u32 = 1 << 31;
 
 /// One attempt occupying a server's queue — killed (and possibly
 /// retried) when that server crashes.
@@ -206,7 +199,22 @@ struct InFlight {
     request: u64,
     class: u8,
     admitted_ticks: u64,
+    /// 0 = original; retries count up; the hedge twin carries
+    /// [`HEDGE_BIT`].
     attempt: u32,
+}
+
+/// One server's queued attempts in enqueue order, plus its crash epoch.
+///
+/// The FIFO [`QueueModel`] makes a server's completion times
+/// non-decreasing in enqueue order, and the engine fires equal instants
+/// in insertion order, so a live completion is always the head of its
+/// server's ledger. A crash empties the ledger and bumps the epoch; the
+/// completions it left pending then arrive stale and are dropped.
+#[derive(Debug, Clone, Default)]
+struct Ledger {
+    queued: VecDeque<InFlight>,
+    epoch: u32,
 }
 
 /// Outstanding-attempt bookkeeping of a hedged request: the first
@@ -332,9 +340,8 @@ struct ServeState {
     seed: u64,
     // Resilience.
     breakers: BreakerBank,
-    budget: RetryBudget,
-    in_flight: Vec<Vec<InFlight>>,
-    killed: BTreeSet<(u64, u32)>,
+    budget: Option<RetryBudget>,
+    ledgers: Vec<Ledger>,
     hedges: BTreeMap<u64, HedgeTrack>,
     filtered: InstanceSet,
     filter_scratch: Vec<InstanceInfo>,
@@ -411,9 +418,8 @@ impl ServeSim {
             intervals_left: cfg.intervals,
             seed,
             breakers: BreakerBank::new(n_servers),
-            budget: RetryBudget::new(cfg.resilience.retry.budget),
-            in_flight: vec![Vec::new(); n_servers],
-            killed: BTreeSet::new(),
+            budget: cfg.resilience.retry.map(|r| RetryBudget::new(r.budget)),
+            ledgers: vec![Ledger::default(); n_servers],
             hedges: BTreeMap::new(),
             filtered: InstanceSet::default(),
             filter_scratch: Vec::new(),
@@ -465,22 +471,9 @@ impl ServeSim {
             |state, sched, event| match event {
                 ServeEvent::ReallocationTick => on_tick(state, sched, &cfg),
                 ServeEvent::Arrival { source } => on_arrival(state, sched, &cfg, source),
-                ServeEvent::Completion {
-                    request,
-                    server,
-                    admitted_ticks,
-                    class,
-                    attempt,
-                } => on_completion(
-                    state,
-                    sched,
-                    &cfg,
-                    request,
-                    server,
-                    admitted_ticks,
-                    class,
-                    attempt,
-                ),
+                ServeEvent::Completion { server, epoch } => {
+                    on_completion(state, sched, &cfg, server, epoch)
+                }
                 ServeEvent::Retry {
                     request,
                     class,
@@ -530,17 +523,14 @@ fn on_tick<T: Tracer>(
     state.sleeping_series.push(asleep as f64);
     state.load_series.push(frac);
 
-    // Discovery refresh: surface this interval's wake/sleep/crash and
-    // migration effects to the picker, and charge sleep deferral for
-    // servers the policy put down while they still queue work.
-    state.discover.refresh(&state.cluster);
-    let mut changes = std::mem::take(&mut state.changes);
-    state.discover.poll_changes(&mut changes);
-    let res = &cfg.resilience;
-    for change in &changes {
+    // Surface this interval's wake/sleep/crash and migration effects to
+    // the picker, and charge sleep deferral for servers the policy put
+    // down while they still queue work.
+    refresh_discovery(state);
+    for &change in &state.changes {
         match change {
             Change::Left(server) => {
-                let backlog = state.queues.backlog(now, *server);
+                let backlog = state.queues.backlog(now, server);
                 if !backlog.is_zero() {
                     state.deferred_sleeps += 1;
                     state.sleep_deferral_energy_j +=
@@ -550,7 +540,7 @@ fn on_tick<T: Tracer>(
             Change::Joined(server) => {
                 // A rejoin (recovery or wake) is fresh evidence: close
                 // any breaker still open on the server.
-                if res.enabled && res.breaker.enabled && state.breakers.reset(*server) {
+                if cfg.resilience.breaker.is_some() && state.breakers.reset(server) {
                     state.counters.breaker_closes += 1;
                     if sched.tracer().enabled() {
                         sched.tracer().event(
@@ -563,11 +553,6 @@ fn on_tick<T: Tracer>(
             Change::Updated(_) => {}
         }
     }
-    if !changes.is_empty() {
-        state.filtered_dirty = true;
-    }
-    state.picker.on_change(state.discover.instances(), &changes);
-    state.changes = changes;
 
     state.intervals_left -= 1;
     if state.intervals_left > 0 {
@@ -578,6 +563,19 @@ fn on_tick<T: Tracer>(
     } else {
         Control::Continue // drain in-flight completions
     }
+}
+
+/// Refreshes the discovery snapshot from the cluster, leaves the diff in
+/// `state.changes` and hands it to the picker.
+fn refresh_discovery(state: &mut ServeState) {
+    state.discover.refresh(&state.cluster);
+    state.discover.poll_changes(&mut state.changes);
+    if !state.changes.is_empty() {
+        state.filtered_dirty = true;
+    }
+    state
+        .picker
+        .on_change(state.discover.instances(), &state.changes);
 }
 
 fn on_arrival<T: Tracer>(
@@ -609,8 +607,8 @@ fn on_arrival<T: Tracer>(
     // Every admission refills the retry budget, then the request takes
     // its first dispatch attempt through the resilience stack (which
     // degrades to the plain route/reject path when disabled).
-    if cfg.resilience.enabled && cfg.resilience.retry.enabled {
-        state.budget.deposit();
+    if let Some(budget) = &mut state.budget {
+        budget.deposit();
     }
     dispatch_attempt(
         state,
@@ -656,11 +654,11 @@ fn dispatch_attempt<T: Tracer>(
     let now = sched.now();
     let now_ticks = now.ticks();
     let res = &cfg.resilience;
-    let breakers_on = res.enabled && res.breaker.enabled;
 
     // Open windows elapse lazily, checked at dispatch time: an expired
-    // breaker moves to half-open (routable probe) before the pick.
-    if breakers_on && state.breakers.open_count() > 0 {
+    // breaker moves to half-open (routable probe) before the pick. Only
+    // a breaker policy ever opens one.
+    if state.breakers.open_count() > 0 {
         let mut reopened = std::mem::take(&mut state.reopened_scratch);
         reopened.clear();
         state.breakers.poll_expired(now, &mut reopened);
@@ -680,7 +678,7 @@ fn dispatch_attempt<T: Tracer>(
     // While any breaker is open the picker sees a filtered instance
     // set; otherwise it sees the discovery snapshot untouched (the
     // disabled-policy fast path).
-    let use_filtered = breakers_on && state.breakers.open_count() > 0;
+    let use_filtered = state.breakers.open_count() > 0;
     if use_filtered && state.filtered_dirty {
         let mut scratch = std::mem::take(&mut state.filter_scratch);
         scratch.clear();
@@ -725,7 +723,10 @@ fn dispatch_attempt<T: Tracer>(
 
     // SLA-class shedding is terminal, not retriable: the point is to
     // drop load, and a retry would put it straight back.
-    if res.enabled && res.shed.enabled && backlog_s > res.shed.watermark_s(class as usize) {
+    if res
+        .shed
+        .is_some_and(|shed| backlog_s > shed.watermark_s(class as usize))
+    {
         state.counters.record_shed(class as usize);
         state.rejected += 1;
         state.sla.record_rejected(class as usize);
@@ -758,18 +759,10 @@ fn dispatch_attempt<T: Tracer>(
         return;
     }
 
-    // Effective service stretches with the chosen server's snapshot
-    // load: processor sharing under the background VM demand. The
-    // service draw is keyed on the original request id, identical
+    // The service draw is keyed on the original request id, identical
     // across attempts.
-    let (load, regime) = state
-        .discover
-        .instances()
-        .get(server.index())
-        .map(|i| (i.load, i.regime))
-        .unwrap_or((0.0, OperatingRegime::Optimal));
     let service = service_time_s(state.seed, RequestId(request), cfg.load.mean_service_s);
-    let eff = service / (1.0 - load.min(cfg.slowdown_load_cap)).max(1e-6);
+    let (eff, regime) = effective_service(state, cfg, server, service);
 
     // Deadline guard: fail at dispatch what would miss its deadline
     // anyway, and feed the chosen server's breaker — a queue deep
@@ -783,7 +776,10 @@ fn dispatch_attempt<T: Tracer>(
         let elapsed_s = now_ticks.saturating_sub(admitted_ticks) as f64 / 1e6;
         if elapsed_s + backlog_s + eff > deadline_s {
             state.counters.deadline_misses += 1;
-            if breakers_on && state.breakers.record_failure(server, now, &res.breaker) {
+            if res
+                .breaker
+                .is_some_and(|b| state.breakers.record_failure(server, now, &b))
+            {
                 state.filtered_dirty = true;
                 state.counters.breaker_opens += 1;
                 if sched.tracer().enabled() {
@@ -807,16 +803,13 @@ fn dispatch_attempt<T: Tracer>(
         }
     }
 
-    let (_start, done) = state
-        .queues
-        .enqueue(now, server, SimDuration::from_secs_f64(eff));
-    state.serve_energy_j += eff * cfg.request_power_w * regime_energy_multiplier(regime);
-    state.in_flight[server.index()].push(InFlight {
+    let primary = InFlight {
         request,
         class,
         admitted_ticks,
         attempt,
-    });
+    };
+    enqueue(state, sched, cfg, server, (eff, regime), primary);
     if sched.tracer().enabled() {
         sched.tracer().event(
             now_ticks,
@@ -826,78 +819,83 @@ fn dispatch_attempt<T: Tracer>(
             },
         );
     }
-    sched.schedule_at(
-        done,
-        ServeEvent::Completion {
-            request,
-            server,
-            admitted_ticks,
-            class,
-            attempt,
-        },
-    );
 
     // Gold hedge: when the primary's predicted latency is slow, race a
     // duplicate on the least-backlogged alternate; first completion
-    // wins, the straggler is absorbed. The duplicate costs real energy.
-    if res.enabled && res.hedge.enabled && class == 0 && attempt == 0 {
-        let predicted_s = backlog_s + eff;
-        if predicted_s > res.hedge.threshold_s {
-            let hedge_set = if use_filtered {
-                &state.filtered
-            } else {
-                state.discover.instances()
+    // wins, the straggler still runs and pays its joules.
+    let predicted_s = backlog_s + eff;
+    if class == 0 && attempt == 0 && res.hedge.is_some_and(|h| predicted_s > h.threshold_s) {
+        let hedge_set = if use_filtered {
+            &state.filtered
+        } else {
+            state.discover.instances()
+        };
+        if let Some(alt) = hedge_alternate(hedge_set, &state.queues, now, server) {
+            let alt_service = effective_service(state, cfg, alt, service);
+            let twin = InFlight {
+                attempt: HEDGE_BIT,
+                ..primary
             };
-            if let Some(alt) = hedge_alternate(hedge_set, &state.queues, now, server) {
-                let (alt_load, alt_regime) = state
-                    .discover
-                    .instances()
-                    .get(alt.index())
-                    .map(|i| (i.load, i.regime))
-                    .unwrap_or((0.0, OperatingRegime::Optimal));
-                let alt_eff = service / (1.0 - alt_load.min(cfg.slowdown_load_cap)).max(1e-6);
-                let (_alt_start, alt_done) =
-                    state
-                        .queues
-                        .enqueue(now, alt, SimDuration::from_secs_f64(alt_eff));
-                state.serve_energy_j +=
-                    alt_eff * cfg.request_power_w * regime_energy_multiplier(alt_regime);
-                state.in_flight[alt.index()].push(InFlight {
-                    request,
-                    class,
-                    admitted_ticks,
-                    attempt: HEDGE_BIT,
-                });
-                state.hedges.insert(
-                    request,
-                    HedgeTrack {
-                        outstanding: 2,
-                        resolved: false,
-                    },
-                );
-                state.counters.hedges += 1;
-                if sched.tracer().enabled() {
-                    sched.tracer().event(
-                        now_ticks,
-                        TraceEventKind::RequestHedge {
-                            request,
-                            server: alt.0,
-                        },
-                    );
-                }
-                sched.schedule_at(
-                    alt_done,
-                    ServeEvent::Completion {
+            enqueue(state, sched, cfg, alt, alt_service, twin);
+            state.hedges.insert(
+                request,
+                HedgeTrack {
+                    outstanding: 2,
+                    resolved: false,
+                },
+            );
+            state.counters.hedges += 1;
+            if sched.tracer().enabled() {
+                sched.tracer().event(
+                    now_ticks,
+                    TraceEventKind::RequestHedge {
                         request,
-                        server: alt,
-                        admitted_ticks,
-                        class,
-                        attempt: HEDGE_BIT,
+                        server: alt.0,
                     },
                 );
             }
         }
     }
+}
+
+/// Seconds of `service` on `server` stretched by its snapshot load
+/// (processor sharing under the background VM demand), and the regime
+/// that serves it.
+fn effective_service(
+    state: &ServeState,
+    cfg: &ServeConfig,
+    server: ServerId,
+    service: f64,
+) -> (f64, OperatingRegime) {
+    let (load, regime) = state
+        .discover
+        .instances()
+        .get(server.index())
+        .map(|i| (i.load, i.regime))
+        .unwrap_or((0.0, OperatingRegime::Optimal));
+    let eff = service / (1.0 - load.min(cfg.slowdown_load_cap)).max(1e-6);
+    (eff, regime)
+}
+
+/// Queues `entry` on `server` for `eff` effective seconds: the FIFO
+/// horizon, the serve joules at the regime's multiplier, the server's
+/// ledger and the completion event.
+fn enqueue<T: Tracer>(
+    state: &mut ServeState,
+    sched: &mut Sched<'_, T>,
+    cfg: &ServeConfig,
+    server: ServerId,
+    (eff, regime): (f64, OperatingRegime),
+    entry: InFlight,
+) {
+    let (_start, done) = state
+        .queues
+        .enqueue(sched.now(), server, SimDuration::from_secs_f64(eff));
+    state.serve_energy_j += eff * cfg.request_power_w * regime_energy_multiplier(regime);
+    let ledger = &mut state.ledgers[server.index()];
+    ledger.queued.push_back(entry);
+    let epoch = ledger.epoch;
+    sched.schedule_at(done, ServeEvent::Completion { server, epoch });
 }
 
 /// The least-backlogged routable alternate to `primary` (ties to the
@@ -940,10 +938,11 @@ fn fail_attempt<T: Tracer>(
     let now_ticks = sched.now().ticks();
     let res = &cfg.resilience;
     let next = (attempt & !HEDGE_BIT) + 1;
-    if res.enabled && res.retry.enabled && next <= res.retry.max_attempts {
-        if state.budget.try_withdraw() {
+    let retry = res.retry.filter(|r| next <= r.max_attempts);
+    if let (Some(retry), Some(budget)) = (retry, &mut state.budget) {
+        if budget.try_withdraw() {
             state.counters.retries += 1;
-            let schedule = BackoffSchedule::new(state.seed, RequestId(request), &res.retry);
+            let schedule = BackoffSchedule::new(state.seed, RequestId(request), &retry);
             let delay = SimDuration::from_secs_f64(schedule.delay_s(next));
             if sched.tracer().enabled() {
                 sched.tracer().event(
@@ -1013,47 +1012,45 @@ fn stop_check<T: Tracer>(state: &ServeState, sched: &Sched<'_, T>) -> Control {
     }
 }
 
-#[allow(clippy::too_many_arguments)]
 fn on_completion<T: Tracer>(
     state: &mut ServeState,
     sched: &mut Sched<'_, T>,
     cfg: &ServeConfig,
-    request: u64,
     server: ServerId,
-    admitted_ticks: u64,
-    class: u8,
-    attempt: u32,
+    epoch: u32,
 ) -> Control {
-    // The attempt may have been crash-killed after its completion was
-    // scheduled; the kill set marks those tombstones.
-    if state.killed.remove(&(request, attempt)) {
+    let ledger = &mut state.ledgers[server.index()];
+    let head = if ledger.epoch == epoch {
+        ledger.queued.pop_front()
+    } else {
+        None
+    };
+    let Some(InFlight {
+        request,
+        class,
+        admitted_ticks,
+        ..
+    }) = head
+    else {
+        // Crash-killed after its completion was scheduled; the crash
+        // already settled it.
         return stop_check(state, sched);
-    }
-    if let Some(in_flight) = state.in_flight.get_mut(server.index()) {
-        if let Some(pos) = in_flight
-            .iter()
-            .position(|e| e.request == request && e.attempt == attempt)
-        {
-            in_flight.remove(pos);
-        }
-    }
-    let res = &cfg.resilience;
-    if res.enabled && res.breaker.enabled {
+    };
+    if cfg.resilience.breaker.is_some() {
         state.breakers.record_success(server);
     }
-    if res.enabled && res.hedge.enabled {
-        if let Some(track) = state.hedges.get_mut(&request) {
-            track.outstanding -= 1;
-            let first = !track.resolved;
-            track.resolved = true;
-            if track.outstanding == 0 {
-                state.hedges.remove(&request);
-            }
-            if !first {
-                // The straggler of a resolved hedge: the work was done
-                // (energy already charged) but the request has settled.
-                return stop_check(state, sched);
-            }
+    // Only hedged requests are tracked (none unless hedging is on).
+    if let Some(track) = state.hedges.get_mut(&request) {
+        track.outstanding -= 1;
+        let first = !track.resolved;
+        track.resolved = true;
+        if track.outstanding == 0 {
+            state.hedges.remove(&request);
+        }
+        if !first {
+            // The straggler of a resolved hedge: the work was done
+            // (energy already charged) but the request has settled.
+            return stop_check(state, sched);
         }
     }
     let now_ticks = sched.now().ticks();
@@ -1139,18 +1136,14 @@ fn apply_serve_crash<T: Tracer>(
     }
     // Surface the reclaim to the pickers right away — routing to a
     // crashed host between now and the next tick would be wrong.
-    state.discover.refresh(&state.cluster);
-    let mut changes = std::mem::take(&mut state.changes);
-    state.discover.poll_changes(&mut changes);
-    state.picker.on_change(state.discover.instances(), &changes);
-    let res = &cfg.resilience;
-    if !changes.is_empty() {
-        state.filtered_dirty = true;
-    }
-    state.changes = changes;
+    refresh_discovery(state);
     // Crash evidence trips the breaker straight to open, so retries of
     // the killed requests route elsewhere even before the next refresh.
-    if res.enabled && res.breaker.enabled && state.breakers.trip(server, now, &res.breaker) {
+    if cfg
+        .resilience
+        .breaker
+        .is_some_and(|b| state.breakers.trip(server, now, &b))
+    {
         state.counters.breaker_opens += 1;
         if sched.tracer().enabled() {
             sched.tracer().event(
@@ -1159,25 +1152,25 @@ fn apply_serve_crash<T: Tracer>(
             );
         }
     }
-    // The dead queue is lost: kill every in-flight attempt and settle
-    // each (retry, absorbed by a hedge twin, or counted failed).
-    let victims = std::mem::take(&mut state.in_flight[server.index()]);
+    // The dead queue is lost: a new epoch turns its pending completions
+    // stale, and each killed attempt is settled (retry, absorbed by a
+    // hedge twin, or counted failed).
+    let ledger = &mut state.ledgers[server.index()];
+    ledger.epoch += 1;
+    let victims = std::mem::take(&mut ledger.queued);
     state.queues.reset(server);
     for victim in &victims {
-        state.killed.insert((victim.request, victim.attempt));
         let mut terminal = true;
-        if res.enabled && res.hedge.enabled {
-            if let Some(track) = state.hedges.get_mut(&victim.request) {
-                track.outstanding -= 1;
-                let resolved = track.resolved;
-                let twin_alive = track.outstanding > 0;
-                if !twin_alive {
-                    state.hedges.remove(&victim.request);
-                }
-                // A live twin (or an already-resolved race) settles the
-                // request without this attempt.
-                terminal = !resolved && !twin_alive;
+        if let Some(track) = state.hedges.get_mut(&victim.request) {
+            track.outstanding -= 1;
+            let resolved = track.resolved;
+            let twin_alive = track.outstanding > 0;
+            if !twin_alive {
+                state.hedges.remove(&victim.request);
             }
+            // A live twin (or an already-resolved race) settles the
+            // request without this attempt.
+            terminal = !resolved && !twin_alive;
         }
         if terminal {
             fail_attempt(

@@ -4,9 +4,8 @@
 //! 1. backoff schedules are monotone non-decreasing, never exceed the
 //!    (jittered) cap, and are byte-deterministic in
 //!    `(seed, request, policy)`;
-//! 2. the retry-budget token bucket never goes negative, conserves
-//!    milli-tokens exactly, and a disabled budget behaves as unlimited
-//!    while holding no state.
+//! 2. the retry-budget token bucket never goes negative and conserves
+//!    milli-tokens exactly.
 
 use ecolb_serve::resilience::{
     BackoffSchedule, RetryBudget, RetryBudgetSpec, RetryPolicy, RETRY_COST_MTOKENS,
@@ -18,13 +17,12 @@ use ecolb_workload::requests::RequestId;
 /// in [1, 4), cap up to 8 s, jitter in [0, 1).
 fn gen_policy(gen: &mut Gen) -> RetryPolicy {
     RetryPolicy {
-        enabled: true,
         max_attempts: gen.u64_in(1, 8) as u32,
         base_backoff_s: gen.f64_in(0.0, 2.0),
         backoff_multiplier: gen.f64_in(1.0, 4.0),
         max_backoff_s: gen.f64_in(0.0, 8.0),
         jitter_fraction: gen.f64_in(0.0, 1.0),
-        budget: RetryBudgetSpec::default_enabled(),
+        budget: RetryBudgetSpec::default(),
     }
 }
 
@@ -86,7 +84,6 @@ fn backoff_schedule_is_deterministic_in_its_key() {
 fn retry_budget_never_goes_negative_and_conserves_tokens() {
     check("budget_conservation", |gen| {
         let spec = RetryBudgetSpec {
-            enabled: true,
             fill_per_admit_mtokens: gen.u64_in(0, 500),
             burst_mtokens: gen.u64_in(0, 20) * RETRY_COST_MTOKENS,
         };
@@ -123,24 +120,5 @@ fn retry_budget_never_goes_negative_and_conserves_tokens() {
             );
         }
         assert_eq!(budget.withdrawn_mtokens(), granted * RETRY_COST_MTOKENS);
-    });
-}
-
-#[test]
-fn disabled_budget_is_unlimited_and_stateless() {
-    check("budget_disabled_unlimited", |gen| {
-        let mut budget = RetryBudget::new(RetryBudgetSpec::unlimited());
-        let ops = gen.usize_in(1, 100);
-        for _ in 0..ops {
-            if gen.f64_in(0.0, 1.0) < 0.5 {
-                budget.deposit();
-            } else {
-                assert!(budget.try_withdraw(), "disabled budget denied a retry");
-            }
-        }
-        assert_eq!(budget, RetryBudget::new(RetryBudgetSpec::unlimited()));
-        assert_eq!(budget.deposited_mtokens(), 0);
-        assert_eq!(budget.withdrawn_mtokens(), 0);
-        assert_eq!(budget.dropped_mtokens(), 0);
     });
 }

@@ -16,7 +16,7 @@ use ecolb_cluster::server::ServerId;
 use ecolb_faults::plan::FaultPlan;
 use ecolb_metrics::json::ToJson;
 use ecolb_serve::picker::PickerKind;
-use ecolb_serve::resilience::ResiliencePolicy;
+use ecolb_serve::resilience::{HedgePolicy, ResiliencePolicy, ShedPolicy};
 use ecolb_serve::sim::{ServeConfig, ServeSim};
 use ecolb_simcore::par::map_indexed;
 use ecolb_simcore::time::{SimDuration, SimTime};
@@ -45,11 +45,14 @@ fn config() -> ServeConfig {
         ServerId(1),
         Some(SimDuration::from_secs(150)),
     ));
-    let mut policy = ResiliencePolicy::full();
-    policy.hedge.threshold_s = 0.1;
-    policy.shed.bronze_watermark_s = 0.15;
-    policy.shed.gold_watermark_s = 0.3;
-    cfg.resilience = policy;
+    cfg.resilience = ResiliencePolicy {
+        hedge: Some(HedgePolicy { threshold_s: 0.1 }),
+        shed: Some(ShedPolicy {
+            bronze_watermark_s: 0.15,
+            gold_watermark_s: 0.3,
+        }),
+        ..ResiliencePolicy::full()
+    };
     cfg
 }
 
