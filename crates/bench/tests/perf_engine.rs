@@ -9,7 +9,6 @@ use ecolb_cluster::migration::MigrationCostModel;
 use ecolb_energy::power::{LinearPowerModel, PiecewisePowerModel, PowerModel};
 use ecolb_energy::regimes::RegimeBoundaries;
 use ecolb_metrics::summary::OnlineStats;
-use ecolb_simcore::calendar::CalendarQueue;
 use ecolb_simcore::event::EventQueue;
 use ecolb_simcore::rng::Rng;
 use ecolb_simcore::time::SimTime;
@@ -34,29 +33,9 @@ fn perf_event_queue_push_pop_10k() {
     black_box(sum);
 }
 
-#[test]
-#[ignore = "perf smoke"]
-fn perf_calendar_queue_push_pop_10k() {
-    let mut rng = Rng::new(1);
-    let sum = time("calendar_queue/push_pop_10k", 20, || {
-        let mut q = CalendarQueue::new();
-        for i in 0..10_000u64 {
-            q.schedule(SimTime::from_ticks(rng.next_u64() % 1_000_000), i);
-        }
-        let mut sum = 0u64;
-        while let Some((_, v)) = q.pop() {
-            sum = sum.wrapping_add(v);
-        }
-        black_box(sum)
-    });
-    black_box(sum);
-}
-
 /// Classic "hold model": steady-state population of 1 k pending events,
 /// each operation pops the earliest and reschedules it a random offset
-/// into the future. This is the workload calendar queues are built for
-/// (and the shape `Engine::run` actually generates), unlike the bulk
-/// push-then-drain above which is cache-hostile for bucketed queues.
+/// into the future — the shape `Engine::run` actually generates.
 #[test]
 #[ignore = "perf smoke"]
 fn perf_event_queue_hold_10k() {
@@ -66,30 +45,6 @@ fn perf_event_queue_hold_10k() {
         q.schedule(SimTime::from_ticks(rng.uniform_u64(1_000_000)), i);
     }
     let sum = time("event_queue/hold_10k", 20, || {
-        let mut sum = 0u64;
-        for _ in 0..10_000 {
-            let Some((t, v)) = q.pop() else { break };
-            sum = sum.wrapping_add(v);
-            q.schedule(
-                SimTime::from_ticks(t.ticks() + 1 + rng.uniform_u64(2_000)),
-                v,
-            );
-        }
-        black_box(sum)
-    });
-    black_box(sum);
-}
-
-/// See [`perf_event_queue_hold_10k`]; same workload on the calendar queue.
-#[test]
-#[ignore = "perf smoke"]
-fn perf_calendar_queue_hold_10k() {
-    let mut rng = Rng::new(7);
-    let mut q = CalendarQueue::new();
-    for i in 0..1_000u64 {
-        q.schedule(SimTime::from_ticks(rng.uniform_u64(1_000_000)), i);
-    }
-    let sum = time("calendar_queue/hold_10k", 20, || {
         let mut sum = 0u64;
         for _ in 0..10_000 {
             let Some((t, v)) = q.pop() else { break };

@@ -734,6 +734,6 @@ mod tests {
     #[test]
     fn unwrap_err_is_not_counted() {
         let toks = lex("let pos = list.binary_search(&x).unwrap_err();").tokens;
-        assert!(panic_sites(&ctx("crates/simcore/src/calendar.rs"), &toks).is_empty());
+        assert!(panic_sites(&ctx("crates/simcore/src/event.rs"), &toks).is_empty());
     }
 }

@@ -35,7 +35,6 @@
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod calendar;
 pub mod dist;
 pub mod engine;
 pub mod event;
@@ -56,7 +55,6 @@ pub mod prelude {
     pub use crate::time::{SimDuration, SimTime};
 }
 
-pub use calendar::CalendarQueue;
 pub use dist::Distribution;
 pub use engine::{Control, Disposition, Engine, RunOutcome, Scheduler};
 pub use event::{EventQueue, Priority};
