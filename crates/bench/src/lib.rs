@@ -2,7 +2,7 @@
 //!
 //! The benchmark/reproduction harness: shared rendering and driver code
 //! used by the `src/bin` regenerators (one per paper table/figure) and the
-//! Criterion benches.
+//! `#[ignore]`d perf smoke tests under `tests/`.
 //!
 //! The experiment matrix is embarrassingly parallel across cells, so
 //! [`run_matrix_parallel`] fans the configurations out with the hermetic
