@@ -540,7 +540,7 @@ fn on_tick<T: Tracer>(
             Change::Joined(server) => {
                 // A rejoin (recovery or wake) is fresh evidence: close
                 // any breaker still open on the server.
-                if cfg.resilience.breaker.is_some() && state.breakers.reset(server) {
+                if state.breakers.reset(server) {
                     state.counters.breaker_closes += 1;
                     if sched.tracer().enabled() {
                         sched.tracer().event(
