@@ -6,8 +6,8 @@
 //! plans run through the serving co-simulation three times — no
 //! resilience, budgeted retries only, and the full stack (deadlines,
 //! retries, gold hedging, breakers, bronze-first shedding). Every run
-//! is traced by the [`InvariantChecker`], so the sweep doubles as the
-//! serve-axis chaos gate: the resilience invariants (`retry_budget`,
+//! is traced by the [`InvariantChecker`](ecolb_trace::InvariantChecker),
+//! so the sweep doubles as the serve-axis chaos gate: the resilience invariants (`retry_budget`,
 //! `breaker_routing`, `shed_accounting`) must hold with zero violations
 //! while the mechanisms actually fire.
 //!
@@ -21,10 +21,10 @@
 //!     [--seed N]... [--plans N] [--servers N] [--intervals N] [--threads N] [--csv DIR]
 //! ```
 
-use ecolb_chaos::{generate_plan, intensity_grid, run_serve_plan, ChaosScenario, FleetKind};
+use ecolb_chaos::{intensity_grid, serve_sweep, ChaosScenario, FleetKind};
 use ecolb_metrics::table::{fmt_f, Table};
 use ecolb_scenarios::ResilienceSpec;
-use ecolb_simcore::par::{default_threads, map_indexed};
+use ecolb_simcore::par::default_threads;
 
 /// Documented CI seed set; override with repeated `--seed N`.
 const CI_SEEDS: [u64; 2] = [20140109, 7];
@@ -122,12 +122,7 @@ fn main() {
             let policy = level.policy();
             let mut stats = RowStats::default();
             for &seed in &seeds {
-                let indices: Vec<u64> = (0..plans_per_cell).collect();
-                let outcomes = map_indexed(indices, threads, move |_, index| {
-                    let plan = generate_plan(seed, index, &scenario);
-                    run_serve_plan(&scenario, &plan, policy)
-                });
-                for o in &outcomes {
+                for o in &serve_sweep(&scenario, seed, plans_per_cell, threads, policy) {
                     let r = &o.report;
                     stats.gold_violation_s += r.violation_seconds[0];
                     stats.bronze_violation_s += r.violation_seconds[1];

@@ -1,5 +1,5 @@
 //! Regenerates **Table 1** of the paper: estimated average power use of
-//! volume, mid-range, and high-end servers, 2000–2006 (Koomey [13]), plus
+//! volume, mid-range, and high-end servers, 2000–2006 (Koomey \[13\]), plus
 //! the fitted growth trends.
 //!
 //! ```text

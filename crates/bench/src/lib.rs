@@ -93,7 +93,13 @@ impl HarnessOptions {
                     let list = args.next().unwrap_or_else(|| usage("--sizes needs a list"));
                     opts.sizes = list
                         .split(',')
-                        .map(|s| s.trim().parse().unwrap_or_else(|_| usage("bad size")))
+                        .map(|s| {
+                            s.trim()
+                                .parse()
+                                .ok()
+                                .filter(|&n: &usize| n > 0)
+                                .unwrap_or_else(|| usage("sizes must be positive integers"))
+                        })
                         .collect();
                 }
                 "--intervals" => {

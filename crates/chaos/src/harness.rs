@@ -2,7 +2,7 @@
 //! many plans deterministically in parallel.
 //!
 //! A chaos run is exactly a faulty run
-//! ([`FaultyClusterSim`](ecolb_faults::sim::FaultyClusterSim)) traced by
+//! ([`FaultyClusterSim`]) traced by
 //! an [`InvariantChecker`]: the checker rides the sealed `Tracer` seam,
 //! consumes the per-interval state digests the cluster emits for
 //! digest-hungry tracers, and asks the engine to abort the moment an
@@ -11,7 +11,6 @@
 //! reproducer artifacts and the regression corpus rely on.
 
 use crate::gen::{generate_plan, ChaosScenario};
-use ecolb_cluster::recovery::RecoveryConfig;
 use ecolb_faults::plan::FaultPlan;
 use ecolb_faults::report::FaultyRunReport;
 use ecolb_faults::sim::FaultyClusterSim;
@@ -41,11 +40,9 @@ impl ChaosOutcome {
     }
 }
 
-/// Builds the checker a chaos run uses: sized to the scenario, heartbeat
-/// timeout matched to the cluster's recovery configuration.
+/// Builds the checker a chaos run uses, sized to the scenario.
 pub(crate) fn checker_for(scenario: &ChaosScenario) -> InvariantChecker {
     InvariantChecker::new(scenario.n_servers as u32)
-        .with_heartbeat_timeout(RecoveryConfig::default().heartbeat_timeout_intervals)
 }
 
 /// Runs `plan` under `scenario` with the invariant checker attached and

@@ -18,7 +18,7 @@
 //!   reallocation interval: VM conservation, leader uniqueness,
 //!   sleep/wake state-machine legality, monotone energy/SLA accounting
 //!   and monotone simulated time. It costs nothing when absent.
-//! * **[`shrink`]** — the delta-debugging shrinker. Given a violating
+//! * **[`shrink`](mod@shrink)** — the delta-debugging shrinker. Given a violating
 //!   plan it drops fault events, zeroes stochastic families, shortens the
 //!   horizon and halves the cluster until the reproducer is minimal;
 //!   [`artifact`] serialises the result as a deterministic JSON document

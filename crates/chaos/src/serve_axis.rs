@@ -4,8 +4,9 @@
 //! checks the balancing protocol's invariants under generated fault
 //! plans. This module points the same fuzzer at the *serving* layer:
 //! the plan becomes the [`ServeConfig::faults`] schedule of a full
-//! request-level run, the [`InvariantChecker`] rides the sealed tracer
-//! seam exactly as before, and on top of the digest invariants it now
+//! request-level run, the
+//! [`InvariantChecker`](ecolb_trace::InvariantChecker) rides the sealed
+//! tracer seam exactly as before, and on top of the digest invariants it now
 //! sees the request-path event stream — so the resilience invariants
 //! (`retry_budget`, `breaker_routing`, `shed_accounting`) are exercised
 //! by real retries, breaker trips and sheds instead of synthetic
@@ -13,7 +14,7 @@
 //! replays from `(plan, scenario, policy)` alone.
 
 use crate::gen::{generate_plan, ChaosScenario};
-use crate::harness::{checker_for, SweepSummary};
+use crate::harness::checker_for;
 use ecolb_faults::plan::FaultPlan;
 use ecolb_serve::picker::PickerKind;
 use ecolb_serve::resilience::ResiliencePolicy;
@@ -106,30 +107,31 @@ pub fn serve_sweep(
     })
 }
 
-impl SweepSummary {
-    /// Summarises a slice of serve-axis outcomes with the same
-    /// bookkeeping as [`SweepSummary::of`].
-    pub fn of_serve(outcomes: &[ServeChaosOutcome]) -> Self {
-        let mut s = SweepSummary {
-            plans: outcomes.len() as u64,
-            ..SweepSummary::default()
-        };
-        for o in outcomes {
-            if !o.ok() {
-                s.violating_plans += 1;
-            }
-            s.violations += o.violations.len() as u64;
-            s.events_injected += o.plan.events.len() as u64;
-            s.digests_checked += o.digests_checked;
-        }
-        s
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::gen::FleetKind;
+    use crate::harness::SweepSummary;
+
+    impl SweepSummary {
+        /// Summarises a slice of serve-axis outcomes with the same
+        /// bookkeeping as [`SweepSummary::of`].
+        fn of_serve(outcomes: &[ServeChaosOutcome]) -> Self {
+            let mut s = SweepSummary {
+                plans: outcomes.len() as u64,
+                ..SweepSummary::default()
+            };
+            for o in outcomes {
+                if !o.ok() {
+                    s.violating_plans += 1;
+                }
+                s.violations += o.violations.len() as u64;
+                s.events_injected += o.plan.events.len() as u64;
+                s.digests_checked += o.digests_checked;
+            }
+            s
+        }
+    }
 
     const SEED: u64 = 20140109;
 

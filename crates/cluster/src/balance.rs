@@ -64,31 +64,28 @@ impl FillLimit {
     }
 }
 
+/// Fill ceiling for receivers of drain (consolidation) traffic.
+const DRAIN_FILL: FillLimit = FillLimit::OptLow;
+
+/// Sleeping servers woken per R5 emergency.
+const WAKES_PER_EMERGENCY: usize = 1;
+
+/// Maximum VMs an overloaded donor sheds per reallocation interval — peer
+/// negotiation and transfer bandwidth bound how much can move in one `τ`.
+const SHED_MOVES_PER_DONOR: usize = 4;
+
 /// Tunables of one balancing round.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BalanceConfig {
-    /// Master switch: disable to run the cluster with *no* load balancing
-    /// at all (the "wasteful resource management policy when the servers
-    /// are always on" the paper argues against — the natural baseline).
-    pub enabled: bool,
-    /// Sleep-state selection rule.
+    /// Sleep-state selection rule; [`SleepPolicy::NeverSleep`] keeps every
+    /// drained server awake.
     pub sleep_policy: SleepPolicy,
-    /// Master switch for the drain-and-sleep phase.
-    pub allow_sleep: bool,
     /// Fill ceiling for receivers of shed (overload) traffic.
     pub shed_fill: FillLimit,
-    /// Fill ceiling for receivers of drain (consolidation) traffic.
-    pub drain_fill: FillLimit,
     /// Cap on how many partners a server negotiates with per request;
     /// `None` means the full leader list. Models bounded peer-negotiation
     /// effort.
     pub max_partners: Option<usize>,
-    /// Maximum sleeping servers woken per R5 emergency.
-    pub wakes_per_emergency: usize,
-    /// Maximum VMs an overloaded donor sheds per reallocation interval —
-    /// peer negotiation and transfer bandwidth bound how much can move in
-    /// one `τ`.
-    pub shed_moves_per_donor: usize,
     /// Maximum VMs a draining R1 server transfers away per interval. A
     /// server sleeps only once *fully* drained, so a small budget stretches
     /// consolidation over several intervals — the source of the paper's
@@ -100,26 +97,16 @@ pub struct BalanceConfig {
     /// housekeeping the single leader serialises. This is what makes large
     /// low-load clusters take ~20 intervals to settle, as in Figure 3.
     pub drain_candidates_per_interval: Option<usize>,
-    /// Retry policy for regime reports lost on a faulty star link. Only
-    /// exercised through the hooked entry points; fault-free runs never
-    /// retry because nothing is ever lost.
-    pub retry: RetryPolicy,
 }
 
 impl Default for BalanceConfig {
     fn default() -> Self {
         BalanceConfig {
-            enabled: true,
             sleep_policy: SleepPolicy::default(),
-            allow_sleep: true,
             shed_fill: FillLimit::OptHigh,
-            drain_fill: FillLimit::OptLow,
             max_partners: None,
-            wakes_per_emergency: 1,
-            shed_moves_per_donor: 4,
             drain_moves_per_candidate: 1,
             drain_candidates_per_interval: None,
-            retry: RetryPolicy::default(),
         }
     }
 }
@@ -428,7 +415,7 @@ fn shed_phase(
         // the per-interval negotiation budget runs out.
         let mut moves = 0usize;
         loop {
-            if moves >= config.shed_moves_per_donor {
+            if moves >= SHED_MOVES_PER_DONOR {
                 break;
             }
             let donor_srv = &servers[donor.index()];
@@ -615,11 +602,6 @@ fn drain_phase(
             continue; // gathering resolved (or improved) this candidate
         }
 
-        if !config.allow_sleep {
-            outcome.failed_drains.push(cand);
-            continue;
-        }
-
         // Option B: drain into R2 receivers filled at most to the drain
         // ceiling. The per-interval transfer budget means a loaded server
         // drains over several intervals; it sleeps only once empty. Most
@@ -627,12 +609,12 @@ fn drain_phase(
         match &mut rank {
             Some(rank) => {
                 for id in touched.drain(..) {
-                    rank.refresh(servers, config.drain_fill, id);
+                    rank.refresh(servers, DRAIN_FILL, id);
                 }
             }
             None => touched.clear(), // the build below reads live state
         }
-        let rank = rank.get_or_insert_with(|| DrainRank::build(servers, config.drain_fill));
+        let rank = rank.get_or_insert_with(|| DrainRank::build(servers, DRAIN_FILL));
 
         // Move the largest placeable apps within the interval budget.
         let mut moved = 0usize;
@@ -653,7 +635,7 @@ fn drain_phase(
                         break; // and neither can anyone ranked after `rx`
                     }
                     let s = &servers[rx.index()];
-                    if s.is_awake() && s.load() + demand <= config.drain_fill.ceiling(s) + EPS {
+                    if s.is_awake() && s.load() + demand <= DRAIN_FILL.ceiling(s) + EPS {
                         placed = Some((app, rx));
                         break 'search;
                     }
@@ -700,7 +682,6 @@ fn wake_phase(
     servers: &mut [Server],
     leader: &mut Leader,
     sleep_model: &SleepModel,
-    config: &BalanceConfig,
     now: SimTime,
     hooks: &mut dyn FaultHooks,
     stats: &mut RecoveryStats,
@@ -718,7 +699,7 @@ fn wake_phase(
         .collect();
     for _ in still_critical {
         let sleepers = leader.find_sleepers(servers);
-        for id in sleepers.into_iter().take(config.wakes_per_emergency) {
+        for id in sleepers.into_iter().take(WAKES_PER_EMERGENCY) {
             leader.issue_wake_order(id);
             tracer.event(now.ticks(), TraceEventKind::WakeOrdered { server: id.0 });
             if hooks.wake_fails(id) {
@@ -734,9 +715,11 @@ fn wake_phase(
 }
 
 /// Per-interval reporting sweep through the fault hooks: every server's
-/// report makes up to `retry.max_attempts` delivery attempts with
-/// exponential backoff; a report that exhausts its budget leaves the
-/// leader's previous directory entry stale until the next sweep. The
+/// report makes up to [`RetryPolicy::default`]'s `max_attempts` delivery
+/// attempts with exponential backoff (fault-free runs never retry,
+/// because nothing is ever lost); a report that exhausts its budget
+/// leaves the leader's previous directory entry stale until the next
+/// sweep. The
 /// exhaustion is no longer silent: it counts toward
 /// `RecoveryStats::reports_abandoned` (surfaced as the degradation
 /// summary's `lost_reports`) and emits a `report_retries_exhausted`
@@ -744,12 +727,12 @@ fn wake_phase(
 fn report_sweep_with_hooks(
     servers: &[Server],
     leader: &mut Leader,
-    retry: &RetryPolicy,
     now: SimTime,
     hooks: &mut dyn FaultHooks,
     stats: &mut RecoveryStats,
     tracer: &mut dyn Tracer,
 ) {
+    let retry = RetryPolicy::default();
     for s in servers {
         let mut delivered = false;
         for attempt in 1..=retry.max_attempts.max(1) {
@@ -823,12 +806,8 @@ pub fn balance_round(
             }
         }
     }
-    report_sweep_with_hooks(servers, leader, &config.retry, now, hooks, stats, tracer);
+    report_sweep_with_hooks(servers, leader, now, hooks, stats, tracer);
     let mut outcome = BalanceOutcome::default();
-    if !config.enabled {
-        tracer.span_exit(now.ticks(), SpanKind::Balance);
-        return outcome; // no-balancing baseline: report sweep only
-    }
     shed_phase(
         servers,
         leader,
@@ -857,7 +836,6 @@ pub fn balance_round(
         servers,
         leader,
         sleep_model,
-        config,
         now,
         hooks,
         stats,
@@ -1144,16 +1122,15 @@ mod tests {
     }
 
     #[test]
-    fn sleep_disabled_keeps_everyone_awake() {
+    fn never_sleep_keeps_everyone_awake() {
         let (mut servers, mut leader) = mk_cluster(&[&[0.05, 0.05], &[0.25], &[0.25]]);
         let config = BalanceConfig {
-            allow_sleep: false,
+            sleep_policy: SleepPolicy::NeverSleep,
             ..Default::default()
         };
         let out = run(&mut servers, &mut leader, &config);
         assert!(out.slept.is_empty());
         assert!(servers.iter().all(Server::is_awake));
-        assert_eq!(out.failed_drains, vec![ServerId(0)]);
     }
 
     #[test]

@@ -29,7 +29,7 @@ use crate::leader::Leader;
 use crate::messages::Message;
 use crate::migration::MigrationCostModel;
 use crate::mix::ServerMix;
-use crate::recovery::{FaultHooks, NoFaults, RecoveryConfig, RecoveryStats};
+use crate::recovery::{FaultHooks, NoFaults, RecoveryStats};
 use crate::scaling::{DecisionKind, DecisionLedger, IntervalCounts};
 use crate::server::{Server, ServerId};
 use ecolb_energy::accounting::EnergyBreakdown;
@@ -38,7 +38,7 @@ use ecolb_energy::sleep::SleepModel;
 use ecolb_metrics::timeseries::TimeSeries;
 use ecolb_simcore::rng::Rng;
 use ecolb_simcore::time::{SimDuration, SimTime};
-use ecolb_trace::{NoTrace, SpanKind, TraceEventKind, Tracer};
+use ecolb_trace::{NoTrace, SpanKind, TraceEventKind, Tracer, HEARTBEAT_TIMEOUT_INTERVALS};
 use ecolb_workload::application::{AppId, Application};
 use ecolb_workload::generator::{generate_server_apps, AppIdAllocator, WorkloadSpec};
 
@@ -205,8 +205,6 @@ pub struct Cluster {
     leader_epoch: u64,
     /// Consecutive intervals without a leader heartbeat.
     missed_heartbeats: u32,
-    /// Recovery-protocol tunables.
-    recovery: RecoveryConfig,
     /// Recovery-protocol accounting (all zero in fault-free runs).
     recovery_stats: RecoveryStats,
     /// VM-ledger counters behind the per-interval state digest, which
@@ -274,7 +272,6 @@ impl Cluster {
             leader_host: ServerId(0),
             leader_epoch: 0,
             missed_heartbeats: 0,
-            recovery: RecoveryConfig::default(),
             recovery_stats: RecoveryStats::default(),
             vms_retired: 0,
             vms_orphaned: 0,
@@ -302,11 +299,6 @@ impl Cluster {
     /// Current simulated instant.
     pub fn now(&self) -> SimTime {
         self.now
-    }
-
-    /// Number of completed reallocation intervals.
-    pub fn intervals_run(&self) -> u64 {
-        self.interval_index
     }
 
     /// Census of the awake servers' regimes, live.
@@ -710,11 +702,6 @@ impl Cluster {
         self.recovery_stats
     }
 
-    /// Replaces the recovery-protocol tunables.
-    pub fn set_recovery_config(&mut self, cfg: RecoveryConfig) {
-        self.recovery = cfg;
-    }
-
     /// True while the leader host is crash-stopped and no successor has
     /// been elected yet — the cluster cannot balance.
     pub fn leaderless(&self) -> bool {
@@ -862,7 +849,7 @@ impl Cluster {
                 consecutive: self.missed_heartbeats,
             },
         );
-        if self.missed_heartbeats >= self.recovery.heartbeat_timeout_intervals {
+        if self.missed_heartbeats >= HEARTBEAT_TIMEOUT_INTERVALS {
             self.fail_over(tracer);
         }
     }
@@ -1186,7 +1173,7 @@ mod tests {
     fn interval_count_and_clock_advance() {
         let mut c = Cluster::new(small_config(), 4);
         c.run(7);
-        assert_eq!(c.intervals_run(), 7);
+        assert_eq!(c.interval_index, 7);
         assert_eq!(c.now(), SimTime::from_secs(7 * 300));
     }
 

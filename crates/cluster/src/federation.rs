@@ -290,10 +290,31 @@ mod tests {
 
     #[test]
     fn single_cluster_federation_is_a_noop_tier() {
-        let mut fed = federation(&[WorkloadSpec::paper_high_load()], 3);
-        let report = fed.run(5);
-        assert_eq!(report.cross_migrations, 0);
-        assert_eq!(report.cluster_loads.len(), 1);
+        // A lone member has no peer to trade with, so the federation is
+        // the bare cluster built with the seed it derives for member 0.
+        for (workload, seed) in [
+            (WorkloadSpec::paper_high_load(), 3),
+            (WorkloadSpec::paper_low_load(), 20140109),
+        ] {
+            let mut fed = federation(&[workload], seed);
+            let report = fed.run(5);
+            assert_eq!(report.cross_migrations, 0);
+            assert_eq!(report.cluster_loads.len(), 1);
+            assert_eq!(report.cluster_loads[0].len(), 5);
+            let mut bare = Cluster::new(
+                ClusterConfig::paper(60, workload),
+                seed.wrapping_add(0x9E37),
+            );
+            for (i, load) in report.cluster_loads[0].values().iter().enumerate() {
+                bare.run_interval();
+                assert_eq!(
+                    load.to_bits(),
+                    bare.load_fraction().to_bits(),
+                    "interval {i}"
+                );
+            }
+            assert_eq!(report.sleeping_total, bare.sleeping_count());
+        }
     }
 
     #[test]

@@ -65,7 +65,7 @@ pub use leader::Leader;
 pub use messages::{CommLedger, Message, MessageStats, RetryPolicy};
 pub use migration::{MigrationCost, MigrationCostModel};
 pub use mix::ServerMix;
-pub use recovery::{FaultEventKind, FaultHooks, NoFaults, RecoveryConfig, RecoveryStats};
+pub use recovery::{FaultEventKind, FaultHooks, NoFaults, RecoveryStats};
 pub use scaling::{DecisionKind, DecisionLedger, IntervalCounts};
 pub use server::{Server, ServerId, ServerPowerSpec};
 pub use sim::{FaultLedger, SimEvent, TimedClusterSim, TimedRunReport};

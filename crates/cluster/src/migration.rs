@@ -80,20 +80,7 @@ impl MigrationCostModel {
             bytes_moved: bytes,
         }
     }
-
-    /// Abstract cost units for a horizontal (in-cluster) scaling decision
-    /// `q_k`: proportional to migration energy. Kept on the same scale as
-    /// [`crate::messages::CommLedger::cost`] so the paper's cost ordering
-    /// `p < j ≪ q` holds.
-    pub fn decision_cost_q(&self, app: &Application) -> f64 {
-        self.cost_of(app).energy_j / 10.0
-    }
 }
-
-/// Abstract cost `p_k` of a vertical (local) scaling action: adjusting a
-/// VM's resource allocation on its current host. Small and constant — no
-/// data moves.
-pub const VERTICAL_SCALING_COST_P: f64 = 0.1;
 
 #[cfg(test)]
 mod tests {
@@ -154,16 +141,6 @@ mod tests {
         let c = m.cost_of(&app(0.001));
         assert!(c.energy_j >= m.vm_start_energy_j);
         assert!(c.duration.as_secs_f64() >= m.vm_start_latency_s);
-    }
-
-    #[test]
-    fn cost_ordering_p_less_than_q() {
-        let m = MigrationCostModel::default();
-        let q = m.decision_cost_q(&app(4.0));
-        assert!(
-            VERTICAL_SCALING_COST_P < q / 10.0,
-            "horizontal must dominate vertical: p={VERTICAL_SCALING_COST_P}, q={q}"
-        );
     }
 
     #[test]

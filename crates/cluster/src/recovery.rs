@@ -1,4 +1,4 @@
-//! Failure-recovery protocol: fault hooks, configuration, and accounting.
+//! Failure-recovery protocol: fault hooks and accounting.
 //!
 //! The paper's star-shaped cluster silently assumes the leader never dies
 //! and messages never drop. This module defines the seam through which a
@@ -15,7 +15,6 @@
 //! Scheduled faults ([`FaultEventKind`]) are what the timed driver
 //! applies at their fire time; the injection crate builds plans of them.
 
-use crate::messages::RetryPolicy;
 use crate::server::ServerId;
 use ecolb_simcore::engine::Disposition;
 use ecolb_simcore::time::SimDuration;
@@ -92,25 +91,6 @@ pub struct NoFaults;
 
 impl FaultHooks for NoFaults {}
 
-/// Tunables of the recovery protocol.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RecoveryConfig {
-    /// Consecutive reallocation intervals without a leader heartbeat
-    /// before the survivors elect a successor.
-    pub heartbeat_timeout_intervals: u32,
-    /// Retry policy for regime reports lost on the star links.
-    pub retry: RetryPolicy,
-}
-
-impl Default for RecoveryConfig {
-    fn default() -> Self {
-        RecoveryConfig {
-            heartbeat_timeout_intervals: 2,
-            retry: RetryPolicy::default(),
-        }
-    }
-}
-
 /// Counters describing how much recovery work a run performed. Kept
 /// separate from [`crate::messages::MessageStats`] so the fault-free
 /// report layout is untouched.
@@ -158,13 +138,6 @@ mod tests {
         }
         assert!(!h.wake_fails(ServerId(3)));
         assert_eq!(h.arrival_disposition(ServerId(1)), Disposition::Deliver);
-    }
-
-    #[test]
-    fn default_config_is_two_interval_timeout() {
-        let c = RecoveryConfig::default();
-        assert_eq!(c.heartbeat_timeout_intervals, 2);
-        assert_eq!(c.retry, RetryPolicy::default());
     }
 
     #[test]

@@ -92,11 +92,6 @@ impl DecisionLedger {
         done
     }
 
-    /// Counts of the currently open interval.
-    pub fn open_interval(&self) -> IntervalCounts {
-        self.current
-    }
-
     /// All closed intervals in order.
     pub fn intervals(&self) -> &[IntervalCounts] {
         &self.closed
@@ -132,7 +127,7 @@ mod tests {
         l.record(DecisionKind::LocalVertical);
         l.record(DecisionKind::LocalVertical);
         l.record(DecisionKind::InClusterHorizontal);
-        let open = l.open_interval();
+        let open = l.current;
         assert_eq!(open.local, 2);
         assert_eq!(open.in_cluster, 1);
         assert_eq!(open.total(), 3);
@@ -144,7 +139,7 @@ mod tests {
         l.record(DecisionKind::InClusterHorizontal);
         let c = l.close_interval();
         assert_eq!(c.in_cluster, 1);
-        assert_eq!(l.open_interval(), IntervalCounts::default());
+        assert_eq!(l.current, IntervalCounts::default());
         assert_eq!(l.intervals().len(), 1);
     }
 

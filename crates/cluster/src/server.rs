@@ -301,28 +301,11 @@ impl Server {
         self.meter.breakdown()
     }
 
-    /// Free capacity before the load crosses the upper edge of the optimal
-    /// band — the budget for **vertical scaling** (paper §5: "vertical
-    /// scaling allows a VM … to acquire additional resources from the local
-    /// server … only feasible if the server has sufficient free capacity").
-    pub fn vertical_headroom(&self) -> f64 {
-        if !self.is_awake() {
-            return 0.0;
-        }
-        self.boundaries.headroom_to_opt_high(self.load)
-    }
-
     /// Load above the optimal band that should be shed (horizontal
     /// scaling / migration pressure).
     pub fn shed_pressure(&self) -> f64 {
         self.boundaries
             .excess_over_opt_high(self.normalized_performance())
-    }
-
-    /// Capacity this server can absorb from donors while staying inside
-    /// the optimal band.
-    pub fn absorb_capacity(&self) -> f64 {
-        self.vertical_headroom()
     }
 }
 
@@ -457,23 +440,12 @@ mod tests {
     }
 
     #[test]
-    fn headroom_and_shed_pressure() {
+    fn shed_pressure_is_the_load_above_the_band() {
         let mut s = server();
         s.place_app(app(1, 0.5));
-        assert!((s.vertical_headroom() - 0.2).abs() < 1e-12);
         assert_eq!(s.shed_pressure(), 0.0);
         s.place_app(app(2, 0.4));
-        assert_eq!(s.vertical_headroom(), 0.0);
         assert!((s.shed_pressure() - 0.2).abs() < 1e-9);
-    }
-
-    #[test]
-    fn sleeping_server_has_no_headroom() {
-        let sm = SleepModel::default();
-        let mut s = server();
-        s.enter_sleep(t(0), CState::C3, &sm);
-        assert_eq!(s.vertical_headroom(), 0.0);
-        assert_eq!(s.absorb_capacity(), 0.0);
     }
 
     #[test]

@@ -80,46 +80,6 @@ pub struct TimedRunReport {
     pub events_processed: u64,
 }
 
-impl TimedRunReport {
-    /// Mean service interruption per committed migration, demand-seconds.
-    /// Zero (not NaN) for runs that commit no migrations.
-    pub fn mean_downtime_per_migration(&self) -> f64 {
-        if self.base.migrations == 0 {
-            0.0
-        } else {
-            self.downtime_demand_seconds / self.base.migrations as f64
-        }
-    }
-
-    /// Mean VM transfer time, seconds; zero for zero-migration runs.
-    pub fn mean_transfer_time_s(&self) -> f64 {
-        if self.transfer_time_s.count() == 0 {
-            0.0
-        } else {
-            self.transfer_time_s.mean()
-        }
-    }
-
-    /// Mean wake latency, seconds; zero when no server was ever woken.
-    pub fn mean_wake_latency_s(&self) -> f64 {
-        if self.wake_latency_s.count() == 0 {
-            0.0
-        } else {
-            self.wake_latency_s.mean()
-        }
-    }
-
-    /// Service interruption per reallocation interval, demand-seconds;
-    /// zero for zero-interval runs.
-    pub fn downtime_per_interval(&self) -> f64 {
-        if self.base.ratio_series.len() == 0 {
-            0.0
-        } else {
-            self.downtime_demand_seconds / self.base.ratio_series.len() as f64
-        }
-    }
-}
-
 /// What the faults of a [`TimedClusterSim::run_with`] run cost: the
 /// degradation ledger plus the recovery protocol's end state. A
 /// fault-free run has availability 1 and no degradation.
@@ -485,7 +445,6 @@ mod tests {
         if timed.base.migrations > 0 {
             assert!(timed.downtime_demand_seconds > 0.0);
             assert!(timed.transfer_time_s.count() == timed.base.migrations);
-            assert!(timed.mean_downtime_per_migration() > 0.0);
         }
     }
 
@@ -521,27 +480,6 @@ mod tests {
     fn in_flight_peak_is_sane() {
         let timed = TimedClusterSim::new(config(80), 9, 10).run();
         assert!(timed.max_in_flight as u64 <= timed.base.migrations);
-    }
-
-    #[test]
-    fn zero_migration_run_reports_zero_ratios_not_nan() {
-        // Freeze demand and disable balancing: nothing ever migrates, so
-        // every ratio metric must degrade to 0.0, never NaN.
-        let mut cfg = config(20);
-        cfg.growth_prob = 0.0;
-        cfg.shrink_prob = 0.0;
-        cfg.balance.enabled = false;
-        let timed = TimedClusterSim::new(cfg, 13, 5).run();
-        assert_eq!(timed.base.migrations, 0);
-        for v in [
-            timed.mean_downtime_per_migration(),
-            timed.mean_transfer_time_s(),
-            timed.mean_wake_latency_s(),
-            timed.downtime_per_interval(),
-        ] {
-            assert!(v.is_finite(), "ratio metric must be finite, got {v}");
-            assert_eq!(v, 0.0);
-        }
     }
 
     #[test]

@@ -48,11 +48,6 @@ impl LoadLevel {
 /// The cluster sizes of §5.
 pub const PAPER_CLUSTER_SIZES: [usize; 3] = [100, 1_000, 10_000];
 
-/// The cluster sizes of the earlier companion paper [19] ("Energy-aware
-/// application scaling on a cloud"), which §5 says it experimented with
-/// before scaling up.
-pub const SMALL_CLUSTER_SIZES: [usize; 4] = [20, 40, 60, 80];
-
 /// The paper's 40 reallocation intervals.
 pub const PAPER_INTERVALS: u64 = 40;
 
@@ -93,11 +88,6 @@ pub fn run_cell(base_seed: u64, size: usize, load: LoadLevel, intervals: u64) ->
     let mut cluster = Cluster::new(config, seed);
     let report = cluster.run(intervals);
     MatrixCell { size, load, report }
-}
-
-/// Runs the [19] small-cluster matrix (sizes 20, 40, 60, 80).
-pub fn run_small_cluster_matrix(base_seed: u64, intervals: u64) -> Vec<MatrixCell> {
-    run_matrix(base_seed, &SMALL_CLUSTER_SIZES, intervals)
 }
 
 /// Runs the full §5 matrix over the given sizes.

@@ -48,8 +48,8 @@ pub use ecolb_workload as workload;
 pub mod prelude {
     pub use crate::experiments::{
         fig2_panels, fig3_panels, homogeneous_paper_point, homogeneous_rows, run_cell, run_matrix,
-        run_small_cluster_matrix, table1_rows, table2_rows, Fig2Panel, Fig3Panel, LoadLevel,
-        MatrixCell, Table2Row, PAPER_CLUSTER_SIZES, PAPER_INTERVALS, SMALL_CLUSTER_SIZES,
+        table1_rows, table2_rows, Fig2Panel, Fig3Panel, LoadLevel, MatrixCell, Table2Row,
+        PAPER_CLUSTER_SIZES, PAPER_INTERVALS,
     };
     pub use ecolb_cluster::admission::{
         AdmissionController, AdmissionPolicy, AdmissionStats, ArrivalSpec, ServiceRequest,
@@ -73,7 +73,5 @@ pub mod prelude {
         LinearRegression, MovingWindow, Optimal, Reactive, ReactiveExtraCapacity, Sizing,
     };
     pub use ecolb_simcore::prelude::*;
-    pub use ecolb_workload::{
-        ArrivalProcess, GrowthModel, Sla, TraceGenerator, TraceShape, WorkloadSpec,
-    };
+    pub use ecolb_workload::{ArrivalProcess, Sla, TraceGenerator, TraceShape, WorkloadSpec};
 }

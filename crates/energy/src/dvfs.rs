@@ -1,7 +1,7 @@
 //! Dynamic voltage and frequency scaling (DVFS).
 //!
 //! The paper cites Le Sueur & Heiser, *"Dynamic voltage and frequency
-//! scaling: the laws of diminishing returns"* [14], as one of the
+//! scaling: the laws of diminishing returns"* \[14\], as one of the
 //! mechanisms behind modern server power management. This module provides
 //! the standard CMOS model:
 //!
@@ -102,11 +102,6 @@ impl DvfsModel {
         self.static_w + self.c * v * v * f
     }
 
-    /// Normalized performance at frequency `f` (relative to `f_max`).
-    pub fn performance(&self, f_ghz: f64) -> f64 {
-        f_ghz.clamp(self.f_min_ghz, self.f_max_ghz) / self.f_max_ghz
-    }
-
     /// Energy per unit of work at frequency `f`: `P(f)/f`, Joules per
     /// GHz-second of computation.
     pub fn energy_per_op(&self, f_ghz: f64) -> f64 {
@@ -115,23 +110,12 @@ impl DvfsModel {
     }
 
     /// The P-state minimising energy per operation — the "sweet spot"
-    /// before diminishing returns [14].
+    /// before diminishing returns \[14\].
     pub fn most_efficient_f(&self) -> f64 {
         self.p_states()
             .into_iter()
             .min_by(|&a, &b| self.energy_per_op(a).total_cmp(&self.energy_per_op(b)))
             .expect("DvfsModel construction guarantees at least two P-states")
-    }
-
-    /// The lowest P-state meeting a normalized-performance requirement;
-    /// `None` when even `f_max` is insufficient.
-    pub fn lowest_f_for(&self, required_performance: f64) -> Option<f64> {
-        if required_performance > 1.0 {
-            return None;
-        }
-        self.p_states()
-            .into_iter()
-            .find(|&f| self.performance(f) + 1e-12 >= required_performance)
     }
 }
 
@@ -229,21 +213,6 @@ mod tests {
         };
         // Without leakage, V² scaling always rewards running slower.
         assert!((m.most_efficient_f() - m.f_min_ghz).abs() < 1e-9);
-    }
-
-    #[test]
-    fn lowest_f_for_performance() {
-        let m = cpu();
-        let f = m.lowest_f_for(0.5).unwrap();
-        assert!(m.performance(f) >= 0.5);
-        // One step down would miss the requirement.
-        let ps = m.p_states();
-        let idx = ps.iter().position(|&p| (p - f).abs() < 1e-9).unwrap();
-        if idx > 0 {
-            assert!(m.performance(ps[idx - 1]) < 0.5);
-        }
-        assert_eq!(m.lowest_f_for(1.5), None);
-        assert!((m.lowest_f_for(1.0).unwrap() - 3.0).abs() < 1e-12);
     }
 
     #[test]

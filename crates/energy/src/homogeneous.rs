@@ -78,16 +78,9 @@ impl HomogeneousModel {
     ///
     /// Note this is the *half-width*, not the distribution mean
     /// `(a_min + a_max)/2`; the two coincide when `a_min = 0`, which holds
-    /// in the paper's example. We keep the paper's formula for fidelity and
-    /// expose [`HomogeneousModel::a_mean`] for the conventional mean.
+    /// in the paper's example. We keep the paper's formula for fidelity.
     pub fn a_avg(&self) -> f64 {
         0.5 * (self.a_max - self.a_min)
-    }
-
-    /// The conventional mean of the uniform distribution,
-    /// `(a_min + a_max)/2`.
-    pub fn a_mean(&self) -> f64 {
-        0.5 * (self.a_min + self.a_max)
     }
 
     /// Reference energy `E_ref = n · b_avg` (eq. 6).
@@ -193,13 +186,12 @@ mod tests {
     }
 
     #[test]
-    fn a_avg_versus_a_mean_convention() {
+    fn a_avg_is_the_papers_half_width() {
         let m = HomogeneousModel::new(10, 0.2, 0.8, 0.6, 0.9, 0.8);
         assert!(
             (m.a_avg() - 0.3).abs() < 1e-12,
-            "paper's half-width convention"
+            "paper's half-width convention, not the mean 0.5"
         );
-        assert!((m.a_mean() - 0.5).abs() < 1e-12, "conventional mean");
     }
 
     #[test]

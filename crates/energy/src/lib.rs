@@ -14,9 +14,9 @@
 //! * [`server_class`] — Table 1 (Koomey) historical power data and trends;
 //! * [`homogeneous`] — the analytic consolidation model, eqs. 6–13;
 //! * [`proportionality`] — energy-proportionality metrics;
-//! * [`dvfs`] — voltage/frequency scaling with diminishing returns [14];
-//! * [`storage`] — replication [25] and virtual-node consolidation [11];
-//! * [`network`] — link disciplines and topology power [2].
+//! * [`dvfs`] — voltage/frequency scaling with diminishing returns \[14\];
+//! * [`storage`] — replication \[25\] and virtual-node consolidation \[11\];
+//! * [`network`] — link disciplines and topology power \[2\].
 //!
 //! ```
 //! use ecolb_energy::{HomogeneousModel, LinearPowerModel, PowerModel, RegimeBoundaries};

@@ -3,7 +3,7 @@
 //! The paper notes that data-center channels *"commonly operate
 //! plesiochronously and are always on, regardless of the load, because
 //! they must still send idle packets to maintain byte and line
-//! alignment"*, cites the flattened-butterfly argument of Abts et al. [2]
+//! alignment"*, cites the flattened-butterfly argument of Abts et al. \[2\]
 //! that such a topology is more energy- and cost-efficient than a folded
 //! Clos, and names InfiniBand as an energy-proportional example.
 //!
@@ -66,7 +66,7 @@ impl LinkPower {
     }
 }
 
-/// Network topology families compared in [2].
+/// Network topology families compared in \[2\].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Topology {
     /// Three-level folded-Clos (fat tree) built from `radix`-port
@@ -85,14 +85,6 @@ pub enum Topology {
 }
 
 impl Topology {
-    /// Hosts the topology supports.
-    pub fn hosts(&self) -> usize {
-        match *self {
-            Topology::FatTree { radix } => radix * radix * radix / 4,
-            Topology::FlattenedButterfly { dim, concentration } => dim * dim * concentration,
-        }
-    }
-
     /// Total switch count.
     pub fn switches(&self) -> usize {
         match *self {
@@ -113,7 +105,7 @@ impl Topology {
         }
     }
 
-    /// Average hop count for uniform traffic (approximate; [2]).
+    /// Average hop count for uniform traffic (approximate; \[2\]).
     pub fn avg_hops(&self) -> f64 {
         match *self {
             Topology::FatTree { .. } => 5.0, // edge-agg-core-agg-edge between pods
@@ -135,6 +127,16 @@ impl Topology {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl Topology {
+        /// Hosts the topology supports.
+        fn hosts(&self) -> usize {
+            match *self {
+                Topology::FatTree { radix } => radix * radix * radix / 4,
+                Topology::FlattenedButterfly { dim, concentration } => dim * dim * concentration,
+            }
+        }
+    }
 
     #[test]
     fn always_on_ignores_load() {

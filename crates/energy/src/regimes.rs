@@ -58,11 +58,6 @@ impl OperatingRegime {
         }
     }
 
-    /// Builds a regime from the paper's 1-based index.
-    pub fn from_index(i: usize) -> Option<OperatingRegime> {
-        OperatingRegime::ALL.get(i.wrapping_sub(1)).copied()
-    }
-
     /// True for R1 and R5 — regions requiring *immediate* attention
     /// (paper §4: "suboptimal regions do not require an immediate
     /// attention, while undesirable regions do").
@@ -70,14 +65,6 @@ impl OperatingRegime {
         matches!(
             self,
             OperatingRegime::UndesirableLow | OperatingRegime::UndesirableHigh
-        )
-    }
-
-    /// True for R2 and R4.
-    pub fn is_suboptimal(self) -> bool {
-        matches!(
-            self,
-            OperatingRegime::SuboptimalLow | OperatingRegime::SuboptimalHigh
         )
     }
 
@@ -181,24 +168,10 @@ impl RegimeBoundaries {
         0.5 * (self.opt_low + self.opt_high)
     }
 
-    /// Free capacity (in normalized-performance units) before the load
-    /// leaves the optimal band upward; zero when already above.
-    pub fn headroom_to_opt_high(&self, a: f64) -> f64 {
-        (self.opt_high - a).max(0.0)
-    }
-
     /// Load that must be shed to re-enter the optimal band from above; zero
     /// when not above it.
     pub fn excess_over_opt_high(&self, a: f64) -> f64 {
         (a - self.opt_high).max(0.0)
-    }
-
-    /// The paper's `E_opt ± δ` optimal band check with
-    /// `δ = (0.05 – 0.1) × E_opt` (§3): true when `a` lies within
-    /// `delta_frac` of the band midpoint.
-    pub fn within_delta(&self, a: f64, delta_frac: f64) -> bool {
-        let target = self.optimal_target();
-        (a - target).abs() <= delta_frac * target
     }
 }
 
@@ -304,20 +277,17 @@ mod tests {
     fn regime_predicates() {
         use OperatingRegime::*;
         assert!(UndesirableLow.is_undesirable() && UndesirableHigh.is_undesirable());
-        assert!(SuboptimalLow.is_suboptimal() && SuboptimalHigh.is_suboptimal());
-        assert!(!Optimal.is_undesirable() && !Optimal.is_suboptimal());
+        assert!(!Optimal.is_undesirable());
         assert!(UndesirableLow.is_underloaded() && SuboptimalLow.is_underloaded());
         assert!(UndesirableHigh.is_overloaded() && SuboptimalHigh.is_overloaded());
         assert!(!Optimal.is_underloaded() && !Optimal.is_overloaded());
     }
 
     #[test]
-    fn index_round_trips() {
-        for r in OperatingRegime::ALL {
-            assert_eq!(OperatingRegime::from_index(r.index()), Some(r));
+    fn index_follows_all_order() {
+        for (i, r) in OperatingRegime::ALL.into_iter().enumerate() {
+            assert_eq!(r.index(), i + 1);
         }
-        assert_eq!(OperatingRegime::from_index(0), None);
-        assert_eq!(OperatingRegime::from_index(6), None);
     }
 
     #[test]
@@ -333,21 +303,10 @@ mod tests {
     }
 
     #[test]
-    fn headroom_and_excess_are_complementary() {
+    fn excess_is_the_overshoot_above_opt_high() {
         let b = RegimeBoundaries::new(0.2, 0.3, 0.7, 0.8);
-        assert!((b.headroom_to_opt_high(0.5) - 0.2).abs() < 1e-12);
         assert_eq!(b.excess_over_opt_high(0.5), 0.0);
-        assert_eq!(b.headroom_to_opt_high(0.9), 0.0);
         assert!((b.excess_over_opt_high(0.9) - 0.2).abs() < 1e-9);
-    }
-
-    #[test]
-    fn within_delta_band() {
-        let b = RegimeBoundaries::new(0.2, 0.4, 0.6, 0.8); // target 0.5
-        assert!(b.within_delta(0.5, 0.05));
-        assert!(b.within_delta(0.524, 0.05));
-        assert!(!b.within_delta(0.53, 0.05));
-        assert!(b.within_delta(0.53, 0.1));
     }
 
     #[test]

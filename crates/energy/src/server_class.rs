@@ -4,7 +4,7 @@
 //! (< $25 K), **mid-range** ($25 K–$499 K), and **high-end** (> $500 K)
 //! servers from 2000 through 2006. This module embeds that dataset, fits a
 //! linear trend per class, and derives representative
-//! [`LinearPowerModel`](crate::power::LinearPowerModel)s so experiments can
+//! [`LinearPowerModel`]s so experiments can
 //! run on class-appropriate hardware parameters.
 
 use crate::power::LinearPowerModel;
@@ -37,15 +37,6 @@ impl ServerClass {
             ServerClass::HighEnd => "High",
         }
     }
-
-    /// Upper price bound in k$, `None` for the open-ended high-end band.
-    pub fn price_ceiling_kusd(self) -> Option<u32> {
-        match self {
-            ServerClass::Volume => Some(25),
-            ServerClass::MidRange => Some(499),
-            ServerClass::HighEnd => None,
-        }
-    }
 }
 
 impl fmt::Display for ServerClass {
@@ -58,7 +49,7 @@ impl fmt::Display for ServerClass {
 pub const TABLE1_YEARS: [u32; 7] = [2000, 2001, 2002, 2003, 2004, 2005, 2006];
 
 /// Table 1 of the paper: estimated average power use in Watts
-/// (rows: Volume, Mid, High; columns: 2000–2006). Source: Koomey [13].
+/// (rows: Volume, Mid, High; columns: 2000–2006). Source: Koomey \[13\].
 pub const TABLE1_WATTS: [[f64; 7]; 3] = [
     [186.0, 193.0, 200.0, 207.0, 213.0, 219.0, 225.0],
     [424.0, 457.0, 491.0, 524.0, 574.0, 625.0, 675.0],
@@ -196,10 +187,8 @@ mod tests {
     }
 
     #[test]
-    fn labels_and_price_bands() {
+    fn labels() {
         assert_eq!(ServerClass::Volume.label(), "Vol");
         assert_eq!(ServerClass::MidRange.to_string(), "Mid");
-        assert_eq!(ServerClass::Volume.price_ceiling_kusd(), Some(25));
-        assert_eq!(ServerClass::HighEnd.price_ceiling_kusd(), None);
     }
 }

@@ -1,6 +1,6 @@
 //! ACPI sleep states and the sleep-state selection rule.
 //!
-//! The ACPI specification (paper §2, [12]) defines processor **C-states**
+//! The ACPI specification (paper §2, \[12\]) defines processor **C-states**
 //! (C0 running … C6 deep sleep), device **D-states**, and system
 //! **S-states**. The paper's simulations use exactly two sleep targets —
 //! C3 and C6 — chosen by the rule in §6:
@@ -193,13 +193,6 @@ impl SleepModel {
         self.wake_latency[(state.depth() - 1) as usize] = lat;
         self
     }
-
-    /// Overrides the transition energy of one state (builder style).
-    pub fn with_transition_energy_j(mut self, state: CState, joules: f64) -> Self {
-        assert!(state.is_sleeping(), "C0 has no transition energy");
-        self.transition_energy_j[(state.depth() - 1) as usize] = joules;
-        self
-    }
 }
 
 /// Strategy deciding which sleep state an idle server should enter.
@@ -307,11 +300,8 @@ mod tests {
 
     #[test]
     fn model_overrides_apply() {
-        let m = SleepModel::default()
-            .with_wake_latency(CState::C6, SimDuration::from_secs(260))
-            .with_transition_energy_j(CState::C3, 99.0);
+        let m = SleepModel::default().with_wake_latency(CState::C6, SimDuration::from_secs(260));
         assert_eq!(m.wake_latency(CState::C6), SimDuration::from_secs(260));
-        assert_eq!(m.transition_energy_j(CState::C3), 99.0);
         // Untouched entries stay at defaults.
         assert_eq!(
             m.wake_latency(CState::C3),

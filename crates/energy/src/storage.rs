@@ -5,10 +5,10 @@
 //! disk drives … concentrate the workload on a small number of disks and
 //! allow the others to operate in a low-power mode"*:
 //!
-//! * **replication** — Vrbsky et al. [25]: a sliding-window replacement
+//! * **replication** — Vrbsky et al. \[25\]: a sliding-window replacement
 //!   policy replicates popular data onto the active disks so cold disks
 //!   can spin down (reported up to 31 % power reduction vs LRU/MRU/LFU);
-//! * **data migration** — Hasebe et al. [11]: data lives in *virtual
+//! * **data migration** — Hasebe et al. \[11\]: data lives in *virtual
 //!   nodes* managed with a distributed hash table; a short-term algorithm
 //!   gathers or spreads virtual nodes with the daily load so the number of
 //!   active physical nodes is minimal.
@@ -69,7 +69,7 @@ impl DiskPower {
 }
 
 /// A window of recent block accesses used to decide what to replicate —
-/// the sliding-window policy of [25].
+/// the sliding-window policy of \[25\].
 ///
 /// The window is a ring: once full, each new access evicts the oldest in
 /// O(1) (`VecDeque::pop_front`), not the O(window) front-shift a `Vec`
@@ -163,11 +163,6 @@ impl ReplicatedArray {
         (block % self.n_disks as u64) as usize
     }
 
-    /// Number of disks currently spinning.
-    pub fn active_disks(&self) -> usize {
-        self.active_set
-    }
-
     /// Blocks held by each disk.
     pub fn blocks_per_disk(&self) -> u64 {
         self.blocks_per_disk
@@ -222,7 +217,7 @@ impl ReplicatedArray {
     }
 }
 
-/// A virtual node in the DHT-based migration scheme of [11].
+/// A virtual node in the DHT-based migration scheme of \[11\].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct VirtualNode {
     /// DHT identifier.
@@ -232,7 +227,7 @@ pub struct VirtualNode {
 }
 
 /// Physical storage nodes hosting virtual nodes; the short-term algorithm
-/// of [11] gathers virtual nodes onto few physical nodes when the load is
+/// of \[11\] gathers virtual nodes onto few physical nodes when the load is
 /// low and spreads them when it is high.
 #[derive(Debug, Clone)]
 pub struct VirtualNodeStore {

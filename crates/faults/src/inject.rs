@@ -1,8 +1,8 @@
-//! The injector: turns a [`FaultPlan`](crate::plan::FaultPlan)'s
+//! The injector: turns a [`FaultPlan`]'s
 //! stochastic fault families into concrete per-draw decisions.
 //!
 //! [`FaultInjector`] owns one RNG stream per `(fault kind, server)` pair,
-//! derived by [`fault_stream`](crate::plan::fault_stream). It implements
+//! derived by [`fault_stream`]. It implements
 //! the cluster's [`FaultHooks`] seam for report loss, wake failures and
 //! the message delay of migration transfers, which the timed driver
 //! applies through the engine's interceptor.

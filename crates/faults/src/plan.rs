@@ -135,15 +135,6 @@ impl FaultPlan {
         self
     }
 
-    /// Schedules a reboot of `server` at `at` (builder style).
-    pub fn with_server_recover(mut self, at: SimTime, server: ServerId) -> Self {
-        self.push_event(FaultEvent {
-            at,
-            kind: FaultEventKind::ServerRecover { server },
-        });
-        self
-    }
-
     /// Schedules a crash of the *current leader host* at `at`.
     pub fn with_leader_crash(mut self, at: SimTime, recover_after: Option<SimDuration>) -> Self {
         self.push_event(FaultEvent {
@@ -176,38 +167,6 @@ impl FaultPlan {
     pub fn with_wake_failures(mut self, p: f64) -> Self {
         assert!((0.0..=1.0).contains(&p), "wake probability out of [0,1]");
         self.wake_failure_prob = p;
-        self
-    }
-
-    /// Samples crash-recover events for an `n_servers` cluster: each
-    /// server independently crashes with probability `crash_prob`, at a
-    /// uniform instant in `[0, horizon)`, drawn from its own
-    /// `(seed, ServerCrash, id)` stream (builder).
-    pub fn with_sampled_crashes(
-        mut self,
-        n_servers: usize,
-        crash_prob: f64,
-        horizon: SimDuration,
-        recover_after: Option<SimDuration>,
-    ) -> Self {
-        assert!(
-            (0.0..=1.0).contains(&crash_prob),
-            "crash probability out of [0,1]"
-        );
-        for i in 0..n_servers {
-            let id = ServerId(i as u32);
-            let mut rng = fault_stream(self.seed, FaultKind::ServerCrash, id);
-            if rng.chance(crash_prob) {
-                let at = SimTime::from_ticks(rng.uniform_u64(horizon.ticks().max(1)));
-                self.push_event(FaultEvent {
-                    at,
-                    kind: FaultEventKind::ServerCrash {
-                        server: id,
-                        recover_after,
-                    },
-                });
-            }
-        }
         self
     }
 
@@ -286,30 +245,11 @@ mod tests {
         let p = FaultPlan::empty(7)
             .with_server_crash(SimTime::from_secs(50), ServerId(3), None)
             .with_leader_crash(SimTime::from_secs(10), None)
-            .with_server_recover(SimTime::from_secs(90), ServerId(3));
+            .with_server_crash(SimTime::from_secs(90), ServerId(5), None);
         let times: Vec<u64> = p.events.iter().map(|e| e.at.ticks()).collect();
         let mut sorted = times.clone();
         sorted.sort_unstable();
         assert_eq!(times, sorted);
-    }
-
-    #[test]
-    fn sampled_crashes_are_deterministic_and_bounded() {
-        let horizon = SimDuration::from_secs(1000);
-        let a = FaultPlan::empty(11).with_sampled_crashes(200, 0.25, horizon, None);
-        let b = FaultPlan::empty(11).with_sampled_crashes(200, 0.25, horizon, None);
-        assert_eq!(a, b);
-        assert!(
-            !a.events.is_empty(),
-            "0.25 over 200 servers should crash some"
-        );
-        assert!(a.events.len() < 200);
-        for e in &a.events {
-            assert!(e.at < SimTime::ZERO + horizon);
-        }
-        // A different seed reshuffles the schedule.
-        let c = FaultPlan::empty(12).with_sampled_crashes(200, 0.25, horizon, None);
-        assert_ne!(a, c);
     }
 
     #[test]

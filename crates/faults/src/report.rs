@@ -3,7 +3,7 @@
 //! [`FaultyRunReport`] carries the full timed report (so an empty plan
 //! can be proven a no-op by structural equality) plus the degradation
 //! ledger. [`CompareWithFaulty`] extends the plain
-//! [`TimedRunReport`](ecolb_cluster::sim::TimedRunReport) with a
+//! [`TimedRunReport`] with a
 //! [`FaultImpact`] diff: run the same seed with and without a plan and
 //! ask *what did the faults cost* — in energy, savings, availability and
 //! service interruption.
@@ -12,7 +12,6 @@ use crate::inject::InjectionStats;
 use ecolb_cluster::recovery::RecoveryStats;
 use ecolb_cluster::server::ServerId;
 use ecolb_cluster::sim::TimedRunReport;
-use ecolb_metrics::report::Report;
 use ecolb_metrics::timeseries::TimeSeries;
 use ecolb_metrics::DegradationSummary;
 
@@ -52,65 +51,6 @@ pub struct FaultyRunReport {
     pub seed: u64,
     /// Whether the plan injected nothing.
     pub plan_was_empty: bool,
-}
-
-impl FaultyRunReport {
-    /// Flattens the run into the standard serialisable [`Report`] (the
-    /// same JSON/CSV path every other ecolb experiment uses).
-    pub fn to_report(&self, id: &str) -> Report {
-        let mut r = Report::new(id, self.seed);
-        let base = &self.timed.base;
-        r.scalar("availability", self.degradation.availability)
-            .scalar(
-                "sla_violation_seconds",
-                self.degradation.sla_violation_seconds,
-            )
-            .scalar(
-                "failed_consolidations",
-                self.degradation.failed_consolidations as f64,
-            )
-            .scalar("wasted_energy_j", self.degradation.wasted_energy_j)
-            .scalar("lost_reports", self.degradation.lost_reports as f64)
-            .scalar("crashed_server_seconds", self.crashed_server_seconds)
-            .scalar("orphan_downtime_seconds", self.orphan_downtime_seconds)
-            .scalar("failovers", self.recovery.failovers as f64)
-            .scalar(
-                "leaderless_intervals",
-                self.recovery.leaderless_intervals as f64,
-            )
-            .scalar("leader_epoch", self.leader_epoch as f64)
-            .scalar("reports_lost", self.recovery.reports_lost as f64)
-            .scalar("report_retries", self.recovery.report_retries as f64)
-            .scalar("reports_abandoned", self.recovery.reports_abandoned as f64)
-            .scalar("wake_failures", self.recovery.wake_failures as f64)
-            .scalar(
-                "orphans_readmitted",
-                self.recovery.orphans_readmitted as f64,
-            )
-            .scalar("servers_crashed", self.recovery.servers_crashed as f64)
-            .scalar("servers_recovered", self.recovery.servers_recovered as f64)
-            .scalar(
-                "migrations_delayed",
-                self.injection.migrations_delayed as f64,
-            )
-            .scalar(
-                "injected_delay_seconds",
-                self.injection.injected_delay_seconds,
-            )
-            .scalar("migrations", base.migrations as f64)
-            .scalar("energy_j", base.energy.total_j() + base.migration_energy_j)
-            .scalar("savings_fraction", base.savings_fraction())
-            .scalar("ratio_mean", series_mean(&base.ratio_series))
-            .scalar(
-                "downtime_demand_seconds",
-                self.timed.downtime_demand_seconds,
-            )
-            .scalar("saturation_violations", base.saturation_violations as f64);
-        r.push_series(base.ratio_series.clone())
-            .push_series(base.sleeping_series.clone())
-            .push_series(self.wasted_energy_series.clone());
-        r
-    }
 }
 
 /// What a fault plan cost relative to the fault-free run of the same
@@ -190,19 +130,6 @@ mod tests {
 
     fn config(n: usize) -> ClusterConfig {
         ClusterConfig::paper(n, WorkloadSpec::paper_low_load())
-    }
-
-    #[test]
-    fn report_flattens_with_the_headline_scalars() {
-        let plan = FaultPlan::empty(4).with_leader_crash(SimTime::from_secs(900), None);
-        let faulty = FaultyClusterSim::new(config(40), 13, 10, plan).run();
-        let r = faulty.to_report("faults_leader_crash");
-        assert_eq!(r.seed, 13);
-        assert!(r.get("availability") < 1.0);
-        assert!(r.get("failovers") >= 1.0);
-        assert!(r.try_get("energy_j").is_some());
-        assert!(r.find_series("wasted_energy_j").is_some());
-        assert!(r.find_series("in_cluster_local_ratio").is_some() || !r.series.is_empty());
     }
 
     #[test]

@@ -134,7 +134,7 @@ pub fn stale_findings(
 /// `// ecolb-lint: allow(no-wallclock, "perf harness measures real time")`.
 ///
 /// Graph-layer rules (`sim-path-purity`, `seed-provenance`,
-/// `silent-result-drop`) need the whole workspace and are run by
+/// `silent-result-drop`, `unreached-pub-fn`) need the whole workspace and are run by
 /// [`crate::report::run_workspace`]; a directive for one of those rules is
 /// *not* reported stale here, since this view cannot see the finding it
 /// suppresses.
@@ -174,7 +174,12 @@ pub fn check_file(ctx: &FileContext, src: &str) -> FileReport {
 
 /// Rules computed by the workspace graph layer, invisible to the
 /// single-file view.
-pub const GRAPH_RULES: &[&str] = &["sim-path-purity", "seed-provenance", "silent-result-drop"];
+pub const GRAPH_RULES: &[&str] = &[
+    "sim-path-purity",
+    "seed-provenance",
+    "silent-result-drop",
+    "unreached-pub-fn",
+];
 
 #[cfg(test)]
 mod tests {

@@ -122,6 +122,19 @@ pub const CARDS: &[Explanation] = &[
         good: "if self.send_report(leader, report).is_err() {\n    self.degradation.lost_reports += 1;\n}",
     },
     Explanation {
+        rule: "unreached-pub-fn",
+        doc: "A library `pub fn` must be reached from a root: a binary or example, an \
+              integration test, a doc test, another file's #[cfg(test)] code, or the \
+              benchmark/src tree. The walk follows every identifier a reached body mentions \
+              (calls, fn values, paths); trait bodies and `impl Trait for` blocks are never \
+              findings. A `pub use` re-export is not a use. Surface nothing reaches is code \
+              to maintain, document and keep in step for no caller: delete it, give it the \
+              caller that needs it, or, if only its own file's tests use it as an oracle, \
+              move it under #[cfg(test)].",
+        bad: "pub fn mean_wake_latency_s(&self) -> f64 { … } // only its own unit test calls it",
+        good: "#[cfg(test)]\nfn mean_wake_latency_s(r: &Report) -> f64 { … } // test oracle, not surface",
+    },
+    Explanation {
         rule: "stale-suppression",
         doc: "A well-formed allow directive that no longer suppresses any finding is itself \
               an error. Code moves; an allow that outlives its violation is a hole in the \

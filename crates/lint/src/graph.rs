@@ -7,15 +7,17 @@
 //! **every** workspace function of that name (so reachability never misses
 //! a real path), while a path-qualified call (`Engine::run`,
 //! `balance::balance_round`) links only to definitions whose owner type,
-//! module, file stem, or crate matches the qualifier. Test functions, test
-//! files, and bin targets are excluded from the graph entirely — they can
-//! call sim entry points, but nothing on the sim path can call them, and
-//! keeping them out prevents same-name test helpers from widening the
-//! reachable set.
+//! module, file stem, or crate matches the qualifier. A path-qualified fn
+//! value (`.map(Server::load)`) is a call edge too. Test functions, test
+//! files, bin targets and benchmark sources are excluded from the graph
+//! entirely — they can call sim entry points, but nothing on the sim path
+//! can call them, and keeping them out prevents same-name test helpers
+//! from widening the reachable set.
 
 use crate::lexer::{lex, LexOutput, Token, TokenKind};
 use crate::parse::{parse_items, ParsedFile};
 use crate::rules::{matching_close, FileContext};
+use crate::unreached::doc_test_code;
 use std::collections::BTreeMap;
 
 /// One analysed source file: path, derived context, tokens, items.
@@ -28,6 +30,9 @@ pub struct SourceFile {
     pub lex: LexOutput,
     /// Item-parser output (fns + uses).
     pub parsed: ParsedFile,
+    /// Tokens of the Rust code blocks in the file's doc comments (its
+    /// doc tests).
+    pub doc_tests: Vec<Token>,
 }
 
 impl SourceFile {
@@ -54,13 +59,14 @@ impl Workspace {
         let files = sources
             .iter()
             .map(|(path, src)| {
-                let lex = lex(src);
-                let parsed = parse_items(&lex.tokens);
+                let lexed = lex(src);
+                let parsed = parse_items(&lexed.tokens);
                 SourceFile {
                     path: path.clone(),
                     ctx: FileContext::from_path(path),
-                    lex,
+                    lex: lexed,
                     parsed,
+                    doc_tests: lex(&doc_test_code(src)).tokens,
                 }
             })
             .collect();
@@ -68,7 +74,8 @@ impl Workspace {
     }
 }
 
-/// One call site extracted from a function body.
+/// One call site extracted from a function body: a call, or a
+/// path-qualified fn value passed without calling it.
 #[derive(Debug, Clone)]
 pub struct CallSite {
     /// Path segments of the callee (`["Rng", "new"]`, `["balance_round"]`).
@@ -79,7 +86,8 @@ pub struct CallSite {
     pub line: u32,
     /// 1-based column of the callee name.
     pub col: u32,
-    /// Token-index span of the argument list, *exclusive* of the parens.
+    /// Token-index span of the argument list, *exclusive* of the parens
+    /// (empty for a fn value).
     pub args: (usize, usize),
 }
 
@@ -90,6 +98,24 @@ const NON_CALLEES: &[&str] = &[
     "as", "use", "mod", "struct", "enum", "union", "trait", "type", "static", "const", "crate",
     "super",
 ];
+
+/// The `::`-separated path ending at the identifier `j`, walked
+/// backwards (`["Rng", "new"]`), and whether a lone name follows a `.`
+/// (method-call or field syntax).
+pub(crate) fn path_segments(tokens: &[Token], j: usize) -> (Vec<String>, bool) {
+    let mut segments = vec![tokens[j].text.clone()];
+    let mut p = j;
+    while p >= 3
+        && tokens[p - 1].is_punct(':')
+        && tokens[p - 2].is_punct(':')
+        && tokens[p - 3].kind == TokenKind::Ident
+    {
+        segments.insert(0, tokens[p - 3].text.clone());
+        p -= 3;
+    }
+    let method = segments.len() == 1 && p > 0 && tokens[p - 1].is_punct('.');
+    (segments, method)
+}
 
 /// Extracts every call site from the token span `body` (inclusive).
 pub fn extract_calls(tokens: &[Token], body: (usize, usize)) -> Vec<CallSite> {
@@ -116,37 +142,28 @@ pub fn extract_calls(tokens: &[Token], body: (usize, usize)) -> Vec<CallSite> {
         {
             k = crate::parse::skip_angles(tokens, k + 2);
         }
-        let open = match tokens.get(k) {
-            Some(p) if p.is_punct('(') => k,
+        let (segments, method) = path_segments(tokens, j);
+        let args = match tokens.get(k) {
+            Some(open) if open.is_punct('(') => (k + 1, matching_close(tokens, k)),
+            // A path-qualified fn value (`.map(Server::load)`) is a call
+            // edge with no arguments; a macro `Q::name!`, a struct literal
+            // `Q::name {` and a longer path `Q::name::…` are not.
+            next if segments.len() >= 2
+                && !next.is_some_and(|n| n.is_punct('!') || n.is_punct('{') || n.is_punct(':')) =>
+            {
+                (k, k)
+            }
             _ => {
                 j += 1;
                 continue;
             }
         };
-        // Macro invocation (`name!(…)`) — not a function call.
-        if tokens.get(j + 1).map(|t| t.is_punct('!')).unwrap_or(false) {
-            j += 1;
-            continue;
-        }
-        let close = matching_close(tokens, open);
-        // Walk `::`-separated path segments backwards from the name.
-        let mut segments = vec![t.text.clone()];
-        let mut p = j;
-        while p >= 3
-            && tokens[p - 1].is_punct(':')
-            && tokens[p - 2].is_punct(':')
-            && tokens[p - 3].kind == TokenKind::Ident
-        {
-            segments.insert(0, tokens[p - 3].text.clone());
-            p -= 3;
-        }
-        let method = segments.len() == 1 && p > 0 && tokens[p - 1].is_punct('.');
         out.push(CallSite {
             segments,
             method,
             line: t.line,
             col: t.col,
-            args: (open + 1, close),
+            args,
         });
         j += 1;
     }
@@ -196,7 +213,7 @@ pub fn build_graph(ws: &Workspace) -> CallGraph {
     let mut fns = Vec::new();
     let mut by_name: BTreeMap<String, Vec<usize>> = BTreeMap::new();
     for (fi, file) in ws.files.iter().enumerate() {
-        if file.ctx.is_bin || file.ctx.is_test {
+        if file.ctx.is_bin || file.ctx.is_test || file.ctx.roots_only {
             continue;
         }
         for (ii, item) in file.parsed.fns.iter().enumerate() {
@@ -236,7 +253,7 @@ pub fn build_graph(ws: &Workspace) -> CallGraph {
 }
 
 /// Resolves one call site to candidate graph nodes.
-fn resolve(
+pub(crate) fn resolve(
     ws: &Workspace,
     fns: &[FnKey],
     by_name: &BTreeMap<String, Vec<usize>>,

@@ -18,14 +18,17 @@
 //! | `sim-path-purity` | graph | determinism hazards in *any* function reachable from a sim entry point |
 //! | `seed-provenance` | graph | RNG streams on the sim path not derived from a seed parameter |
 //! | `silent-result-drop` | graph | `let _ =` discarding a workspace `Result` in library code |
+//! | `unreached-pub-fn` | graph | library `pub fn`s that no binary, example, test or benchmark reaches |
 //! | `stale-suppression` | engine | allow directives that no longer suppress anything |
 //!
 //! The pipeline is a hand-rolled [`lexer`] (comments, nested block
 //! comments, raw strings, char-vs-lifetime disambiguation) feeding a
 //! [`rules`] engine, plus an item-level [`parse`]r that builds a
 //! workspace symbol table, a conservative name-resolution call [`graph`],
-//! and a [`reach`]ability layer whose findings carry a call-path witness
-//! (entry point → … → violating function). Inline suppressions
+//! a [`reach`]ability layer whose findings carry a call-path witness
+//! (entry point → … → violating function), and the reverse walk from
+//! binaries, tests and benchmark sources that finds [`unreached`] public
+//! functions. Inline suppressions
 //! (`// ecolb-lint: allow(no-wallclock, "why")` — the reason is mandatory,
 //! the directive must start the comment) feed a usage ledger so stale
 //! allows surface as errors; a per-crate panic [`budget`] ratchet and a
@@ -50,6 +53,7 @@ pub mod parse;
 pub mod reach;
 pub mod report;
 pub mod rules;
+pub mod unreached;
 pub mod walk;
 
 pub use budget::{parse_budget, Budget};

@@ -45,6 +45,11 @@ pub struct FnItem {
     /// True when the item is test code: `#[test]`, under `#[cfg(test)]`,
     /// or inside a module marked with either.
     pub is_test: bool,
+    /// True for plain `pub fn` (not `pub(crate)` or narrower).
+    pub is_pub: bool,
+    /// True inside an `impl Trait for …` block or a trait body, where
+    /// the trait, not the item, decides who may call it.
+    pub in_trait_impl: bool,
 }
 
 impl FnItem {
@@ -276,6 +281,23 @@ fn flatten_use(
     flush(base_len, line, prefix, &mut alias, out);
 }
 
+/// True when the `fn` keyword at `at` is declared plain `pub`, looking
+/// back over `const`/`async`/`unsafe`/`extern "abi"` qualifiers.
+fn is_pub_fn(tokens: &[Token], at: usize) -> bool {
+    let mut k = at;
+    while k > 0 {
+        let t = &tokens[k - 1];
+        if t.kind == TokenKind::Str
+            || matches!(t.text.as_str(), "const" | "async" | "unsafe" | "extern")
+        {
+            k -= 1;
+        } else {
+            return t.is_ident("pub");
+        }
+    }
+    false
+}
+
 /// A lexical scope the item scanner is inside.
 struct Scope {
     /// Type name for `impl`/`trait` scopes, module name for `mod` scopes.
@@ -286,6 +308,8 @@ struct Scope {
     end: usize,
     /// True when the scope (or an ancestor) is `#[cfg(test)]`.
     test: bool,
+    /// True for a trait body or an `impl Trait for …` block.
+    is_trait: bool,
 }
 
 /// Parses the item structure of one file's token stream.
@@ -349,6 +373,7 @@ pub fn parse_items(tokens: &[Token]) -> ParsedFile {
                             is_mod: true,
                             end,
                             test: pending_test || in_test_scope,
+                            is_trait: false,
                         });
                         pending_test = false;
                         i += 3;
@@ -370,6 +395,7 @@ pub fn parse_items(tokens: &[Token]) -> ParsedFile {
                 // overwrite it.
                 let mut last_name: Option<String> = None;
                 let mut in_where = false;
+                let mut trait_impl = false;
                 while j < tokens.len() {
                     let tj = &tokens[j];
                     if tj.is_punct('{') {
@@ -384,6 +410,7 @@ pub fn parse_items(tokens: &[Token]) -> ParsedFile {
                     }
                     if tj.is_ident("for") {
                         last_name = None;
+                        trait_impl |= !in_where;
                     } else if tj.is_ident("where") {
                         in_where = true;
                     } else if !in_where
@@ -406,6 +433,7 @@ pub fn parse_items(tokens: &[Token]) -> ParsedFile {
                         is_mod: false,
                         end,
                         test: pending_test || in_test_scope,
+                        is_trait: is_trait || trait_impl,
                     });
                     pending_test = false;
                     i = j + 1;
@@ -469,11 +497,8 @@ pub fn parse_items(tokens: &[Token]) -> ParsedFile {
                 } else {
                     None
                 };
-                let owner = scopes
-                    .iter()
-                    .rev()
-                    .find(|s| !s.is_mod)
-                    .and_then(|s| s.name.clone());
+                let owner_scope = scopes.iter().rev().find(|s| !s.is_mod);
+                let owner = owner_scope.and_then(|s| s.name.clone());
                 let modules = scopes
                     .iter()
                     .filter(|s| s.is_mod)
@@ -489,6 +514,8 @@ pub fn parse_items(tokens: &[Token]) -> ParsedFile {
                     ret,
                     body,
                     is_test: pending_test || in_test_scope,
+                    is_pub: is_pub_fn(tokens, i),
+                    in_trait_impl: owner_scope.is_some_and(|s| s.is_trait),
                 });
                 pending_test = false;
                 i = match body {
@@ -598,6 +625,35 @@ mod tests {
         assert_eq!(p.fns[0].owner.as_deref(), Some("Tracer"));
         assert!(p.fns[0].body.is_none());
         assert!(p.fns[1].body.is_some());
+    }
+
+    #[test]
+    fn visibility_and_trait_surface_are_recorded() {
+        let p = parse(
+            "pub fn a() {}\npub(crate) fn b() {}\npub const unsafe fn c() {}\nfn d() {}\n\
+             impl Foo { pub fn e(&self) {} }\n\
+             impl fmt::Display for Foo { fn fmt(&self) {} }\n\
+             impl<T> Bar<T> where T: for<'a> Fn(&'a u8) { pub fn g(&self) {} }\n\
+             trait Tr { fn h(&self) {} }",
+        );
+        let flags: Vec<(&str, bool, bool)> = p
+            .fns
+            .iter()
+            .map(|f| (f.name.as_str(), f.is_pub, f.in_trait_impl))
+            .collect();
+        assert_eq!(
+            flags,
+            [
+                ("a", true, false),
+                ("b", false, false),
+                ("c", true, false),
+                ("d", false, false),
+                ("e", true, false),
+                ("fmt", false, true),
+                ("g", true, false),
+                ("h", false, true),
+            ]
+        );
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //! The repo's headline guarantee — byte-identical sweep output at any
 //! thread count — is a property of every function *reachable from the
 //! simulation hot path*, not of a directory. This module computes that
-//! reachable set over the [`CallGraph`](crate::graph::CallGraph) and runs
+//! reachable set over the [`CallGraph`] and runs
 //! three rules on it:
 //!
 //! * **sim-path-purity** — wallclock reads, unordered collections, ambient
@@ -463,6 +463,7 @@ pub fn graph_findings(ws: &Workspace) -> Vec<GraphFinding> {
     let mut out = sim_path_purity(ws, &graph, &r);
     out.extend(seed_provenance(ws, &graph, &r));
     out.extend(silent_result_drop(ws, &graph));
+    out.extend(crate::unreached::unreached_pub_fns(ws, &graph));
     out
 }
 

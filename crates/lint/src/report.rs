@@ -6,7 +6,8 @@
 //!    panic sites.
 //! 2. **Graph layer** (cross-file): parse items, build the call graph,
 //!    compute reachability from the sim entry points, run
-//!    `sim-path-purity` / `seed-provenance` / `silent-result-drop`.
+//!    `sim-path-purity` / `seed-provenance` / `silent-result-drop`, and
+//!    walk from the roots for `unreached-pub-fn`.
 //!
 //! Where the purity rule re-derives a token finding (same file, line and
 //! column, same hazard class), the *purity* finding wins — it carries the
@@ -143,7 +144,7 @@ pub fn lint_files(sources: &[(String, String)]) -> WorkspaceReport {
             .push(g);
     }
 
-    for file in &ws.files {
+    for file in ws.files.iter().filter(|f| !f.ctx.roots_only) {
         let ctx = &file.ctx;
         let sups: &[Suppression] = &file.lex.suppressions;
         report.findings.extend(police_directives(ctx, sups));
@@ -282,6 +283,15 @@ pub fn budget_stanza(budget: &Budget) -> String {
 mod tests {
     use super::*;
 
+    /// An integration-test file whose body is `calls`: the root that
+    /// keeps a mini workspace's `pub fn`s reached.
+    fn root(calls: &str) -> (String, String) {
+        (
+            "tests/root.rs".to_string(),
+            format!("#[test]\nfn root() {{ {calls} }}\n"),
+        )
+    }
+
     #[test]
     fn report_serializes_to_json() {
         let mut r = WorkspaceReport::default();
@@ -357,24 +367,30 @@ mod tests {
 
     #[test]
     fn base_rule_allow_covers_the_purity_finding() {
-        let sources = vec![(
-            "crates/cluster/src/balance.rs".to_string(),
-            "pub fn balance_round(seed: u64) {\n\
-                 let t = Instant::now(); // ecolb-lint: allow(no-wallclock, \"test dummy\")\n\
-             }"
-            .to_string(),
-        )];
+        let sources = vec![
+            (
+                "crates/cluster/src/balance.rs".to_string(),
+                "pub fn balance_round(seed: u64) {\n\
+                     let t = Instant::now(); // ecolb-lint: allow(no-wallclock, \"test dummy\")\n\
+                 }"
+                .to_string(),
+            ),
+            root("balance_round(7);"),
+        ];
         let r = lint_files(&sources);
         assert!(r.is_clean(), "{:?}", r.findings);
     }
 
     #[test]
     fn stale_allow_is_reported_by_the_full_pipeline() {
-        let sources = vec![(
-            "crates/cluster/src/balance.rs".to_string(),
-            "// ecolb-lint: allow(no-wallclock, \"nothing here anymore\")\npub fn f() {}\n"
-                .to_string(),
-        )];
+        let sources = vec![
+            (
+                "crates/cluster/src/balance.rs".to_string(),
+                "// ecolb-lint: allow(no-wallclock, \"nothing here anymore\")\npub fn f() {}\n"
+                    .to_string(),
+            ),
+            root("f();"),
+        ];
         let r = lint_files(&sources);
         assert_eq!(r.findings.len(), 1, "{:?}", r.findings);
         assert_eq!(r.findings[0].rule, "stale-suppression");

@@ -26,9 +26,10 @@ pub const SIM_PATH_CRATES: &[&str] = &[
     "scenarios",
 ];
 
-/// All rule identifiers, in reporting order. The first six are token
-/// rules from this module; the last four come from the call-graph layer
-/// ([`crate::reach`]) and the suppression engine ([`crate::engine`]).
+/// All rule identifiers, in reporting order. The first seven are token
+/// rules from this module; the last five come from the call-graph layer
+/// ([`crate::reach`], [`crate::unreached`]) and the suppression engine
+/// ([`crate::engine`]).
 pub const ALL_RULES: &[&str] = &[
     "no-wallclock",
     "no-unordered-collections",
@@ -40,6 +41,7 @@ pub const ALL_RULES: &[&str] = &[
     "sim-path-purity",
     "seed-provenance",
     "silent-result-drop",
+    "unreached-pub-fn",
     "stale-suppression",
 ];
 
@@ -56,6 +58,9 @@ pub struct FileContext {
     pub is_bin: bool,
     /// True for integration-test files (under a `tests/` directory).
     pub is_test: bool,
+    /// True for `benchmark/` sources: read only as roots of
+    /// `unreached-pub-fn`, never reported on.
+    pub roots_only: bool,
 }
 
 impl FileContext {
@@ -71,11 +76,13 @@ impl FileContext {
             || norm.ends_with("src/main.rs")
             || norm.starts_with("examples/");
         let is_test = norm.split('/').any(|c| c == "tests" || c == "benches");
+        let roots_only = norm.starts_with("benchmark/");
         FileContext {
             path: norm,
             krate,
             is_bin,
             is_test,
+            roots_only,
         }
     }
 }

@@ -38,11 +38,12 @@ fn walk_dir(dir: &Path, out: &mut Vec<PathBuf>) -> io::Result<()> {
 /// Collects every workspace `.rs` source under `root`, returned as
 /// workspace-relative forward-slash paths in sorted order.
 ///
-/// The scan covers the façade package (`src/`, `tests/`, `examples/`) and
-/// every member under `crates/`.
+/// The scan covers the façade package (`src/`, `tests/`, `examples/`),
+/// every member under `crates/`, and `benchmark/src/`, which only the
+/// `unreached-pub-fn` rule reads (as roots).
 pub fn workspace_sources(root: &Path) -> io::Result<Vec<String>> {
     let mut files = Vec::new();
-    for top in ["src", "tests", "examples", "crates"] {
+    for top in ["src", "tests", "examples", "crates", "benchmark/src"] {
         let dir = root.join(top);
         if dir.is_dir() {
             walk_dir(&dir, &mut files)?;
@@ -74,6 +75,7 @@ mod tests {
         let files = workspace_sources(root).expect("walk succeeds");
         assert!(files.iter().any(|f| f == "crates/simcore/src/engine.rs"));
         assert!(files.iter().any(|f| f == "tests/determinism.rs"));
+        assert!(files.iter().any(|f| f == "benchmark/src/main.rs"));
         assert!(
             !files.iter().any(|f| f.contains("fixtures/")),
             "fixtures must be excluded from the walk"

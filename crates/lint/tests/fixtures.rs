@@ -46,7 +46,8 @@ const CASES: &[(&str, &str, &str, &str)] = &[
 ];
 
 /// Graph-layer rules need the full workspace pipeline (`lint_files`), not
-/// the token-only `lint_source` — the fixture is a one-file workspace.
+/// the token-only `lint_source` — the fixture is a one-file workspace
+/// plus [`ROOT`].
 const GRAPH_CASES: &[(&str, &str, &str, &str)] = &[
     (
         "seed-provenance",
@@ -60,7 +61,24 @@ const GRAPH_CASES: &[(&str, &str, &str, &str)] = &[
         include_str!("../fixtures/silent-result-drop/bad.rs"),
         include_str!("../fixtures/silent-result-drop/good.rs"),
     ),
+    (
+        "unreached-pub-fn",
+        "crates/metrics/src/fixture.rs",
+        include_str!("../fixtures/unreached-pub-fn/bad.rs"),
+        include_str!("../fixtures/unreached-pub-fn/good.rs"),
+    ),
 ];
+
+/// The integration test that calls every graph fixture's entry points.
+const ROOT: &str = include_str!("../fixtures/root.rs");
+
+/// A graph fixture as a workspace: the fixture file plus [`ROOT`].
+fn workspace(path: &str, src: &str) -> Vec<(String, String)> {
+    vec![
+        (path.to_string(), src.to_string()),
+        ("tests/fixture_root.rs".to_string(), ROOT.to_string()),
+    ]
+}
 
 #[test]
 fn every_rule_fires_on_bad_and_passes_good() {
@@ -93,14 +111,14 @@ fn good_fixtures_are_clean_under_all_rules() {
 #[test]
 fn every_graph_rule_fires_on_bad_and_passes_good() {
     for (rule, path, bad, good) in GRAPH_CASES {
-        let report = lint_files(&[(path.to_string(), bad.to_string())]);
+        let report = lint_files(&workspace(path, bad));
         let hits: Vec<_> = report.findings.iter().filter(|f| f.rule == *rule).collect();
         assert!(
             !hits.is_empty(),
             "rule {rule} did not fire on its bad fixture; findings: {:?}",
             report.findings
         );
-        let report = lint_files(&[(path.to_string(), good.to_string())]);
+        let report = lint_files(&workspace(path, good));
         let leaked: Vec<_> = report.findings.iter().filter(|f| f.rule == *rule).collect();
         assert!(
             leaked.is_empty(),
@@ -112,7 +130,7 @@ fn every_graph_rule_fires_on_bad_and_passes_good() {
 #[test]
 fn graph_good_fixtures_are_clean_under_the_full_pipeline() {
     for (rule, path, _, good) in GRAPH_CASES {
-        let report = lint_files(&[(path.to_string(), good.to_string())]);
+        let report = lint_files(&workspace(path, good));
         assert!(
             report.findings.is_empty(),
             "good fixture of {rule} has findings under other rules: {:?}",
@@ -124,7 +142,7 @@ fn graph_good_fixtures_are_clean_under_the_full_pipeline() {
 #[test]
 fn seed_provenance_findings_carry_witnesses() {
     let (_, path, bad, _) = GRAPH_CASES[0];
-    let report = lint_files(&[(path.to_string(), bad.to_string())]);
+    let report = lint_files(&workspace(path, bad));
     for f in report
         .findings
         .iter()
@@ -140,6 +158,20 @@ fn seed_provenance_findings_carry_witnesses() {
             f.witness
         );
     }
+}
+
+#[test]
+fn unreached_pub_fn_names_exactly_the_unreached_surface() {
+    let (_, path, bad, _) = GRAPH_CASES[2];
+    let report = lint_files(&workspace(path, bad));
+    let mut hits: Vec<&str> = report
+        .findings
+        .iter()
+        .filter(|f| f.rule == "unreached-pub-fn")
+        .map(|f| f.message.split_whitespace().nth(2).unwrap_or(""))
+        .collect();
+    hits.sort_unstable();
+    assert_eq!(hits, ["Report::mean_wake_latency_s", "legacy_csv"]);
 }
 
 #[test]

@@ -236,3 +236,112 @@ fn engine_run_entry_reaches_methods_by_name() {
     assert_eq!(purity.len(), 2, "{:?}", report.findings); // two HashMap tokens
     assert!(purity[0].witness.iter().any(|w| w.contains("Engine::run")));
 }
+
+/// A helper the sim path passes as a fn value is reached just like one
+/// it calls: `.map(stats::helper)` and `.map(|x| stats::helper(x))` both
+/// put the `HashMap` in `helper` on the sim path.
+#[test]
+fn fn_values_are_call_edges() {
+    for call in [
+        "loads.iter().map(stats::helper)",
+        "loads.iter().map(|x| stats::helper(x))",
+    ] {
+        let balance = format!(
+            "pub fn balance_round(seed: u64, loads: &[f64]) -> usize {{\n\
+                 {call}.count() + seed as usize\n\
+             }}\n"
+        );
+        let sources = ws(&[
+            ("crates/cluster/src/balance.rs", balance.as_str()),
+            (
+                "crates/metrics/src/stats.rs",
+                "pub fn helper(x: &f64) -> usize {\n\
+                     let seen: HashMap<u64, f64> = HashMap::new();\n\
+                     seen.len() + *x as usize\n\
+                 }\n",
+            ),
+        ]);
+        let report = lint_files(&sources);
+        let purity: Vec<_> = report
+            .findings
+            .iter()
+            .filter(|f| f.rule == "sim-path-purity" && f.path == "crates/metrics/src/stats.rs")
+            .collect();
+        assert!(!purity.is_empty(), "{call}: {:?}", report.findings);
+        assert!(
+            purity[0].witness[0].contains("balance_round"),
+            "{:?}",
+            purity[0]
+        );
+    }
+}
+
+/// What keeps a library `pub fn` reached: a doc test and another file's
+/// unit tests do; its own file's unit tests and a `pub use` re-export do
+/// not.
+#[test]
+fn unreached_pub_fn_roots() {
+    let sources = ws(&[
+        (
+            "crates/metrics/src/stats.rs",
+            "pub use crate::other::reexported;\n\
+             /// ```\n\
+             /// ecolb_metrics::stats::documented();\n\
+             /// ```\n\
+             pub fn documented() {}\n\
+             pub fn tested_elsewhere() {}\n\
+             pub fn tested_here() {}\n\
+             #[cfg(test)]\n\
+             mod tests { #[test] fn t() { super::tested_here(); } }\n",
+        ),
+        (
+            "crates/metrics/src/other.rs",
+            "pub fn reexported() {}\n\
+             #[cfg(test)]\n\
+             mod tests { #[test] fn t() { crate::stats::tested_elsewhere(); } }\n",
+        ),
+    ]);
+    let report = lint_files(&sources);
+    let unreached: Vec<&str> = report
+        .findings
+        .iter()
+        .filter(|f| f.rule == "unreached-pub-fn")
+        .map(|f| f.message.split_whitespace().nth(2).unwrap_or(""))
+        .collect();
+    assert_eq!(
+        unreached,
+        ["reexported", "tested_here"],
+        "{:?}",
+        report.findings
+    );
+}
+
+/// `benchmark/src` is read only as roots: its mentions keep library
+/// surface alive, and no rule reports on the benchmark file itself.
+#[test]
+fn benchmark_sources_are_roots_only() {
+    let sources = ws(&[
+        (
+            "crates/metrics/src/stats.rs",
+            "pub fn helper() -> u64 { 1 }\npub fn unused() -> u64 { 2 }\n",
+        ),
+        (
+            "benchmark/src/layers.rs",
+            "use std::collections::HashMap;\n\
+             pub fn probe() -> u64 {\n\
+                 let t = std::time::Instant::now();\n\
+                 let m: HashMap<u64, u64> = HashMap::new();\n\
+                 m.get(&1).copied().unwrap() + stats::helper() + t.elapsed().as_secs()\n\
+             }\n",
+        ),
+    ]);
+    let report = lint_files(&sources);
+    let found: Vec<(&str, &str)> = report
+        .findings
+        .iter()
+        .map(|f| (f.rule, f.path.as_str()))
+        .collect();
+    assert_eq!(found, [("unreached-pub-fn", "crates/metrics/src/stats.rs")]);
+    assert!(report.findings[0].message.contains("unused"));
+    assert!(report.panic_counts.is_empty(), "{:?}", report.panic_counts);
+}

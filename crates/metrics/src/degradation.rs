@@ -33,14 +33,6 @@ pub struct DegradationSummary {
 }
 
 impl DegradationSummary {
-    /// The summary of a run with no faults at all.
-    pub fn fault_free() -> Self {
-        DegradationSummary {
-            availability: 1.0,
-            ..DegradationSummary::default()
-        }
-    }
-
     /// True when any degradation at all was recorded.
     pub fn is_degraded(&self) -> bool {
         self.availability < 1.0
@@ -66,6 +58,16 @@ impl ToJson for DegradationSummary {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl DegradationSummary {
+        /// The summary of a run with no faults at all.
+        fn fault_free() -> Self {
+            DegradationSummary {
+                availability: 1.0,
+                ..DegradationSummary::default()
+            }
+        }
+    }
 
     #[test]
     fn fault_free_summary_is_not_degraded() {

@@ -49,5 +49,5 @@ pub use quantile::P2Quantile;
 pub use report::Report;
 pub use resilience::ResilienceCounters;
 pub use summary::OnlineStats;
-pub use table::{fmt_f, Align, Table};
+pub use table::{fmt_f, Table};
 pub use timeseries::TimeSeries;

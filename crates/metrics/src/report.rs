@@ -2,7 +2,7 @@
 //!
 //! Every experiment produces a [`Report`]: a named set of scalar metrics,
 //! series, and tables, serializable to JSON (via the in-repo
-//! [`ToJson`](crate::json::ToJson) emitter) and to CSV (series only,
+//! [`ToJson`] emitter) and to CSV (series only,
 //! hand-rolled writer — both formats are simple enough that a dependency
 //! is not warranted).
 
@@ -51,20 +51,10 @@ impl Report {
             .unwrap_or_else(|| panic!("report {:?} has no scalar {name:?}", self.id))
     }
 
-    /// Looks up a scalar without panicking.
-    pub fn try_get(&self, name: &str) -> Option<f64> {
-        self.scalars.get(name).copied()
-    }
-
     /// Attaches a series.
     pub fn push_series(&mut self, ts: TimeSeries) -> &mut Self {
         self.series.push(ts);
         self
-    }
-
-    /// Finds a series by name.
-    pub fn find_series(&self, name: &str) -> Option<&TimeSeries> {
-        self.series.iter().find(|s| s.name() == name)
     }
 
     /// Renders all series as a CSV document: a header row with series names,
@@ -97,15 +87,6 @@ impl Report {
     /// Renders the report as a JSON document via [`ToJson`].
     pub fn to_json(&self) -> String {
         ToJson::to_json(self)
-    }
-
-    /// Renders the scalar map as a two-column CSV.
-    pub fn scalars_csv(&self) -> String {
-        let mut out = String::from("metric,value\n");
-        for (k, v) in &self.scalars {
-            let _ = writeln!(out, "{},{v}", csv_escape(k));
-        }
-        out
     }
 }
 
@@ -151,7 +132,6 @@ mod tests {
         let mut r = Report::new("t", 1);
         r.scalar("energy_wh", 12.5);
         assert_eq!(r.get("energy_wh"), 12.5);
-        assert_eq!(r.try_get("missing"), None);
     }
 
     #[test]
@@ -173,30 +153,10 @@ mod tests {
     }
 
     #[test]
-    fn scalars_csv_sorted_and_escaped() {
-        let mut r = Report::new("t", 1);
-        r.scalar("z", 1.0);
-        r.scalar("a,comma", 2.0);
-        let csv = r.scalars_csv();
-        let lines: Vec<&str> = csv.lines().collect();
-        assert_eq!(lines[0], "metric,value");
-        assert_eq!(lines[1], "\"a,comma\",2");
-        assert_eq!(lines[2], "z,1");
-    }
-
-    #[test]
     fn csv_escape_rules() {
         assert_eq!(csv_escape("plain"), "plain");
         assert_eq!(csv_escape("a\"b"), "\"a\"\"b\"");
         assert_eq!(csv_escape("x\ny"), "\"x\ny\"");
-    }
-
-    #[test]
-    fn find_series_by_name() {
-        let mut r = Report::new("t", 1);
-        r.push_series(TimeSeries::from_values("ratio", vec![0.5]));
-        assert!(r.find_series("ratio").is_some());
-        assert!(r.find_series("other").is_none());
     }
 
     #[test]
@@ -225,6 +185,5 @@ mod tests {
     fn empty_report_csv() {
         let r = Report::new("t", 1);
         assert_eq!(r.series_csv(), "interval\n");
-        assert_eq!(r.scalars_csv(), "metric,value\n");
     }
 }

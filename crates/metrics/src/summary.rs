@@ -88,16 +88,6 @@ impl OnlineStats {
         }
     }
 
-    /// Population variance (divides by `n`); `0.0` for fewer than one
-    /// observation.
-    pub fn variance_population(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.m2 / self.count as f64
-        }
-    }
-
     /// Sample variance (divides by `n - 1`); `0.0` for fewer than two
     /// observations.
     pub fn variance(&self) -> f64 {
@@ -111,11 +101,6 @@ impl OnlineStats {
     /// Sample standard deviation.
     pub fn std_dev(&self) -> f64 {
         self.variance().sqrt()
-    }
-
-    /// Population standard deviation.
-    pub fn std_dev_population(&self) -> f64 {
-        self.variance_population().sqrt()
     }
 
     /// Smallest observation; `NaN` when empty.

@@ -6,38 +6,21 @@
 
 use std::fmt;
 
-/// Column alignment.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Align {
-    /// Left-aligned (text columns).
-    Left,
-    /// Right-aligned (numeric columns).
-    Right,
-}
-
 /// A simple text table builder.
 #[derive(Debug, Clone)]
 pub struct Table {
     title: Option<String>,
     headers: Vec<String>,
-    aligns: Vec<Align>,
     rows: Vec<Vec<String>>,
 }
 
 impl Table {
-    /// Creates a table with the given column headers; all columns default to
-    /// right alignment except the first.
+    /// Creates a table with the given column headers; the first column is
+    /// left-aligned (text), the others right-aligned (numbers).
     pub fn new<S: Into<String>>(headers: impl IntoIterator<Item = S>) -> Self {
-        let headers: Vec<String> = headers.into_iter().map(Into::into).collect();
-        let aligns = headers
-            .iter()
-            .enumerate()
-            .map(|(i, _)| if i == 0 { Align::Left } else { Align::Right })
-            .collect();
         Table {
             title: None,
-            headers,
-            aligns,
+            headers: headers.into_iter().map(Into::into).collect(),
             rows: Vec::new(),
         }
     }
@@ -45,12 +28,6 @@ impl Table {
     /// Sets a title printed above the table.
     pub fn with_title(mut self, title: impl Into<String>) -> Self {
         self.title = Some(title.into());
-        self
-    }
-
-    /// Overrides the alignment of column `i`.
-    pub fn align(mut self, i: usize, a: Align) -> Self {
-        self.aligns[i] = a;
         self
     }
 
@@ -67,11 +44,6 @@ impl Table {
         );
         self.rows.push(cells);
         self
-    }
-
-    /// Number of data rows.
-    pub fn n_rows(&self) -> usize {
-        self.rows.len()
     }
 
     fn widths(&self) -> Vec<usize> {
@@ -108,10 +80,11 @@ impl fmt::Display for Table {
         writeln!(f, "{sep}")?;
         for row in &self.rows {
             write!(f, "|")?;
-            for ((cell, w), a) in row.iter().zip(&widths).zip(&self.aligns) {
-                match a {
-                    Align::Left => write!(f, " {cell:<w$} |", w = *w)?,
-                    Align::Right => write!(f, " {cell:>w$} |", w = *w)?,
+            for (i, (cell, w)) in row.iter().zip(&widths).enumerate() {
+                if i == 0 {
+                    write!(f, " {cell:<w$} |", w = *w)?;
+                } else {
+                    write!(f, " {cell:>w$} |", w = *w)?;
                 }
             }
             writeln!(f)?;
@@ -161,22 +134,5 @@ mod tests {
         assert_eq!(fmt_f(-0.000001, 4), "0.0000");
         assert_eq!(fmt_f(-1.5, 2), "-1.50");
         assert_eq!(fmt_f(0.6490, 4), "0.6490");
-    }
-
-    #[test]
-    fn alignment_override() {
-        let mut t = Table::new(["a", "b"]).align(1, Align::Left);
-        t.row(["x", "y"]);
-        let out = t.to_string();
-        assert!(out.contains("| x | y |"));
-    }
-
-    #[test]
-    fn n_rows_counts() {
-        let mut t = Table::new(["a"]);
-        assert_eq!(t.n_rows(), 0);
-        t.row(["1"]);
-        t.row(["2"]);
-        assert_eq!(t.n_rows(), 2);
     }
 }

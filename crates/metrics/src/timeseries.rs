@@ -61,30 +61,6 @@ impl TimeSeries {
         OnlineStats::from_slice(&self.values)
     }
 
-    /// Summary over the tail starting at `from` (used by the paper's
-    /// "after the system stabilizes" observations).
-    pub fn stats_from(&self, from: usize) -> OnlineStats {
-        OnlineStats::from_slice(&self.values[from.min(self.values.len())..])
-    }
-
-    /// Trailing moving average with window `w` (the paper's moving-window
-    /// predictive policy uses the same primitive). Output has the same
-    /// length; early entries average the available prefix.
-    pub fn moving_average(&self, w: usize) -> Vec<f64> {
-        assert!(w > 0, "window must be positive");
-        let mut out = Vec::with_capacity(self.values.len());
-        let mut acc = 0.0;
-        for i in 0..self.values.len() {
-            acc += self.values[i];
-            if i >= w {
-                acc -= self.values[i - w];
-            }
-            let n = (i + 1).min(w);
-            out.push(acc / n as f64);
-        }
-        out
-    }
-
     /// First interval index where the value drops below `threshold` and
     /// stays below it for the remainder of the series; `None` if never.
     ///
@@ -135,27 +111,6 @@ mod tests {
         let s = ts.stats();
         assert_eq!(s.mean(), 2.5);
         assert_eq!(s.count(), 4);
-    }
-
-    #[test]
-    fn stats_from_tail() {
-        let ts = TimeSeries::from_values("x", vec![10.0, 10.0, 1.0, 1.0]);
-        assert_eq!(ts.stats_from(2).mean(), 1.0);
-        // Out-of-range start clamps to empty.
-        assert_eq!(ts.stats_from(99).count(), 0);
-    }
-
-    #[test]
-    fn moving_average_smooths() {
-        let ts = TimeSeries::from_values("x", vec![0.0, 2.0, 4.0, 6.0]);
-        let ma = ts.moving_average(2);
-        assert_eq!(ma, vec![0.0, 1.0, 3.0, 5.0]);
-    }
-
-    #[test]
-    fn moving_average_window_one_is_identity() {
-        let ts = TimeSeries::from_values("x", vec![3.0, 1.0, 4.0]);
-        assert_eq!(ts.moving_average(1), vec![3.0, 1.0, 4.0]);
     }
 
     #[test]

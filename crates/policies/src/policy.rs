@@ -2,7 +2,7 @@
 //!
 //! The paper surveys the policy space for deciding *when to switch servers
 //! to a sleep state*: the **reactive** policy, **reactive with extra
-//! capacity**, the conservative **AutoScale** policy of Gandhi et al. [9],
+//! capacity**, the conservative **AutoScale** policy of Gandhi et al. \[9\],
 //! two **predictive** policies (moving-window average and linear
 //! regression, [7, 24]), and the notion of an **optimal** policy that
 //! causes no SLA violations while keeping servers in their optimal regime.
@@ -82,7 +82,7 @@ impl CapacityPolicy for AlwaysOn {
     }
 }
 
-/// The reactive policy [22]: size exactly for the load just observed.
+/// The reactive policy \[22\]: size exactly for the load just observed.
 /// "Generally, this policy leads to SLA violations and could work only for
 /// slowly-varying and predictable loads" (§3).
 #[derive(Debug, Clone, Copy)]
@@ -122,7 +122,7 @@ impl CapacityPolicy for ReactiveExtraCapacity {
     }
 }
 
-/// AutoScale [9]: reactive scale-up, but *very conservative* scale-down —
+/// AutoScale \[9\]: reactive scale-up, but *very conservative* scale-down —
 /// a server is released only after the demand has been below the current
 /// capacity for `hold_steps` consecutive steps. "This can be advantageous
 /// for unpredictable, spiky loads" (§3).

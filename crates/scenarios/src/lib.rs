@@ -11,7 +11,7 @@
 //! so a `(scenario, policy, seed)` cell replays byte-identically.
 //!
 //! The [`tournament`] module runs every policy of a roster through
-//! every scenario of a [`catalog`] and scores the cells on five
+//! every scenario of a [`catalog`](fn@catalog) and scores the cells on five
 //! objectives — total energy, gold violation-seconds, bronze
 //! violation-seconds, p99 latency and failed requests — reducing each
 //! scenario to its Pareto-dominant policy set. The point of the frontier is that the

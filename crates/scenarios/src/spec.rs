@@ -2,7 +2,7 @@
 //!
 //! A [`ScenarioSpec`] is pure data: every field is a plain value, and
 //! [`ScenarioSpec::compile`] maps it onto a
-//! [`ServeConfig`](ecolb_serve::sim::ServeConfig) without drawing a
+//! [`ServeConfig`] without drawing a
 //! single random number. Spot reclaim times in particular are straight
 //! arithmetic (`first + i·spacing` on the highest server ids), so the
 //! fault plan a scenario produces is a function of the spec alone and

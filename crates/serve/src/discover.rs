@@ -4,7 +4,7 @@
 //! [`Discover`] exposes the current routable [`InstanceSet`] plus the
 //! [`Change`] events since the last poll — the deterministic analogue of
 //! volo's discovery push channel. [`ClusterDiscover`] implements it by
-//! snapshotting a [`Cluster`](ecolb_cluster::Cluster) at reallocation
+//! snapshotting a [`Cluster`] at reallocation
 //! boundaries and diffing successive snapshots, so wake/sleep/crash
 //! decisions made by the §4 consolidation policy surface to the pickers
 //! as membership changes, and migrations surface as instance updates.

@@ -8,23 +8,23 @@
 //! five pieces, shaped like the loadbalance module of a production RPC
 //! stack but fully deterministic and I/O-free:
 //!
-//! * [`discover`] — [`Discover`](discover::Discover): the live instance
-//!   set as canonical snapshots plus [`Change`](discover::Change)
+//! * [`discover`] — [`Discover`]: the live instance
+//!   set as canonical snapshots plus [`Change`]
 //!   notifications diffed from cluster events (wake/sleep/crash/
 //!   migration);
-//! * [`picker`] — [`Picker`](picker::Picker): deterministic routing
+//! * [`picker`] — [`Picker`]: deterministic routing
 //!   strategies — round-robin, least-loaded, power-of-two-choices
 //!   (keyed per request id) and the paper-native
-//!   [`RegimeAware`](picker::RegimeAware) router;
+//!   [`RegimeAware`] router;
 //! * [`queue`] — per-instance FIFO service queues in integer tick
 //!   arithmetic;
 //! * [`resilience`] — the request-level resilience layer: SLA-class
 //!   deadlines, budgeted retries with keyed backoff jitter, gold-class
 //!   hedging, per-instance circuit breakers and bronze-first load
-//!   shedding ([`ResiliencePolicy`](resilience::ResiliencePolicy)).
+//!   shedding ([`ResiliencePolicy`]).
 //!   Each mechanism is an `Option`, off when `None`; `disabled()`
 //!   (all `None`) is a structural no-op;
-//! * [`sim`] — [`ServeSim`](sim::ServeSim): one engine co-simulating
+//! * [`sim`] — [`ServeSim`]: one engine co-simulating
 //!   open-loop request traffic with the reallocation protocol, so
 //!   energy decisions and routing decisions interact and a picker
 //!   comparison yields an energy-vs-p99 frontier (EXPERIMENTS.md "RQ").
@@ -33,7 +33,7 @@
 //!   it was queued in.
 //!
 //! Everything is a pure function of `(config, seed)`: replaying a run
-//! byte-identically reproduces its [`ServeReport`](sim::ServeReport).
+//! byte-identically reproduces its [`ServeReport`].
 //! A future live backend replaces the discovery source and the clock —
 //! the pickers, queues and reports are backend-agnostic.
 //!

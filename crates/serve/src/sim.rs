@@ -17,15 +17,16 @@
 //!   additionally reads the regime classification itself);
 //! * **routing → energy** — a request's *effective* service time
 //!   stretches with the chosen server's load (`1/(1−load)` processor-
-//!   sharing slowdown), and each effective-service-second draws
-//!   [`ServeConfig::request_power_w`] scaled by the serving regime's
-//!   energy-proportionality factor ([`regime_energy_multiplier`]): work
+//!   sharing slowdown, load capped at `SLOWDOWN_LOAD_CAP`), and each
+//!   effective-service-second draws `REQUEST_POWER_W` scaled by the
+//!   serving regime's energy-proportionality factor
+//!   ([`regime_energy_multiplier`]): work
 //!   done on a nearly idle server amortizes its fixed power draw over
 //!   almost nothing, so a request served in R1/R2 costs more joules than
 //!   the same request served in the optimal band — the §3 argument,
 //!   applied per request. When the consolidation policy puts a server to sleep while
 //!   it still holds queued requests, the remaining backlog is charged at
-//!   [`ServeConfig::sleep_deferral_power_w`] — the server must stay up
+//!   `SLEEP_DEFERRAL_POWER_W` — the server must stay up
 //!   to drain before it can actually power down. A picker that keeps
 //!   routing to drain candidates therefore pays for it in joules, and a
 //!   picker that routes into overloaded servers pays in both joules and
@@ -55,6 +56,21 @@ use ecolb_simcore::time::{SimDuration, SimTime};
 use ecolb_trace::{NoTrace, TraceEventKind, Tracer};
 use ecolb_workload::processes::{RateModulation, SourceProfile};
 use ecolb_workload::requests::{service_time_s, OpenLoopSource, RequestId, RequestLoadSpec};
+
+/// Admission bound: a request is rejected when the chosen server already
+/// queues more than this many seconds of work.
+const REJECT_BACKLOG_S: f64 = 2.0;
+
+/// Marginal power drawn per effective-service-second, watts.
+const REQUEST_POWER_W: f64 = 40.0;
+
+/// Power charged while a sleeping-ordered server drains its request
+/// backlog, watts.
+const SLEEP_DEFERRAL_POWER_W: f64 = 120.0;
+
+/// Load cap in the `1/(1−load)` slowdown (keeps the stretch finite on
+/// saturated servers).
+const SLOWDOWN_LOAD_CAP: f64 = 0.9;
 
 /// Serving-layer configuration on top of a cluster configuration.
 #[derive(Debug, Clone, PartialEq)]
@@ -87,21 +103,10 @@ pub struct ServeConfig {
     pub picker: PickerKind,
     /// Reallocation intervals to simulate.
     pub intervals: u64,
-    /// Admission bound: a request is rejected when the chosen server
-    /// already queues more than this many seconds of work.
-    pub reject_backlog_s: f64,
     /// Gold-class latency objective, seconds.
     pub gold_objective_s: f64,
     /// Bronze-class latency objective, seconds.
     pub bronze_objective_s: f64,
-    /// Marginal power drawn per effective-service-second, watts.
-    pub request_power_w: f64,
-    /// Power charged while a sleeping-ordered server drains its request
-    /// backlog, watts.
-    pub sleep_deferral_power_w: f64,
-    /// Load cap in the `1/(1−load)` slowdown (keeps the stretch finite
-    /// on saturated servers).
-    pub slowdown_load_cap: f64,
     /// Latency histogram range `[0, hi)`, seconds.
     pub latency_hi_s: f64,
     /// Latency histogram bins.
@@ -114,7 +119,8 @@ pub struct ServeConfig {
 /// idle server amortizes its fixed power draw over very little work, so
 /// work placed in R1 costs about twice what the same work costs in R3;
 /// the saturated band pays a smaller premium (contention, not idle
-/// waste). The multiplier applies to [`ServeConfig::request_power_w`].
+/// waste). The multiplier applies to the `REQUEST_POWER_W` drawn per
+/// effective-service-second.
 pub fn regime_energy_multiplier(regime: OperatingRegime) -> f64 {
     match regime {
         OperatingRegime::UndesirableLow => 2.0,
@@ -139,12 +145,8 @@ impl ServeConfig {
             resilience: ResiliencePolicy::disabled(),
             picker,
             intervals,
-            reject_backlog_s: 2.0,
             gold_objective_s: 0.5,
             bronze_objective_s: 2.0,
-            request_power_w: 40.0,
-            sleep_deferral_power_w: 120.0,
-            slowdown_load_cap: 0.9,
             latency_hi_s: 8.0,
             latency_bins: 64,
         }
@@ -469,7 +471,7 @@ impl ServeSim {
             tracer,
             |_, _, _| Disposition::Deliver,
             |state, sched, event| match event {
-                ServeEvent::ReallocationTick => on_tick(state, sched, &cfg),
+                ServeEvent::ReallocationTick => on_tick(state, sched),
                 ServeEvent::Arrival { source } => on_arrival(state, sched, &cfg, source),
                 ServeEvent::Completion { server, epoch } => {
                     on_completion(state, sched, &cfg, server, epoch)
@@ -509,11 +511,7 @@ impl ServeSim {
 
 type Sched<'a, T> = ecolb_simcore::engine::Scheduler<'a, ServeEvent, T>;
 
-fn on_tick<T: Tracer>(
-    state: &mut ServeState,
-    sched: &mut Sched<'_, T>,
-    cfg: &ServeConfig,
-) -> Control {
+fn on_tick<T: Tracer>(state: &mut ServeState, sched: &mut Sched<'_, T>) -> Control {
     let now = sched.now();
     let ServeState {
         cluster, injector, ..
@@ -533,8 +531,7 @@ fn on_tick<T: Tracer>(
                 let backlog = state.queues.backlog(now, server);
                 if !backlog.is_zero() {
                     state.deferred_sleeps += 1;
-                    state.sleep_deferral_energy_j +=
-                        backlog.as_secs_f64() * cfg.sleep_deferral_power_w;
+                    state.sleep_deferral_energy_j += backlog.as_secs_f64() * SLEEP_DEFERRAL_POWER_W;
                 }
             }
             Change::Joined(server) => {
@@ -745,7 +742,7 @@ fn dispatch_attempt<T: Tracer>(
         return;
     }
 
-    if backlog_s > cfg.reject_backlog_s {
+    if backlog_s > REJECT_BACKLOG_S {
         fail_attempt(
             state,
             sched,
@@ -762,7 +759,7 @@ fn dispatch_attempt<T: Tracer>(
     // The service draw is keyed on the original request id, identical
     // across attempts.
     let service = service_time_s(state.seed, RequestId(request), cfg.load.mean_service_s);
-    let (eff, regime) = effective_service(state, cfg, server, service);
+    let (eff, regime) = effective_service(state, server, service);
 
     // Deadline guard: fail at dispatch what would miss its deadline
     // anyway, and feed the chosen server's breaker — a queue deep
@@ -809,7 +806,7 @@ fn dispatch_attempt<T: Tracer>(
         admitted_ticks,
         attempt,
     };
-    enqueue(state, sched, cfg, server, (eff, regime), primary);
+    enqueue(state, sched, server, (eff, regime), primary);
     if sched.tracer().enabled() {
         sched.tracer().event(
             now_ticks,
@@ -831,12 +828,12 @@ fn dispatch_attempt<T: Tracer>(
             state.discover.instances()
         };
         if let Some(alt) = hedge_alternate(hedge_set, &state.queues, now, server) {
-            let alt_service = effective_service(state, cfg, alt, service);
+            let alt_service = effective_service(state, alt, service);
             let twin = InFlight {
                 attempt: HEDGE_BIT,
                 ..primary
             };
-            enqueue(state, sched, cfg, alt, alt_service, twin);
+            enqueue(state, sched, alt, alt_service, twin);
             state.hedges.insert(
                 request,
                 HedgeTrack {
@@ -861,19 +858,14 @@ fn dispatch_attempt<T: Tracer>(
 /// Seconds of `service` on `server` stretched by its snapshot load
 /// (processor sharing under the background VM demand), and the regime
 /// that serves it.
-fn effective_service(
-    state: &ServeState,
-    cfg: &ServeConfig,
-    server: ServerId,
-    service: f64,
-) -> (f64, OperatingRegime) {
+fn effective_service(state: &ServeState, server: ServerId, service: f64) -> (f64, OperatingRegime) {
     let (load, regime) = state
         .discover
         .instances()
         .get(server.index())
         .map(|i| (i.load, i.regime))
         .unwrap_or((0.0, OperatingRegime::Optimal));
-    let eff = service / (1.0 - load.min(cfg.slowdown_load_cap)).max(1e-6);
+    let eff = service / (1.0 - load.min(SLOWDOWN_LOAD_CAP)).max(1e-6);
     (eff, regime)
 }
 
@@ -883,7 +875,6 @@ fn effective_service(
 fn enqueue<T: Tracer>(
     state: &mut ServeState,
     sched: &mut Sched<'_, T>,
-    cfg: &ServeConfig,
     server: ServerId,
     (eff, regime): (f64, OperatingRegime),
     entry: InFlight,
@@ -891,7 +882,7 @@ fn enqueue<T: Tracer>(
     let (_start, done) = state
         .queues
         .enqueue(sched.now(), server, SimDuration::from_secs_f64(eff));
-    state.serve_energy_j += eff * cfg.request_power_w * regime_energy_multiplier(regime);
+    state.serve_energy_j += eff * REQUEST_POWER_W * regime_energy_multiplier(regime);
     let ledger = &mut state.ledgers[server.index()];
     ledger.queued.push_back(entry);
     let epoch = ledger.epoch;

@@ -1,4 +1,4 @@
-//! Probability distributions on top of [`Rng`](crate::rng::Rng).
+//! Probability distributions on top of [`Rng`].
 //!
 //! Each distribution is a small value type with a `sample(&mut Rng)` method,
 //! plus the [`Distribution`] trait for generic call sites (workload
@@ -273,13 +273,6 @@ impl LogNormal {
         );
         LogNormal { mu, sigma }
     }
-
-    /// Parameterises the distribution by its own mean and the underlying
-    /// sigma: `mu = ln(mean) − sigma²/2`.
-    pub fn with_mean(mean: f64, sigma: f64) -> Self {
-        assert!(mean > 0.0, "mean must be positive, got {mean}");
-        LogNormal::new(mean.ln() - sigma * sigma / 2.0, sigma)
-    }
 }
 
 impl Distribution for LogNormal {
@@ -538,7 +531,8 @@ mod tests {
 
     #[test]
     fn lognormal_mean_matches() {
-        let d = LogNormal::with_mean(5.0, 0.5);
+        // mu = ln(mean) − sigma²/2 puts the mean at 5.
+        let d = LogNormal::new(5.0f64.ln() - 0.5 * 0.5 / 2.0, 0.5);
         let m = sample_mean(&d, 20, 400_000);
         assert!((m - 5.0).abs() < 0.05, "mean {m}");
         assert!((d.mean().unwrap() - 5.0).abs() < 1e-9);

@@ -13,7 +13,7 @@
 
 use ecolb_trace::{NoTrace, SpanKind, TraceEventKind, Tracer};
 
-use crate::event::{EventQueue, Priority};
+use crate::event::EventQueue;
 use crate::time::{SimDuration, SimTime};
 
 /// The scheduling interface handed to event handlers.
@@ -60,18 +60,6 @@ impl<'a, E, T: Tracer> Scheduler<'a, E, T> {
         );
         self.tracer.counter("engine.scheduled", 1);
         self.queue.schedule(at, event);
-    }
-
-    /// Schedules with an explicit same-instant priority.
-    #[inline]
-    pub fn schedule_at_with(&mut self, at: SimTime, prio: Priority, event: E) {
-        debug_assert!(
-            at >= self.now,
-            "scheduling into the past: {at} < {}",
-            self.now
-        );
-        self.tracer.counter("engine.scheduled", 1);
-        self.queue.schedule_with(at, prio, event);
     }
 
     /// Number of currently pending events.
@@ -198,11 +186,6 @@ impl<E> Engine<E> {
     /// Schedules an initial event before the run starts (or between runs).
     pub fn schedule_at(&mut self, at: SimTime, event: E) {
         self.queue.schedule(at, event);
-    }
-
-    /// Schedules an initial event with a same-instant priority.
-    pub fn schedule_at_with(&mut self, at: SimTime, prio: Priority, event: E) {
-        self.queue.schedule_with(at, prio, event);
     }
 
     /// Runs the loop until drained, horizon, budget, or handler stop.

@@ -71,12 +71,6 @@ impl Rng {
         result
     }
 
-    /// Next 32-bit output (high bits of the 64-bit draw).
-    #[inline]
-    pub fn next_u32(&mut self) -> u32 {
-        (self.next_u64() >> 32) as u32
-    }
-
     /// Uniform `f64` in the half-open interval `[0, 1)` with 53 bits of
     /// precision.
     #[inline]

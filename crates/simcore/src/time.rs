@@ -37,16 +37,6 @@ impl SimTime {
         SimTime(secs * TICKS_PER_SECOND)
     }
 
-    /// Creates a time from fractional simulated seconds, rounding to the
-    /// nearest tick. Negative values saturate to zero.
-    #[inline]
-    pub fn from_secs_f64(secs: f64) -> Self {
-        if secs <= 0.0 {
-            return SimTime::ZERO;
-        }
-        SimTime((secs * TICKS_PER_SECOND as f64).round() as u64)
-    }
-
     /// Raw microsecond ticks since the origin.
     #[inline]
     pub const fn ticks(self) -> u64 {
@@ -131,12 +121,6 @@ impl SimDuration {
     pub const fn is_zero(self) -> bool {
         self.0 == 0
     }
-
-    /// Multiplies the span by a non-negative factor, rounding to ticks.
-    #[inline]
-    pub fn mul_f64(self, factor: f64) -> SimDuration {
-        SimDuration::from_secs_f64(self.as_secs_f64() * factor)
-    }
 }
 
 impl fmt::Display for SimDuration {
@@ -218,9 +202,8 @@ mod tests {
 
     #[test]
     fn fractional_seconds_round_to_ticks() {
-        let t = SimTime::from_secs_f64(1.234_567_8);
-        assert_eq!(t.ticks(), 1_234_568);
-        assert_eq!(SimTime::from_secs_f64(-5.0), SimTime::ZERO);
+        let d = SimDuration::from_secs_f64(1.234_567_8);
+        assert_eq!(d.ticks(), 1_234_568);
         assert_eq!(SimDuration::from_secs_f64(-1.0), SimDuration::ZERO);
     }
 
@@ -263,13 +246,6 @@ mod tests {
     fn display_formats_seconds() {
         assert_eq!(SimTime::from_secs(2).to_string(), "2.000000s");
         assert_eq!(SimDuration::from_millis(250).to_string(), "0.250000s");
-    }
-
-    #[test]
-    fn mul_f64_scales() {
-        let d = SimDuration::from_secs(10);
-        assert_eq!(d.mul_f64(0.5), SimDuration::from_secs(5));
-        assert_eq!(d.mul_f64(0.0), SimDuration::ZERO);
     }
 
     #[test]

@@ -21,7 +21,7 @@
 //!   only through a `Failover` event and the election epoch advances by
 //!   exactly one per failover.
 //! * `leader_liveness` — a cluster with at least one non-crashed server
-//!   is not leaderless for more than the heartbeat timeout.
+//!   is not leaderless for more than [`HEARTBEAT_TIMEOUT_INTERVALS`].
 //! * `energy_accounting` — cumulative energy is finite, non-negative
 //!   and monotone non-decreasing.
 //! * `sla_accounting` — the saturation-violation count is monotone.
@@ -57,6 +57,12 @@ use crate::tracer::{SpanKind, Tracer};
 /// Server id used in violations that implicate the whole cluster
 /// rather than one server.
 pub const CLUSTER_WIDE: u32 = u32::MAX;
+
+/// Consecutive reallocation intervals without a leader heartbeat before
+/// the survivors elect a successor. The cluster's failover fires on it,
+/// and `leader_liveness` allows a live cluster that many leaderless
+/// intervals.
+pub const HEARTBEAT_TIMEOUT_INTERVALS: u32 = 2;
 
 /// Default number of trailing events kept as violation context.
 const DEFAULT_WINDOW: usize = 16;
@@ -122,7 +128,6 @@ struct DigestMark {
 #[derive(Debug, Clone)]
 pub struct InvariantChecker {
     total_servers: u32,
-    heartbeat_timeout: u32,
     abort_on_violation: bool,
     max_violations: usize,
     window: VecDeque<TraceEvent>,
@@ -156,7 +161,6 @@ impl InvariantChecker {
     pub fn new(total_servers: u32) -> Self {
         InvariantChecker {
             total_servers,
-            heartbeat_timeout: 2,
             abort_on_violation: true,
             max_violations: DEFAULT_MAX_VIOLATIONS,
             window: VecDeque::with_capacity(DEFAULT_WINDOW),
@@ -176,14 +180,6 @@ impl InvariantChecker {
             shed_pending: BTreeSet::new(),
             shed: BTreeSet::new(),
         }
-    }
-
-    /// Overrides the heartbeat timeout (intervals a live cluster may
-    /// stay leaderless before `leader_liveness` fires). Must match the
-    /// cluster's `RecoveryConfig::heartbeat_timeout_intervals`.
-    pub fn with_heartbeat_timeout(mut self, intervals: u32) -> Self {
-        self.heartbeat_timeout = intervals;
-        self
     }
 
     /// Keep simulating after a violation instead of requesting an
@@ -518,7 +514,7 @@ impl InvariantChecker {
         // -- leader_liveness ----------------------------------------------
         if leader_crashed && crashed < self.total_servers {
             self.leaderless_streak += 1;
-            if self.leaderless_streak > self.heartbeat_timeout {
+            if self.leaderless_streak > HEARTBEAT_TIMEOUT_INTERVALS {
                 self.report(
                     at,
                     "leader_liveness",
@@ -1141,9 +1137,7 @@ mod tests {
 
     #[test]
     fn stuck_leaderless_cluster_is_flagged() {
-        let mut c = InvariantChecker::new(4)
-            .with_heartbeat_timeout(2)
-            .keep_running();
+        let mut c = InvariantChecker::new(4).keep_running();
         c.event(50, TraceEventKind::ServerCrashed { server: 0 });
         for i in 0..4u64 {
             let d = D {

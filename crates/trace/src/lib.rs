@@ -41,7 +41,7 @@ pub mod ring;
 pub mod timeline;
 pub mod tracer;
 
-pub use check::{InvariantChecker, Violation, CLUSTER_WIDE};
+pub use check::{InvariantChecker, Violation, CLUSTER_WIDE, HEARTBEAT_TIMEOUT_INTERVALS};
 pub use event::{TraceEvent, TraceEventKind};
 pub use ring::{RingTracer, SpanStat, TraceSnapshot};
 pub use timeline::{DecisionLedgerView, RegimeTimeline};

@@ -1,4 +1,4 @@
-//! Applications and their demand dynamics.
+//! Applications and their demand-growth bounds.
 //!
 //! In the paper's heterogeneous model (§4) each server `S_k` hosts a set of
 //! applications `A_{i,k}`, each running in its own VM. An application has a
@@ -7,7 +7,6 @@
 //! the paper's central modelling assumption is that "the rate of workload
 //! increase is limited" per reallocation interval.
 
-use ecolb_simcore::rng::Rng;
 use std::fmt;
 
 /// Globally unique application identifier.
@@ -54,68 +53,6 @@ impl Application {
     }
 }
 
-/// How an application's demand evolves between reallocation intervals.
-///
-/// All variants respect the paper's bounded-rate requirement: the per-
-/// interval change never exceeds the application's `λ`.
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub enum GrowthModel {
-    /// Symmetric bounded random walk: `Δ ~ U[−λ, +λ]`. The cluster load is
-    /// (approximately) stationary — this is the regime of the paper's
-    /// Figure 3 experiments where the system settles.
-    #[default]
-    BoundedWalk,
-    /// Upward-biased walk: `Δ ~ U[−λ·(1−bias), +λ]`. Models the paper's
-    /// "accepting additional load" scenario.
-    BiasedWalk {
-        /// Bias in `[0, 1]`: 0 reduces to the symmetric walk, 1 makes the
-        /// demand non-decreasing.
-        bias: f64,
-    },
-    /// Monotone growth: `Δ ~ U[0, +λ]` — the worst case for consolidation.
-    MonotoneGrowth,
-    /// Mean-reverting walk around `target`: the draw is biased towards the
-    /// target with the given `strength ∈ [0, 1]`, still capped at ±λ.
-    MeanReverting {
-        /// Demand level the application reverts to.
-        target: f64,
-        /// Reversion strength per interval.
-        strength: f64,
-    },
-}
-
-impl GrowthModel {
-    /// Draws the demand delta for one reallocation interval. The result is
-    /// always within `[−λ, +λ]`.
-    pub fn sample_delta(&self, app: &Application, rng: &mut Rng) -> f64 {
-        let l = app.lambda;
-        let delta = match *self {
-            GrowthModel::BoundedWalk => rng.uniform(-l, l),
-            GrowthModel::BiasedWalk { bias } => {
-                let bias = bias.clamp(0.0, 1.0);
-                rng.uniform(-l * (1.0 - bias), l)
-            }
-            GrowthModel::MonotoneGrowth => rng.uniform(0.0, l),
-            GrowthModel::MeanReverting { target, strength } => {
-                let pull = (target - app.demand) * strength.clamp(0.0, 1.0);
-                (rng.uniform(-l, l) + pull).clamp(-l, l)
-            }
-        };
-        debug_assert!(delta.abs() <= l + 1e-12);
-        delta
-    }
-
-    /// Applies one interval of evolution to the application, clamping the
-    /// demand into `[0, 1]`, and returns the *requested* delta (the demand
-    /// change before clamping). The cluster layer uses the requested delta
-    /// to decide between vertical and horizontal scaling.
-    pub fn evolve(&self, app: &mut Application, rng: &mut Rng) -> f64 {
-        let delta = self.sample_delta(app, rng);
-        app.demand = (app.demand + delta).clamp(0.0, 1.0);
-        delta
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -135,122 +72,6 @@ mod tests {
     #[should_panic(expected = "outside")]
     fn rejects_demand_above_capacity() {
         app(1.5, 0.05);
-    }
-
-    #[test]
-    fn bounded_walk_respects_lambda() {
-        let a = app(0.5, 0.03);
-        let mut rng = Rng::new(1);
-        for _ in 0..5000 {
-            let d = GrowthModel::BoundedWalk.sample_delta(&a, &mut rng);
-            assert!(d.abs() <= 0.03 + 1e-12, "delta {d}");
-        }
-    }
-
-    #[test]
-    fn monotone_growth_never_decreases() {
-        let a = app(0.5, 0.03);
-        let mut rng = Rng::new(2);
-        for _ in 0..5000 {
-            assert!(GrowthModel::MonotoneGrowth.sample_delta(&a, &mut rng) >= 0.0);
-        }
-    }
-
-    #[test]
-    fn biased_walk_mean_is_positive() {
-        let a = app(0.5, 0.02);
-        let mut rng = Rng::new(3);
-        let g = GrowthModel::BiasedWalk { bias: 0.5 };
-        let mean: f64 = (0..20_000)
-            .map(|_| g.sample_delta(&a, &mut rng))
-            .sum::<f64>()
-            / 20_000.0;
-        assert!(mean > 0.003, "mean {mean}");
-    }
-
-    #[test]
-    fn full_bias_is_monotone() {
-        let a = app(0.5, 0.02);
-        let mut rng = Rng::new(4);
-        let g = GrowthModel::BiasedWalk { bias: 1.0 };
-        for _ in 0..2000 {
-            assert!(g.sample_delta(&a, &mut rng) >= 0.0);
-        }
-    }
-
-    #[test]
-    fn mean_reverting_pulls_towards_target() {
-        let mut rng = Rng::new(5);
-        let g = GrowthModel::MeanReverting {
-            target: 0.5,
-            strength: 0.5,
-        };
-        let high = app(0.9, 0.05);
-        let low = app(0.1, 0.05);
-        let mean_high: f64 = (0..20_000)
-            .map(|_| g.sample_delta(&high, &mut rng))
-            .sum::<f64>()
-            / 20_000.0;
-        let mean_low: f64 = (0..20_000)
-            .map(|_| g.sample_delta(&low, &mut rng))
-            .sum::<f64>()
-            / 20_000.0;
-        assert!(
-            mean_high < 0.0,
-            "overloaded app should trend down, mean {mean_high}"
-        );
-        assert!(
-            mean_low > 0.0,
-            "underloaded app should trend up, mean {mean_low}"
-        );
-    }
-
-    #[test]
-    fn evolve_clamps_demand() {
-        let mut rng = Rng::new(6);
-        let g = GrowthModel::MonotoneGrowth;
-        let mut a = app(0.999, 0.5);
-        for _ in 0..50 {
-            g.evolve(&mut a, &mut rng);
-            assert!((0.0..=1.0).contains(&a.demand));
-        }
-        assert!(a.demand <= 1.0);
-    }
-
-    #[test]
-    fn evolve_returns_requested_delta_even_when_clamped() {
-        let mut rng = Rng::new(7);
-        // lambda so large the clamp must kick in.
-        let mut a = app(0.99, 0.5);
-        let g = GrowthModel::MonotoneGrowth;
-        let mut saw_clamped_request = false;
-        for _ in 0..100 {
-            let before = a.demand;
-            let req = g.evolve(&mut a, &mut rng);
-            let applied = a.demand - before;
-            if req > applied + 1e-9 {
-                saw_clamped_request = true;
-            }
-        }
-        assert!(
-            saw_clamped_request,
-            "expected at least one clamped growth request"
-        );
-    }
-
-    #[test]
-    fn zero_lambda_is_frozen() {
-        let mut rng = Rng::new(8);
-        let mut a = app(0.4, 0.0);
-        for g in [
-            GrowthModel::BoundedWalk,
-            GrowthModel::MonotoneGrowth,
-            GrowthModel::BiasedWalk { bias: 0.3 },
-        ] {
-            let d = g.evolve(&mut a, &mut rng);
-            assert_eq!(d, 0.0);
-            assert_eq!(a.demand, 0.4);
-        }
     }
 
     #[test]

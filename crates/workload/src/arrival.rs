@@ -42,12 +42,6 @@ impl ArrivalProcess {
         let count = Poisson::new(rate * self.step_seconds).sample_count(&mut self.rng);
         (rate, count)
     }
-
-    /// Observed arrival rate for the next step, in requests/second.
-    pub fn next_observed_rate(&mut self) -> f64 {
-        let (_, count) = self.next_step();
-        count as f64 / self.step_seconds
-    }
 }
 
 #[cfg(test)]
@@ -87,15 +81,6 @@ mod tests {
         let one = mk(1.0);
         let ten = mk(10.0);
         assert!((ten / one - 10.0).abs() < 0.5, "ratio {}", ten / one);
-    }
-
-    #[test]
-    fn observed_rate_normalises_by_step() {
-        let trace = TraceGenerator::new(TraceShape::Flat { rate: 30.0 }, 1);
-        let mut ap = ArrivalProcess::new(trace, 5, 10.0);
-        let n = 5000;
-        let mean: f64 = (0..n).map(|_| ap.next_observed_rate()).sum::<f64>() / n as f64;
-        assert!((mean - 30.0).abs() < 0.5, "mean {mean}");
     }
 
     #[test]

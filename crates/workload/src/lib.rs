@@ -3,8 +3,8 @@
 //! Workload modelling for the `ecolb` suite:
 //!
 //! * [`application`] — applications `A_{i,k}` with bounded demand-growth
-//!   rates `λ_{i,k}` and the growth models that evolve them per
-//!   reallocation interval (paper §4);
+//!   rates `λ_{i,k}`, the per-interval bound within which the cluster
+//!   layer draws each application's growth (paper §4);
 //! * [`generator`] — initial placement drawing per-server loads from the
 //!   paper's uniform bands (20–40 %, 60–80 %, 10–90 %);
 //! * [`traces`] — the §3 request-rate taxonomy (flat, diurnal, step, spiky,
@@ -41,7 +41,7 @@ pub mod requests;
 pub mod slo;
 pub mod traces;
 
-pub use application::{AppId, Application, GrowthModel};
+pub use application::{AppId, Application};
 pub use arrival::ArrivalProcess;
 pub use generator::{generate_server_apps, total_demand, AppIdAllocator, WorkloadSpec};
 pub use processes::{DiurnalSpec, FlashCrowdSpec, RateModulation, SourceProfile};

@@ -82,18 +82,6 @@ pub struct DiurnalSpec {
     pub correlation: f64,
 }
 
-impl DiurnalSpec {
-    /// A strong in-phase wave: ±70 % swing on a 240 s period, fully
-    /// correlated across sources.
-    pub fn correlated() -> Self {
-        DiurnalSpec {
-            period_s: 240.0,
-            amplitude: 0.7,
-            correlation: 1.0,
-        }
-    }
-}
-
 /// How a scenario modulates the arrival rates of its sources over time.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum RateModulation {
@@ -187,34 +175,6 @@ impl SourceProfile {
         matches!(self, SourceProfile::Flat)
     }
 
-    /// The rate multiplier `m(t)` at absolute time `t_s`.
-    pub fn multiplier_at(&self, t_s: f64) -> f64 {
-        match *self {
-            SourceProfile::Flat => 1.0,
-            SourceProfile::Flash {
-                burst,
-                onset_s,
-                ramp_s,
-                decay_s,
-            } => {
-                let peak_s = onset_s + ramp_s;
-                let shape = if t_s <= onset_s {
-                    0.0
-                } else if t_s < peak_s {
-                    (t_s - onset_s) / ramp_s
-                } else {
-                    (-(t_s - peak_s) / decay_s).exp()
-                };
-                1.0 + burst * shape
-            }
-            SourceProfile::Diurnal {
-                period_s,
-                amplitude,
-                phase_s,
-            } => 1.0 + amplitude * (std::f64::consts::TAU * (t_s + phase_s) / period_s).sin(),
-        }
-    }
-
     /// Closed-form `∫ m(t) dt` over `[from_s, to_s]` (`from_s ≤ to_s`).
     pub fn integral(&self, from_s: f64, to_s: f64) -> f64 {
         let span = (to_s - from_s).max(0.0);
@@ -305,6 +265,49 @@ mod tests {
     use super::*;
     use crate::application::AppId;
     use crate::requests::SlaClass;
+
+    impl DiurnalSpec {
+        /// A strong in-phase wave: ±70 % swing on a 240 s period, fully
+        /// correlated across sources.
+        fn correlated() -> Self {
+            DiurnalSpec {
+                period_s: 240.0,
+                amplitude: 0.7,
+                correlation: 1.0,
+            }
+        }
+    }
+
+    impl SourceProfile {
+        /// The rate multiplier `m(t)` at absolute time `t_s`: the oracle
+        /// the closed-form [`SourceProfile::integral`] is checked against.
+        fn multiplier_at(&self, t_s: f64) -> f64 {
+            match *self {
+                SourceProfile::Flat => 1.0,
+                SourceProfile::Flash {
+                    burst,
+                    onset_s,
+                    ramp_s,
+                    decay_s,
+                } => {
+                    let peak_s = onset_s + ramp_s;
+                    let shape = if t_s <= onset_s {
+                        0.0
+                    } else if t_s < peak_s {
+                        (t_s - onset_s) / ramp_s
+                    } else {
+                        (-(t_s - peak_s) / decay_s).exp()
+                    };
+                    1.0 + burst * shape
+                }
+                SourceProfile::Diurnal {
+                    period_s,
+                    amplitude,
+                    phase_s,
+                } => 1.0 + amplitude * (std::f64::consts::TAU * (t_s + phase_s) / period_s).sin(),
+            }
+        }
+    }
 
     fn source(seed: u64, idx: u64, rate: f64) -> OpenLoopSource {
         OpenLoopSource::new(seed, idx, AppId(idx), rate, SlaClass::Bronze)

@@ -8,7 +8,6 @@
 use ecolb_bench::DEFAULT_SEED;
 use ecolb_cluster::cluster::{Cluster, ClusterConfig};
 use ecolb_cluster::mix::ServerMix;
-use ecolb_cluster::recovery::RecoveryConfig;
 use ecolb_faults::plan::FaultPlan;
 use ecolb_faults::sim::FaultyClusterSim;
 use ecolb_trace::InvariantChecker;
@@ -25,8 +24,7 @@ fn mixed_config(n_servers: usize) -> ClusterConfig {
 #[test]
 fn mixed_fleet_run_is_clean_under_the_invariant_checker() {
     let n_servers = 24;
-    let mut checker = InvariantChecker::new(n_servers as u32)
-        .with_heartbeat_timeout(RecoveryConfig::default().heartbeat_timeout_intervals);
+    let mut checker = InvariantChecker::new(n_servers as u32);
     let report = FaultyClusterSim::new(
         mixed_config(n_servers),
         DEFAULT_SEED,
