@@ -379,7 +379,7 @@ fn shed_phase(
             continue; // already relieved by an earlier donor's receiver churn
         }
         let donor_regime = servers[donor.index()].regime();
-        leader.receive_assistance_request(donor, donor_regime);
+        leader.receive_assistance_request();
         tracer.event(
             now.ticks(),
             TraceEventKind::AssistanceRequested {
@@ -552,7 +552,7 @@ fn drain_phase(
             continue; // regime changed due to earlier drains landing here
         }
         processed += 1;
-        leader.receive_assistance_request(cand, OperatingRegime::UndesirableLow);
+        leader.receive_assistance_request();
         tracer.event(
             now.ticks(),
             TraceEventKind::AssistanceRequested {

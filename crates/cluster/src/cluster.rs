@@ -26,7 +26,6 @@ use crate::balance::{
     MigrationRecord,
 };
 use crate::leader::Leader;
-use crate::messages::Message;
 use crate::migration::MigrationCostModel;
 use crate::mix::ServerMix;
 use crate::recovery::{FaultHooks, NoFaults, RecoveryStats};
@@ -488,8 +487,8 @@ impl Cluster {
         // room below their opt_high ceiling, fullest first (best-fit keeps
         // the workload concentrated). Remaining room is tracked locally so
         // one pool serves the whole interval; the buffer itself is interval
-        // scratch, reused across intervals.
-        let pool = &mut self.scratch.pool;
+        // scratch, reused across intervals (taken here, handed back below).
+        let mut pool = std::mem::take(&mut self.scratch.pool);
         pool.clear();
         pool.extend(
             self.servers
@@ -506,6 +505,7 @@ impl Cluster {
             if !self.servers[i].is_awake() {
                 continue;
             }
+            let from = ServerId(i as u32);
             let n_apps = self.servers[i].app_count();
             let mut retire = false;
             for a in 0..n_apps {
@@ -517,19 +517,19 @@ impl Cluster {
                         (app.id, app.demand, app.lambda, app.vm_image_gib)
                     };
                     let delta = self.rng.uniform(0.0, lambda);
-                    if demand + delta > vm_cap {
+                    let mut vacated = false;
+                    let decision = if demand + delta > vm_cap {
                         // The VM is at its size ceiling: the application
                         // must **scale out** — a new VM on another, lightly
                         // loaded server (the paper's horizontal scaling:
                         // "creation of additional VMs … on lightly loaded
                         // servers"). The VM image travels, so this is an
                         // in-cluster decision.
-                        let slot = pool
+                        match pool
                             .iter_mut()
-                            .find(|(id, room)| *id != ServerId(i as u32) && *room >= delta);
-                        match slot {
-                            Some((rx_id, room)) => {
-                                let rx = *rx_id;
+                            .find(|(id, room)| *id != from && *room >= delta)
+                        {
+                            Some((rx, room)) => {
                                 *room -= delta;
                                 let new_lambda = self.rng.uniform(
                                     self.config.workload.lambda_lo,
@@ -541,44 +541,10 @@ impl Cluster {
                                     new_lambda,
                                     image,
                                 );
-                                let cost = self.config.migration.cost_of(&vm);
-                                self.migration_energy_j += cost.energy_j;
-                                self.migrations += 1;
-                                self.servers[rx.index()].migrations_in += 1;
-                                tracer.event(
-                                    self.now.ticks(),
-                                    TraceEventKind::Migration {
-                                        from: i as u32,
-                                        to: rx.0,
-                                        app: vm.id.0,
-                                        demand: vm.demand,
-                                    },
-                                );
-                                self.interval_migrations.push(MigrationRecord {
-                                    from: ServerId(i as u32),
-                                    to: rx,
-                                    app: vm.id,
-                                    demand: vm.demand,
-                                    cost,
-                                });
-                                self.servers[rx.index()].place_app(vm);
-                                self.ledger.record(DecisionKind::InClusterHorizontal);
-                                tracer.event(
-                                    self.now.ticks(),
-                                    TraceEventKind::Decision {
-                                        decision: DecisionKind::InClusterHorizontal.label(),
-                                    },
-                                );
+                                self.land(from, *rx, vm, tracer);
+                                DecisionKind::InClusterHorizontal
                             }
-                            None => {
-                                self.ledger.record(DecisionKind::Deferred);
-                                tracer.event(
-                                    self.now.ticks(),
-                                    TraceEventKind::Decision {
-                                        decision: DecisionKind::Deferred.label(),
-                                    },
-                                );
-                            }
+                            None => DecisionKind::Deferred,
                         }
                     } else if self.servers[i].load() + delta
                         <= self.servers[i].boundaries().sopt_high
@@ -589,80 +555,44 @@ impl Cluster {
                         // the server leaves its optimal band. Grow in place.
                         self.servers[i].apps_mut()[a].demand += delta;
                         self.servers[i].refresh_load();
-                        self.ledger.record(DecisionKind::LocalVertical);
-                        tracer.event(
-                            self.now.ticks(),
-                            TraceEventKind::Decision {
-                                decision: DecisionKind::LocalVertical.label(),
-                            },
-                        );
+                        DecisionKind::LocalVertical
                     } else {
                         // No local headroom: migrate the grown VM elsewhere.
-                        let grown = demand + delta;
-                        let slot = pool
-                            .iter_mut()
-                            .find(|(id, room)| *id != ServerId(i as u32) && *room >= grown);
                         // Take the app before reserving receiver room so a
                         // missing app degrades to a deferred decision
                         // instead of leaking pool capacity.
-                        let taken = match slot {
-                            Some((rx_id, room)) => match self.servers[i].take_app(app_id) {
-                                Some(app) => {
-                                    let rx = *rx_id;
-                                    *room -= grown;
-                                    Some((rx, app))
-                                }
-                                None => None,
-                            },
-                            None => None,
-                        };
+                        let grown = demand + delta;
+                        let taken = pool
+                            .iter_mut()
+                            .find(|(id, room)| *id != from && *room >= grown)
+                            .and_then(|(rx, room)| {
+                                let app = self.servers[i].take_app(app_id)?;
+                                *room -= grown;
+                                Some((*rx, app))
+                            });
                         match taken {
                             Some((rx, mut app)) => {
                                 app.demand = grown;
-                                let cost = self.config.migration.cost_of(&app);
-                                self.migration_energy_j += cost.energy_j;
-                                self.migrations += 1;
                                 self.servers[i].migrations_out += 1;
-                                self.servers[rx.index()].migrations_in += 1;
-                                tracer.event(
-                                    self.now.ticks(),
-                                    TraceEventKind::Migration {
-                                        from: i as u32,
-                                        to: rx.0,
-                                        app: app.id.0,
-                                        demand: app.demand,
-                                    },
-                                );
-                                self.interval_migrations.push(MigrationRecord {
-                                    from: ServerId(i as u32),
-                                    to: rx,
-                                    app: app.id,
-                                    demand: app.demand,
-                                    cost,
-                                });
-                                self.servers[rx.index()].place_app(app);
-                                self.ledger.record(DecisionKind::InClusterHorizontal);
-                                tracer.event(
-                                    self.now.ticks(),
-                                    TraceEventKind::Decision {
-                                        decision: DecisionKind::InClusterHorizontal.label(),
-                                    },
-                                );
-                                // The app vacated slot `a`; stop iterating
-                                // this server's tail conservatively
-                                // (swap_remove reordered the apps).
-                                break;
+                                self.land(from, rx, app, tracer);
+                                vacated = true;
+                                DecisionKind::InClusterHorizontal
                             }
-                            None => {
-                                self.ledger.record(DecisionKind::Deferred);
-                                tracer.event(
-                                    self.now.ticks(),
-                                    TraceEventKind::Decision {
-                                        decision: DecisionKind::Deferred.label(),
-                                    },
-                                );
-                            }
+                            None => DecisionKind::Deferred,
                         }
+                    };
+                    self.ledger.record(decision);
+                    tracer.event(
+                        self.now.ticks(),
+                        TraceEventKind::Decision {
+                            decision: decision.label(),
+                        },
+                    );
+                    if vacated {
+                        // The app vacated slot `a`; stop iterating this
+                        // server's tail conservatively (swap_remove
+                        // reordered the apps).
+                        break;
                     }
                 } else if r < self.config.growth_prob + self.config.shrink_prob {
                     // Silent decay of U(0, λ]; idle VMs are decommissioned.
@@ -685,6 +615,34 @@ impl Cluster {
                 self.servers[i].refresh_load();
             }
         }
+        self.scratch.pool = pool;
+    }
+
+    /// Lands `app` on `to` as an in-cluster migration from `from`: costs
+    /// it, counts it, traces it, records it for the interval, and places
+    /// it.
+    fn land(&mut self, from: ServerId, to: ServerId, app: Application, tracer: &mut dyn Tracer) {
+        let cost = self.config.migration.cost_of(&app);
+        self.migration_energy_j += cost.energy_j;
+        self.migrations += 1;
+        self.servers[to.index()].migrations_in += 1;
+        tracer.event(
+            self.now.ticks(),
+            TraceEventKind::Migration {
+                from: from.0,
+                to: to.0,
+                app: app.id.0,
+                demand: app.demand,
+            },
+        );
+        self.interval_migrations.push(MigrationRecord {
+            from,
+            to,
+            app: app.id,
+            demand: app.demand,
+            cost,
+        });
+        self.servers[to.index()].place_app(app);
     }
 
     /// Server currently hosting the leader role.
@@ -803,10 +761,7 @@ impl Cluster {
                 epoch: self.leader_epoch,
             },
         );
-        self.leader.observe(&Message::LeaderElected {
-            leader: new_leader,
-            epoch: self.leader_epoch,
-        });
+        self.leader.stats.elections += 1;
         self.leader.reset_directory();
         self.leader.full_report_sweep(&self.servers);
         for s in &self.servers {
@@ -829,10 +784,7 @@ impl Cluster {
         if !self.servers[self.leader_host.index()].is_crashed() {
             self.missed_heartbeats = 0;
             self.recovery_stats.heartbeats_sent += 1;
-            self.leader.observe(&Message::Heartbeat {
-                leader: self.leader_host,
-                epoch: self.leader_epoch,
-            });
+            self.leader.stats.heartbeats += 1;
             tracer.event(
                 self.now.ticks(),
                 TraceEventKind::HeartbeatSent {

@@ -102,11 +102,6 @@ impl Federation {
         &self.clusters
     }
 
-    /// Cross-cluster migrations so far.
-    pub fn cross_migrations(&self) -> u64 {
-        self.cross_migrations
-    }
-
     /// Load fraction of each cluster.
     pub fn loads(&self) -> Vec<f64> {
         self.clusters.iter().map(Cluster::load_fraction).collect()

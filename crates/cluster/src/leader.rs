@@ -7,7 +7,7 @@
 //! potential partners"* — it only brokers candidates and issues wake
 //! orders.
 
-use crate::messages::{Message, MessageStats};
+use crate::messages::MessageStats;
 use crate::server::{Server, ServerId};
 use ecolb_energy::regimes::{OperatingRegime, RegimeCensus};
 
@@ -41,7 +41,8 @@ pub struct DirectoryEntry {
 #[derive(Debug, Clone)]
 pub struct Leader {
     directory: Vec<Option<DirectoryEntry>>,
-    stats: MessageStats,
+    /// Messages of the protocol, counted by kind.
+    pub(crate) stats: MessageStats,
     /// Count of directory entries with `!sleeping && regime.is_underloaded()`.
     underloaded_awake: u32,
     /// Count of directory entries with `!sleeping && regime.is_overloaded()`.
@@ -108,11 +109,6 @@ impl Leader {
         self.donors = None;
     }
 
-    /// Number of directory slots.
-    pub fn capacity(&self) -> usize {
-        self.directory.len()
-    }
-
     /// Ingests a regime report (paper: "the leader is informed
     /// periodically about the regime of each server of the cluster").
     pub fn receive_report(
@@ -122,8 +118,7 @@ impl Leader {
         load: f64,
         sleeping: bool,
     ) {
-        let msg = Message::RegimeReport { from, regime, load };
-        self.stats.record(&msg);
+        self.stats.regime_reports += 1;
         self.invalidate_partner_lists();
         let entry = DirectoryEntry {
             regime,
@@ -183,9 +178,7 @@ impl Leader {
     pub fn find_receivers_into(&mut self, requester: ServerId, out: &mut Vec<ServerId>) {
         out.clear();
         // The reply — possibly an empty list — always counts as one
-        // partner-list message; the variant counter is all `record` would
-        // update, so bump it directly instead of materialising a
-        // `Message::PartnerList` with a cloned candidate vec.
+        // partner-list message.
         self.stats.partner_lists += 1;
         if self.underloaded_awake == 0 {
             return;
@@ -250,7 +243,7 @@ impl Leader {
 
     /// Issues (and accounts) a wake order.
     pub fn issue_wake_order(&mut self, to: ServerId) {
-        self.stats.record(&Message::WakeOrder { to });
+        self.stats.wake_orders += 1;
         self.invalidate_partner_lists();
         if let Some(e) = &mut self.directory[to.index()] {
             let (u, o) = occupancy(e);
@@ -288,15 +281,8 @@ impl Leader {
     }
 
     /// Records an assistance request from a server.
-    pub fn receive_assistance_request(&mut self, from: ServerId, regime: OperatingRegime) {
-        self.stats
-            .record(&Message::AssistanceRequest { from, regime });
-    }
-
-    /// Records a server↔server negotiation message (for cluster-wide
-    /// accounting; negotiation itself is peer-to-peer).
-    pub fn observe(&mut self, msg: &Message) {
-        self.stats.record(msg);
+    pub fn receive_assistance_request(&mut self) {
+        self.stats.assistance_requests += 1;
     }
 
     /// Cluster-wide message statistics.
@@ -509,7 +495,7 @@ mod tests {
     #[test]
     fn assistance_requests_counted() {
         let mut leader = Leader::new(1);
-        leader.receive_assistance_request(ServerId(0), OperatingRegime::UndesirableHigh);
+        leader.receive_assistance_request();
         assert_eq!(leader.stats().assistance_requests, 1);
     }
 }

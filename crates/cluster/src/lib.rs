@@ -7,7 +7,8 @@
 //!   energy meters;
 //! * [`leader`] — the star-topology cluster leader: regime directory,
 //!   partner search, wake orders;
-//! * [`messages`] — the protocol vocabulary and `j_k` communication costs;
+//! * [`messages`] — the leader's per-kind message counts and the retry
+//!   policy for messages lost on a faulty link;
 //! * [`migration`] — the VM migration cost model (§3 questions 5–8);
 //! * [`scaling`] — vertical vs horizontal decisions and the
 //!   in-cluster/local ratio ledger (Figure 3 / Table 2);
@@ -62,7 +63,7 @@ pub use cluster::{Cluster, ClusterConfig, ClusterRunReport};
 pub use federation::{Federation, FederationConfig, FederationReport};
 pub use instances::InstanceInfo;
 pub use leader::Leader;
-pub use messages::{CommLedger, Message, MessageStats, RetryPolicy};
+pub use messages::{MessageStats, RetryPolicy};
 pub use migration::{MigrationCost, MigrationCostModel};
 pub use mix::ServerMix;
 pub use recovery::{FaultEventKind, FaultHooks, NoFaults, RecoveryStats};

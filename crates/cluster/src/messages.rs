@@ -1,138 +1,12 @@
-//! Leader ↔ server messaging and communication-cost accounting.
+//! Leader ↔ server message accounting and retry policy.
 //!
 //! The paper's cluster is organised as a **star topology**: every server is
 //! connected to the leader, reports its regime periodically, and the leader
-//! brokers load-balancing partners (§4). Each server also tracks
-//! `j_k(t + τ_k)` — *"cost of communication and data transfer to or from
-//! the leader for the next reallocation interval"*. This module defines
-//! the message vocabulary and the per-server communication ledger behind
-//! `j_k`.
+//! brokers load-balancing partners (§4). The leader counts the messages of
+//! that protocol by kind ([`MessageStats`]); [`RetryPolicy`] bounds the
+//! resends of a message lost on a faulty link.
 
-use crate::server::ServerId;
-use ecolb_energy::regimes::OperatingRegime;
 use ecolb_simcore::time::SimDuration;
-use ecolb_workload::application::AppId;
-
-/// Protocol messages exchanged over the star topology.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Message {
-    /// Server → leader periodic report of its regime and load.
-    RegimeReport {
-        /// Reporting server.
-        from: ServerId,
-        /// Regime it will operate in next interval.
-        regime: OperatingRegime,
-        /// Its current normalized load.
-        load: f64,
-    },
-    /// Server → leader: R1/R5 notification requesting partner search.
-    AssistanceRequest {
-        /// Requesting server.
-        from: ServerId,
-        /// Regime that triggered the request.
-        regime: OperatingRegime,
-    },
-    /// Leader → server: candidate partners with estimated transfer costs.
-    PartnerList {
-        /// Receiving server.
-        to: ServerId,
-        /// `(candidate, candidate load)` pairs.
-        candidates: Vec<(ServerId, f64)>,
-    },
-    /// Server ↔ server: direct negotiation proposing a VM transfer.
-    TransferProposal {
-        /// Donor server.
-        from: ServerId,
-        /// Proposed receiver.
-        to: ServerId,
-        /// Application (VM) to move.
-        app: AppId,
-        /// Demand of the application.
-        demand: f64,
-    },
-    /// Receiver's answer to a proposal.
-    TransferAnswer {
-        /// Answering server.
-        from: ServerId,
-        /// Original donor.
-        to: ServerId,
-        /// Application concerned.
-        app: AppId,
-        /// Acceptance flag.
-        accept: bool,
-    },
-    /// Leader → sleeping server: wake-up order (R5 with no partners, §4
-    /// action 5).
-    WakeOrder {
-        /// Server to wake.
-        to: ServerId,
-    },
-    /// Leader → all servers: periodic liveness beacon. Missing beacons
-    /// trigger timeout-based failover in the recovery protocol.
-    Heartbeat {
-        /// Current leader.
-        leader: ServerId,
-        /// Election epoch the beacon belongs to.
-        epoch: u64,
-    },
-    /// Broadcast announcing a completed failover: the new leader and the
-    /// epoch it starts.
-    LeaderElected {
-        /// Newly elected leader (lowest-id live server).
-        leader: ServerId,
-        /// New election epoch.
-        epoch: u64,
-    },
-}
-
-impl Message {
-    /// Approximate wire size in bytes, used for the communication-cost
-    /// model. Control messages are small and fixed-size; the partner list
-    /// scales with its length.
-    pub fn wire_bytes(&self) -> u64 {
-        match self {
-            Message::RegimeReport { .. } => 24,
-            Message::AssistanceRequest { .. } => 16,
-            Message::PartnerList { candidates, .. } => 16 + 12 * candidates.len() as u64,
-            Message::TransferProposal { .. } => 32,
-            Message::TransferAnswer { .. } => 20,
-            Message::WakeOrder { .. } => 12,
-            Message::Heartbeat { .. } => 16,
-            Message::LeaderElected { .. } => 16,
-        }
-    }
-}
-
-/// Per-server communication ledger (the `j_k` cost input).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct CommLedger {
-    /// Messages sent by this server (or to it by the leader).
-    pub messages: u64,
-    /// Total bytes across those messages.
-    pub bytes: u64,
-}
-
-impl CommLedger {
-    /// Records one message.
-    pub fn record(&mut self, msg: &Message) {
-        self.messages += 1;
-        self.bytes += msg.wire_bytes();
-    }
-
-    /// Communication cost `j_k` in abstract cost units: a fixed per-message
-    /// overhead plus a per-byte term. The constants keep control traffic
-    /// cheap relative to a VM migration (q_k), matching the paper's cost
-    /// ordering `p < j ≪ q`.
-    pub fn cost(&self) -> f64 {
-        self.messages as f64 * 0.01 + self.bytes as f64 * 1e-4
-    }
-
-    /// Merges another ledger.
-    pub fn merge(&mut self, other: &CommLedger) {
-        self.messages += other.messages;
-        self.bytes += other.bytes;
-    }
-}
 
 /// Cluster-wide message statistics kept by the leader.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -143,44 +17,12 @@ pub struct MessageStats {
     pub assistance_requests: u64,
     /// Partner lists sent.
     pub partner_lists: u64,
-    /// Transfer proposals observed.
-    pub transfer_proposals: u64,
-    /// Transfer answers observed.
-    pub transfer_answers: u64,
     /// Wake orders issued.
     pub wake_orders: u64,
     /// Liveness beacons sent by the leader.
     pub heartbeats: u64,
     /// Leader-election announcements observed.
     pub elections: u64,
-}
-
-impl MessageStats {
-    /// Tallies one message into the appropriate counter.
-    pub fn record(&mut self, msg: &Message) {
-        match msg {
-            Message::RegimeReport { .. } => self.regime_reports += 1,
-            Message::AssistanceRequest { .. } => self.assistance_requests += 1,
-            Message::PartnerList { .. } => self.partner_lists += 1,
-            Message::TransferProposal { .. } => self.transfer_proposals += 1,
-            Message::TransferAnswer { .. } => self.transfer_answers += 1,
-            Message::WakeOrder { .. } => self.wake_orders += 1,
-            Message::Heartbeat { .. } => self.heartbeats += 1,
-            Message::LeaderElected { .. } => self.elections += 1,
-        }
-    }
-
-    /// Total messages recorded.
-    pub fn total(&self) -> u64 {
-        self.regime_reports
-            + self.assistance_requests
-            + self.partner_lists
-            + self.transfer_proposals
-            + self.transfer_answers
-            + self.wake_orders
-            + self.heartbeats
-            + self.elections
-    }
 }
 
 /// Bounded retry-with-backoff policy for messages lost on a faulty link.
@@ -228,117 +70,6 @@ impl RetryPolicy {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn wire_bytes_scale_with_partner_list() {
-        let short = Message::PartnerList {
-            to: ServerId(0),
-            candidates: vec![],
-        };
-        let long = Message::PartnerList {
-            to: ServerId(0),
-            candidates: (0..10).map(|i| (ServerId(i), 0.5)).collect(),
-        };
-        assert_eq!(short.wire_bytes(), 16);
-        assert_eq!(long.wire_bytes(), 16 + 120);
-    }
-
-    #[test]
-    fn ledger_accumulates() {
-        let mut l = CommLedger::default();
-        l.record(&Message::WakeOrder { to: ServerId(1) });
-        l.record(&Message::AssistanceRequest {
-            from: ServerId(1),
-            regime: OperatingRegime::UndesirableHigh,
-        });
-        assert_eq!(l.messages, 2);
-        assert_eq!(l.bytes, 28);
-        assert!(l.cost() > 0.0);
-    }
-
-    #[test]
-    fn ledger_merge_sums() {
-        let mut a = CommLedger {
-            messages: 2,
-            bytes: 40,
-        };
-        a.merge(&CommLedger {
-            messages: 3,
-            bytes: 60,
-        });
-        assert_eq!(
-            a,
-            CommLedger {
-                messages: 5,
-                bytes: 100
-            }
-        );
-    }
-
-    #[test]
-    fn cost_grows_with_traffic() {
-        let light = CommLedger {
-            messages: 1,
-            bytes: 20,
-        };
-        let heavy = CommLedger {
-            messages: 100,
-            bytes: 4000,
-        };
-        assert!(heavy.cost() > light.cost());
-    }
-
-    #[test]
-    fn stats_classify_messages() {
-        let mut s = MessageStats::default();
-        s.record(&Message::RegimeReport {
-            from: ServerId(0),
-            regime: OperatingRegime::Optimal,
-            load: 0.5,
-        });
-        s.record(&Message::TransferProposal {
-            from: ServerId(0),
-            to: ServerId(1),
-            app: AppId(7),
-            demand: 0.1,
-        });
-        s.record(&Message::TransferAnswer {
-            from: ServerId(1),
-            to: ServerId(0),
-            app: AppId(7),
-            accept: true,
-        });
-        s.record(&Message::WakeOrder { to: ServerId(2) });
-        s.record(&Message::Heartbeat {
-            leader: ServerId(0),
-            epoch: 0,
-        });
-        s.record(&Message::LeaderElected {
-            leader: ServerId(1),
-            epoch: 1,
-        });
-        assert_eq!(s.regime_reports, 1);
-        assert_eq!(s.transfer_proposals, 1);
-        assert_eq!(s.transfer_answers, 1);
-        assert_eq!(s.wake_orders, 1);
-        assert_eq!(s.heartbeats, 1);
-        assert_eq!(s.elections, 1);
-        assert_eq!(s.total(), 6);
-    }
-
-    #[test]
-    fn recovery_messages_have_fixed_wire_size() {
-        let hb = Message::Heartbeat {
-            leader: ServerId(0),
-            epoch: 9,
-        };
-        let el = Message::LeaderElected {
-            leader: ServerId(3),
-            epoch: 1,
-        };
-        assert_eq!(hb.wire_bytes(), 16);
-        assert_eq!(el.wire_bytes(), 16);
-    }
 
     #[test]
     fn retry_backoff_doubles_after_immediate_first_attempt() {

@@ -109,11 +109,6 @@ impl EnergyMeter {
     pub fn breakdown(&self) -> EnergyBreakdown {
         self.breakdown
     }
-
-    /// Instant of the last accounted segment boundary.
-    pub fn last_update(&self) -> SimTime {
-        self.last_update
-    }
 }
 
 #[cfg(test)]
@@ -221,6 +216,6 @@ mod tests {
         m.advance(t(20), &model, CState::C0, 0.0); // 100 W × 10 = 1000 J
         m.advance(t(30), &model, CState::C3, 0.0); // 25 W × 10 = 250 J
         assert!((m.breakdown().total_j() - 3250.0).abs() < 1e-9);
-        assert_eq!(m.last_update(), t(30));
+        assert_eq!(m.last_update, t(30));
     }
 }

@@ -8,7 +8,7 @@
 //!   piecewise, per-subsystem composite with the §2 dynamic ranges);
 //! * [`regimes`] — the five operating regimes R1–R5 of Figure 1 and their
 //!   per-server boundaries;
-//! * [`sleep`] — ACPI C/D/S states, transition costs, and the paper's
+//! * [`sleep`] — ACPI C-states, transition costs, and the paper's
 //!   60 %-cluster-load C3/C6 selection rule;
 //! * [`accounting`] — Joule integration over simulated time;
 //! * [`server_class`] — Table 1 (Koomey) historical power data and trends;
@@ -55,5 +55,5 @@ pub use network::{LinkDiscipline, LinkPower, Topology};
 pub use power::{LinearPowerModel, PiecewisePowerModel, PowerModel, SubsystemPowerModel};
 pub use regimes::{OperatingRegime, RegimeBoundaries, RegimeCensus};
 pub use server_class::{PowerTrend, ServerClass};
-pub use sleep::{CState, DState, SState, SleepModel, SleepPolicy};
-pub use storage::{DiskPower, DiskState, ReplicatedArray, SlidingWindow, VirtualNodeStore};
+pub use sleep::{CState, SleepModel, SleepPolicy};
+pub use storage::{DiskPower, ReplicatedArray, SlidingWindow, VirtualNodeStore};

@@ -1,9 +1,9 @@
-//! ACPI sleep states and the sleep-state selection rule.
+//! ACPI C-states and the sleep-state selection rule.
 //!
 //! The ACPI specification (paper §2, \[12\]) defines processor **C-states**
-//! (C0 running … C6 deep sleep), device **D-states**, and system
-//! **S-states**. The paper's simulations use exactly two sleep targets —
-//! C3 and C6 — chosen by the rule in §6:
+//! (C0 running … C6 deep sleep) alongside device D-states and system
+//! S-states; only C-states are modelled here. The paper's simulations use
+//! exactly two sleep targets — C3 and C6 — chosen by the rule in §6:
 //!
 //! > *If the overall load of the cluster is more than 60 % of the cluster
 //! > capacity we do not switch any server to a C6 state … when the total
@@ -103,33 +103,6 @@ impl fmt::Display for CState {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "C{}", self.depth())
     }
-}
-
-/// Device power states (ACPI D-states) — modelled for completeness of the
-/// ACPI surface; the cluster simulation drives C-states only.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub enum DState {
-    /// Fully on.
-    D0,
-    /// Light sleep, context preserved.
-    D1,
-    /// Deeper sleep.
-    D2,
-    /// Off; context lost.
-    D3,
-}
-
-/// System sleep states (ACPI S-states).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub enum SState {
-    /// Standby with CPU context held.
-    S1,
-    /// CPU powered off, caches flushed.
-    S2,
-    /// Suspend to RAM.
-    S3,
-    /// Suspend to disk (hibernate).
-    S4,
 }
 
 /// Parameterised sleep-transition cost model for one server.

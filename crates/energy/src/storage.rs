@@ -21,17 +21,6 @@
 
 use ecolb_simcore::rng::Rng;
 
-/// Power states of one disk drive.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum DiskState {
-    /// Spinning and serving I/O.
-    Active,
-    /// Spinning, no I/O.
-    Idle,
-    /// Spun down.
-    Standby,
-}
-
 /// Power draw of one drive (typical 3.5" enterprise HDD, matching the §2
 /// 24–48 W band for 2–4 drives).
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -53,17 +42,6 @@ impl Default for DiskPower {
             idle_w: 8.0,
             standby_w: 1.0,
             spinup_j: 135.0,
-        }
-    }
-}
-
-impl DiskPower {
-    /// Watts in a given state.
-    pub fn watts(&self, state: DiskState) -> f64 {
-        match state {
-            DiskState::Active => self.active_w,
-            DiskState::Idle => self.idle_w,
-            DiskState::Standby => self.standby_w,
         }
     }
 }
@@ -121,7 +99,6 @@ impl SlidingWindow {
 #[derive(Debug, Clone)]
 pub struct ReplicatedArray {
     n_disks: usize,
-    blocks_per_disk: u64,
     power: DiskPower,
     window: SlidingWindow,
     /// Disks currently kept spinning.
@@ -146,7 +123,6 @@ impl ReplicatedArray {
         let active_set = 1;
         ReplicatedArray {
             n_disks,
-            blocks_per_disk,
             power: DiskPower::default(),
             window: SlidingWindow::new(window),
             active_set,
@@ -161,11 +137,6 @@ impl ReplicatedArray {
     /// The home disk of a block (blocks stripe across all disks).
     pub fn home_disk(&self, block: u64) -> usize {
         (block % self.n_disks as u64) as usize
-    }
-
-    /// Blocks held by each disk.
-    pub fn blocks_per_disk(&self) -> u64 {
-        self.blocks_per_disk
     }
 
     /// Lifetime spin-up count.
@@ -339,8 +310,8 @@ mod tests {
     #[test]
     fn disk_power_ordering() {
         let p = DiskPower::default();
-        assert!(p.watts(DiskState::Active) > p.watts(DiskState::Idle));
-        assert!(p.watts(DiskState::Idle) > p.watts(DiskState::Standby));
+        assert!(p.active_w > p.idle_w);
+        assert!(p.idle_w > p.standby_w);
     }
 
     #[test]

@@ -1,6 +1,10 @@
 // Fixture: public surface nothing reaches. The root calls `render`, which
-// reaches `Report::total`; `mean_wake_latency_s` is called only by its
-// own file's unit test and `legacy_csv` by nothing at all.
+// reaches `Report::total`, which reaches `Report::scaled` through
+// `Self::`. Nothing reaches the rest: `mean_wake_latency_s` is called
+// only by its own file's unit test and `legacy_csv` by nothing at all;
+// `Summary::scaled` only shares its name with another impl's
+// `Self::scaled`, `Summary::new` with the turbofish `Vec::<f64>::new()`,
+// and `Report::wakes` with a field and a local.
 pub struct Report {
     pub wakes: u64,
     pub wake_s: f64,
@@ -8,7 +12,15 @@ pub struct Report {
 
 impl Report {
     pub fn total(&self) -> f64 {
-        self.wake_s
+        Self::scaled(self.wake_s)
+    }
+
+    pub fn scaled(x: f64) -> f64 {
+        x * 1e3
+    }
+
+    pub fn wakes(&self) -> u64 {
+        self.wakes
     }
 
     pub fn mean_wake_latency_s(&self) -> f64 {
@@ -16,8 +28,25 @@ impl Report {
     }
 }
 
+pub struct Summary {
+    pub totals: Vec<f64>,
+}
+
+impl Summary {
+    pub fn new() -> Summary {
+        Summary { totals: Vec::new() }
+    }
+
+    pub fn scaled(x: f64) -> f64 {
+        x * 1e6
+    }
+}
+
 pub fn render(report: &Report) -> String {
-    format!("{:.3}", report.total())
+    let wakes = report.wakes;
+    let mut totals = Vec::<f64>::new();
+    totals.push(report.total());
+    format!("{} {:?}", wakes, totals)
 }
 
 pub fn legacy_csv(report: &Report) -> String {

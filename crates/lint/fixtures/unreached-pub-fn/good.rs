@@ -1,7 +1,9 @@
 // Fixture: every `pub fn` is reached. The root calls `render`; `render`
-// passes `scaled` and `Report::total` as fn values; the `Display` impl is
-// trait surface, never a finding; and the mean that only a unit test
-// needed now lives under #[cfg(test)] as that test's oracle.
+// passes `Report::total` and `scaled` as fn values and builds a
+// `Summary` through a turbofish on its own type; `Report::total` reaches
+// `Report::in_ms` through `Self::`; the `Display` impl is trait surface,
+// never a finding; and the mean that only a unit test needed now lives
+// under #[cfg(test)] as that test's oracle.
 use std::fmt;
 
 pub struct Report {
@@ -11,13 +13,27 @@ pub struct Report {
 
 impl Report {
     pub fn total(&self) -> f64 {
-        self.wake_s
+        Self::in_ms(self.wake_s)
+    }
+
+    pub fn in_ms(x: f64) -> f64 {
+        x * 1e3
     }
 }
 
 impl fmt::Display for Report {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "{}", label(self.wakes))
+    }
+}
+
+pub struct Summary<T> {
+    pub totals: Vec<T>,
+}
+
+impl<T> Summary<T> {
+    pub fn of(totals: Vec<T>) -> Summary<T> {
+        Summary { totals }
     }
 }
 
@@ -29,8 +45,8 @@ pub fn scaled(x: f64) -> f64 {
     x * 1e3
 }
 
-pub fn render(reports: &[Report]) -> Vec<f64> {
-    reports.iter().map(Report::total).map(scaled).collect()
+pub fn render(reports: &[Report]) -> Summary<f64> {
+    Summary::<f64>::of(reports.iter().map(Report::total).map(scaled).collect())
 }
 
 #[cfg(test)]

@@ -2,17 +2,39 @@
 //!
 //! Every source file is lexed and item-parsed once into a [`Workspace`];
 //! [`build_graph`] then links call sites to workspace function definitions
-//! by name. Resolution is deliberately *conservative in the
-//! over-approximation direction*: an unqualified or method call links to
-//! **every** workspace function of that name (so reachability never misses
-//! a real path), while a path-qualified call (`Engine::run`,
-//! `balance::balance_round`) links only to definitions whose owner type,
-//! module, file stem, or crate matches the qualifier. A path-qualified fn
-//! value (`.map(Server::load)`) is a call edge too. Test functions, test
-//! files, bin targets and benchmark sources are excluded from the graph
-//! entirely — they can call sim entry points, but nothing on the sim path
-//! can call them, and keeping them out prevents same-name test helpers
-//! from widening the reachable set.
+//! by name. This is the one definition of a reference that every graph
+//! rule shares, `unreached-pub-fn` included.
+//!
+//! **What counts as a reference** ([`extract_calls`]): a call
+//! (`name(…)`, `path::name(…)`, `.name(…)`, with an optional turbofish
+//! before the parens); a path-qualified fn value anywhere
+//! (`.map(Server::load)`); and a bare fn value in argument, element or
+//! field-initialiser position (`.map(helper)`, `f(x, helper)`,
+//! `[helper]`, `Hooks { on: helper }`). A local, a parameter or a field
+//! access (`.cost`) is not a reference, whatever its name.
+//!
+//! **How a reference resolves**, erring toward keeping an
+//! edge where syntax cannot decide:
+//! * a method call (`.name(…)`) links to every associated fn of that
+//!   name, whatever its owner;
+//! * a bare name links to every free fn of that name, narrowed by a `use`
+//!   import's module when one supplies it;
+//! * a qualified path links to the fns whose owner type, inline module,
+//!   file stem or crate matches the qualifier (`Engine::run`,
+//!   `balance::balance_round`, `ecolb_metrics::mean`). A lowercase
+//!   qualifier that matches none is a re-export (`prelude::run_cell`) and
+//!   falls back to every free fn of the name; a type that matches none
+//!   (`Vec::new`, `T::default`) links nowhere;
+//! * `Self::f` is qualified by the enclosing impl's owner, so it reaches
+//!   that type's `f` and no other;
+//! * a turbofish keeps its qualifier: `Type::<Args>::f` resolves against
+//!   `Type` and every type named in `Args` (`Box::<LeastLoaded>::default`
+//!   reaches `LeastLoaded::default`), never against every `f`.
+//!
+//! Test functions, test files, bin targets and benchmark sources are
+//! excluded from the graph entirely — they can call sim entry points, but
+//! nothing on the sim path can call them, and keeping them out prevents
+//! same-name test helpers from widening the reachable set.
 
 use crate::lexer::{lex, LexOutput, Token, TokenKind};
 use crate::parse::{parse_items, ParsedFile};
@@ -74,12 +96,16 @@ impl Workspace {
     }
 }
 
-/// One call site extracted from a function body: a call, or a
-/// path-qualified fn value passed without calling it.
+/// One call site extracted from a function body: a call, or a fn passed
+/// as a value without calling it.
 #[derive(Debug, Clone)]
 pub struct CallSite {
-    /// Path segments of the callee (`["Rng", "new"]`, `["balance_round"]`).
+    /// Path segments of the callee (`["Rng", "new"]`, `["balance_round"]`),
+    /// with `Self` already replaced by the enclosing impl's owner.
     pub segments: Vec<String>,
+    /// Identifiers inside a turbofish on the path (`LeastLoaded` in
+    /// `Box::<LeastLoaded>::default`), which qualify the callee too.
+    pub generics: Vec<String>,
     /// True for `.name(…)` method-call syntax.
     pub method: bool,
     /// 1-based line of the callee name.
@@ -99,38 +125,90 @@ const NON_CALLEES: &[&str] = &[
     "super",
 ];
 
-/// The `::`-separated path ending at the identifier `j`, walked
-/// backwards (`["Rng", "new"]`), and whether a lone name follows a `.`
-/// (method-call or field syntax).
-pub(crate) fn path_segments(tokens: &[Token], j: usize) -> (Vec<String>, bool) {
-    let mut segments = vec![tokens[j].text.clone()];
-    let mut p = j;
-    while p >= 3
-        && tokens[p - 1].is_punct(':')
-        && tokens[p - 2].is_punct(':')
-        && tokens[p - 3].kind == TokenKind::Ident
-    {
-        segments.insert(0, tokens[p - 3].text.clone());
-        p -= 3;
+/// Index of the `<` matching the `>` at `close`, walking backwards (the
+/// `>` of a `->` arrow closes nothing).
+fn angle_open(tokens: &[Token], close: usize) -> Option<usize> {
+    let mut depth = 0usize;
+    for i in (0..=close).rev() {
+        if tokens[i].is_punct('>') && !(i > 0 && tokens[i - 1].is_punct('-')) {
+            depth += 1;
+        } else if tokens[i].is_punct('<') {
+            depth -= 1;
+            if depth == 0 {
+                return Some(i);
+            }
+        }
     }
-    let method = segments.len() == 1 && p > 0 && tokens[p - 1].is_punct('.');
-    (segments, method)
+    None
 }
 
-/// Extracts every call site from the token span `body` (inclusive).
-pub fn extract_calls(tokens: &[Token], body: (usize, usize)) -> Vec<CallSite> {
+/// The `::`-separated path ending at the identifier `j`, walked
+/// backwards (`["Rng", "new"]`); the identifiers of any turbofish on it
+/// (`Vec::<u32>::new` is `["Vec", "new"]` with `["u32"]`, and
+/// `<A as B>::f` is `["f"]` with `["A", "as", "B"]`); and whether a lone
+/// name follows a `.` (method-call or field syntax).
+fn path_segments(tokens: &[Token], j: usize) -> (Vec<String>, Vec<String>, bool) {
+    let mut segments = vec![tokens[j].text.clone()];
+    let mut generics = Vec::new();
+    let mut p = j;
+    while p >= 3 && tokens[p - 1].is_punct(':') && tokens[p - 2].is_punct(':') {
+        let mut q = p - 3;
+        if tokens[q].is_punct('>') {
+            let Some(open) = angle_open(tokens, q) else {
+                break;
+            };
+            generics.extend(
+                tokens[open + 1..q]
+                    .iter()
+                    .filter(|t| t.kind == TokenKind::Ident)
+                    .map(|t| t.text.clone()),
+            );
+            if !(open >= 3 && tokens[open - 1].is_punct(':') && tokens[open - 2].is_punct(':')) {
+                break;
+            }
+            q = open - 3;
+        }
+        if tokens[q].kind != TokenKind::Ident {
+            break;
+        }
+        segments.insert(0, tokens[q].text.clone());
+        p = q;
+    }
+    let method = segments.len() == 1 && p > 0 && tokens[p - 1].is_punct('.');
+    (segments, generics, method)
+}
+
+/// True when the bare name at `j` sits where only a value can: an
+/// argument or element (after `(`, `[` or `,`) or a field initialiser
+/// (after a lone `:`), closed by `)`, `]`, `,` or `}`.
+fn in_value_position(tokens: &[Token], j: usize) -> bool {
+    let before = j.checked_sub(1).map(|b| &tokens[b]);
+    let opens = before.is_some_and(|b| b.is_punct('(') || b.is_punct('[') || b.is_punct(','))
+        || (before.is_some_and(|b| b.is_punct(':')) && !(j >= 2 && tokens[j - 2].is_punct(':')));
+    opens
+        && tokens.get(j + 1).is_some_and(|n| {
+            n.is_punct(')') || n.is_punct(']') || n.is_punct(',') || n.is_punct('}')
+        })
+}
+
+/// Extracts every call site from the token span `body` (inclusive) of a
+/// fn owned by `owner` (`Self::f` becomes `Owner::f`).
+///
+/// A call is `name(…)`, `path::name(…)` or `.name(…)`, with an optional
+/// turbofish before the parens. A fn passed as a value is a call edge
+/// too: a path-qualified one anywhere (`.map(Server::load)`), a bare
+/// name in value position (`.map(helper)`, `f(x, helper)`). Nothing else
+/// is: a local, a parameter or a field named like a fn names no fn.
+pub fn extract_calls(tokens: &[Token], body: (usize, usize), owner: Option<&str>) -> Vec<CallSite> {
     let (start, end) = body;
     let mut out = Vec::new();
-    let mut j = start;
-    while j <= end.min(tokens.len().saturating_sub(1)) {
+    for j in start..tokens.len().min(end + 1) {
         let t = &tokens[j];
-        if t.kind != TokenKind::Ident || NON_CALLEES.contains(&t.text.as_str()) {
-            j += 1;
-            continue;
-        }
         // A definition (`fn helper(`) is not a call of `helper`.
-        if j > 0 && tokens[j - 1].is_ident("fn") {
-            j += 1;
+        if t.kind != TokenKind::Ident
+            || NON_CALLEES.contains(&t.text.as_str())
+            || (j > 0 && tokens[j - 1].is_ident("fn"))
+        {
             continue;
         }
         // Optional turbofish between the name and the parens.
@@ -142,7 +220,7 @@ pub fn extract_calls(tokens: &[Token], body: (usize, usize)) -> Vec<CallSite> {
         {
             k = crate::parse::skip_angles(tokens, k + 2);
         }
-        let (segments, method) = path_segments(tokens, j);
+        let (mut segments, mut generics, method) = path_segments(tokens, j);
         let args = match tokens.get(k) {
             Some(open) if open.is_punct('(') => (k + 1, matching_close(tokens, k)),
             // A path-qualified fn value (`.map(Server::load)`) is a call
@@ -153,19 +231,26 @@ pub fn extract_calls(tokens: &[Token], body: (usize, usize)) -> Vec<CallSite> {
             {
                 (k, k)
             }
-            _ => {
-                j += 1;
-                continue;
-            }
+            _ if segments.len() == 1 && !method && in_value_position(tokens, j) => (k, k),
+            _ => continue,
         };
+        if let Some(owner) = owner {
+            for s in segments
+                .iter_mut()
+                .chain(&mut generics)
+                .filter(|s| *s == "Self")
+            {
+                *s = owner.to_string();
+            }
+        }
         out.push(CallSite {
             segments,
+            generics,
             method,
             line: t.line,
             col: t.col,
             args,
         });
-        j += 1;
     }
     out
 }
@@ -232,7 +317,7 @@ pub fn build_graph(ws: &Workspace) -> CallGraph {
         let file = &ws.files[key.file];
         let item = &file.parsed.fns[key.item];
         let sites = match item.body {
-            Some(body) => extract_calls(&file.lex.tokens, body),
+            Some(body) => extract_calls(&file.lex.tokens, body, item.owner.as_deref()),
             None => Vec::new(),
         };
         let mut out: Vec<usize> = Vec::new();
@@ -252,7 +337,8 @@ pub fn build_graph(ws: &Workspace) -> CallGraph {
     }
 }
 
-/// Resolves one call site to candidate graph nodes.
+/// Resolves one call site, found in file `from_file`, to graph nodes.
+/// See the module docs for the policy.
 pub(crate) fn resolve(
     ws: &Workspace,
     fns: &[FnKey],
@@ -260,53 +346,63 @@ pub(crate) fn resolve(
     from_file: usize,
     site: &CallSite,
 ) -> Vec<usize> {
-    let name = match site.segments.last() {
-        Some(n) => n,
-        None => return Vec::new(),
+    let Some(name) = site.segments.last() else {
+        return Vec::new();
     };
-    let candidates = match by_name.get(name) {
-        Some(c) => c,
-        None => return Vec::new(),
+    let Some(candidates) = by_name.get(name) else {
+        return Vec::new();
     };
-    // Effective qualifier: the explicit path segment, or the one a `use`
-    // import supplies for an unqualified call.
-    let mut qual: Option<String> = if site.segments.len() >= 2 {
-        Some(site.segments[site.segments.len() - 2].clone())
-    } else {
-        None
+    let item = |id: usize| &ws.files[fns[id].file].parsed.fns[fns[id].item];
+    let owned = |want: bool| {
+        candidates
+            .iter()
+            .copied()
+            .filter(|&id| item(id).owner.is_some() == want)
+            .collect::<Vec<_>>()
     };
-    if qual.is_none() && !site.method {
-        let file = &ws.files[from_file];
-        for u in &file.parsed.uses {
-            if u.alias == *name && u.segments.len() >= 2 {
-                qual = Some(u.segments[u.segments.len() - 2].clone());
-                break;
-            }
-        }
+    if site.method {
+        return owned(true);
     }
-    match qual.as_deref() {
-        None | Some("crate") | Some("self") | Some("super") => candidates
+    // The path qualifier: the segment before the name, or the one a `use`
+    // import supplies for a bare name.
+    let path_qual = match site.segments.len() {
+        1 => ws.files[from_file]
+            .parsed
+            .uses
             .iter()
-            .copied()
-            .filter(|&id| {
-                // Method syntax can only land on an associated function.
-                let key = fns[id];
-                !site.method || ws.files[key.file].parsed.fns[key.item].owner.is_some()
-            })
-            .collect(),
-        Some(q) => candidates
-            .iter()
-            .copied()
-            .filter(|&id| {
-                let key = fns[id];
-                let file = &ws.files[key.file];
-                let item = &file.parsed.fns[key.item];
-                item.owner.as_deref() == Some(q)
-                    || item.modules.last().map(String::as_str) == Some(q)
+            .find(|u| u.alias == *name && u.segments.len() >= 2)
+            .map(|u| &u.segments[u.segments.len() - 2]),
+        n => Some(&site.segments[n - 2]),
+    }
+    .map(String::as_str)
+    .filter(|q| !matches!(*q, "crate" | "self" | "super"));
+    let quals: Vec<&str> = path_qual
+        .into_iter()
+        .chain(site.generics.iter().map(String::as_str))
+        .collect();
+    if quals.is_empty() {
+        return owned(false);
+    }
+    let hit: Vec<usize> = candidates
+        .iter()
+        .copied()
+        .filter(|&id| {
+            let file = &ws.files[fns[id].file];
+            quals.iter().any(|&q| {
+                item(id).owner.as_deref() == Some(q)
+                    || item(id).modules.last().map(String::as_str) == Some(q)
                     || file.stem() == q
                     || crate_matches(q, &file.ctx.krate)
             })
-            .collect(),
+        })
+        .collect();
+    // A module path that names no candidate is a re-export
+    // (`prelude::run_cell`): any free fn of that name may be meant.
+    match path_qual {
+        Some(q) if hit.is_empty() && !q.starts_with(|c: char| c.is_ascii_uppercase()) => {
+            owned(false)
+        }
+        _ => hit,
     }
 }
 

@@ -22,8 +22,9 @@
 //!   workspace function returning `Result` silently discards a failure
 //!   path in library code.
 //!
-//! Soundness note: reachability over-approximates (unqualified and method
-//! calls fan out to every same-name definition), so "not reachable" is
+//! Soundness note: reachability over-approximates (a bare name fans out
+//! to every same-name free fn, a method call to every same-name method;
+//! see [`crate::graph`]), so "not reachable" is
 //! trustworthy while "reachable" may include paths the type checker would
 //! reject. Taint also over-approximates (any tainted identifier anywhere
 //! in the argument list satisfies provenance). Both err toward *missing*

@@ -4,24 +4,27 @@
 //! A `pub fn` exists to be called from elsewhere. The rule walks the
 //! workspace from its *roots* — binaries and examples, integration tests,
 //! doc-test code blocks, the `#[cfg(test)]` code of *other* files, and the
-//! `benchmark/src` tree (read as roots only) — through every library
-//! function a root mentions, and what those mention in turn. Trait-impl
-//! and trait bodies are reached from the start, since the trait decides
-//! who calls them. A `pub fn` the walk never reaches is a finding, unless
-//! it sits in a trait body or an `impl Trait for …` block.
+//! `benchmark/src` tree (read as roots only) — along the [`CallGraph`]'s
+//! edges. Trait-impl and trait bodies are reached from the start, since
+//! the trait decides who calls them. A `pub fn` the walk never reaches is
+//! a finding, unless it sits in a trait body or an `impl Trait for …`
+//! block.
 //!
-//! Any identifier mention counts, not only call sites: a fn passed as a
-//! value (`.map(Server::load)`, `.map(total_demand)`) stays alive.
+//! A reference is what the call graph counts as one, resolved the way it
+//! resolves every edge (see [`crate::graph`]): a call, a path-qualified fn
+//! value anywhere (`.map(Server::load)`), or a bare fn value in argument,
+//! element or field-initialiser position (`.map(total_demand)`). A local,
+//! a parameter or a field named like a fn keeps nothing alive. `Self::f`
+//! reaches only the enclosing impl's `f`; a turbofish path
+//! (`Vec::<u32>::new`) resolves against its type and the types in its
+//! arguments, so it keeps no unrelated `new` alive. Method calls still
+//! resolve by name alone, so `x.total()` keeps every `total` method alive.
 //! Library code outside fn bodies is not walked: a `pub use` re-export
 //! keeps nothing alive, and a fn that only a const initialiser or a
-//! `macro_rules!` body calls needs an allow with that reason. Resolution
-//! reuses the call graph's, and
-//! falls back to every same-name function when a path qualifier names no
-//! candidate and is not a type (`prelude::run_cell`, `Self::helper`):
-//! like reachability, the rule errs toward keeping code.
+//! `macro_rules!` body calls needs an allow with that reason.
 
-use crate::graph::{path_segments, resolve, CallGraph, CallSite, Workspace};
-use crate::lexer::{Token, TokenKind};
+use crate::graph::{extract_calls, resolve, CallGraph, Workspace};
+use crate::lexer::Token;
 use crate::reach::GraphFinding;
 use crate::rules::Finding;
 
@@ -59,57 +62,18 @@ pub fn doc_test_code(src: &str) -> String {
     out
 }
 
-/// Graph nodes that `site`, mentioned in file `from_file`, may name.
-fn targets(ws: &Workspace, graph: &CallGraph, from_file: usize, site: &CallSite) -> Vec<usize> {
-    let hit = resolve(ws, &graph.fns, &graph.by_name, from_file, site);
-    let typed = site.segments.len() >= 2
-        && site.segments[site.segments.len() - 2].starts_with(|c: char| c.is_ascii_uppercase())
-        && site.segments[site.segments.len() - 2] != "Self";
-    match site.segments.last().and_then(|n| graph.by_name.get(n)) {
-        Some(all) if hit.is_empty() && !typed => all.clone(),
-        _ => hit,
-    }
-}
-
-/// Graph nodes named by any identifier mention in the inclusive span
-/// `tokens[start..=end]` of file `file`: calls, fn values, paths, fields.
-/// The leading segments of a longer path (`ecolb_cluster` and `balance`
-/// in `ecolb_cluster::balance::balance_round`) qualify it; they are not
-/// mentions themselves.
-fn mentioned(
-    ws: &Workspace,
-    graph: &CallGraph,
-    file: usize,
-    tokens: &[Token],
-    (start, end): (usize, usize),
-) -> Vec<usize> {
-    let mut out = Vec::new();
-    for j in start..tokens.len().min(end + 1) {
-        let t = &tokens[j];
-        let path_prefix = tokens.get(j + 1).is_some_and(|n| n.is_punct(':'))
-            && tokens.get(j + 2).is_some_and(|n| n.is_punct(':'))
-            && !tokens.get(j + 3).is_some_and(|n| n.is_punct('<'));
-        if t.kind != TokenKind::Ident || path_prefix || (j > 0 && tokens[j - 1].is_ident("fn")) {
-            continue;
-        }
-        let (segments, method) = path_segments(tokens, j);
-        let site = CallSite {
-            segments,
-            method,
-            line: t.line,
-            col: t.col,
-            args: (j + 1, j + 1),
-        };
-        out.extend(targets(ws, graph, file, &site));
-    }
-    out
-}
-
 /// **unreached-pub-fn** — see the module docs.
 pub fn unreached_pub_fns(ws: &Workspace, graph: &CallGraph) -> Vec<GraphFinding> {
     let item = |id: usize| &ws.files[graph.fns[id].file].parsed.fns[graph.fns[id].item];
+    // Graph nodes referenced in the inclusive span of file `fi`'s tokens.
+    let referenced = |fi: usize, tokens: &[Token], span: (usize, usize), owner: Option<&str>| {
+        extract_calls(tokens, span, owner)
+            .iter()
+            .flat_map(|site| resolve(ws, &graph.fns, &graph.by_name, fi, site))
+            .collect::<Vec<_>>()
+    };
     let whole = |t: &[Token]| (0, t.len().saturating_sub(1));
-    // Trait surface is reached from the start: the trait, not a mention,
+    // Trait surface is reached from the start: the trait, not a call,
     // decides who calls it.
     let mut queue: Vec<usize> = (0..graph.fns.len())
         .filter(|&id| item(id).in_trait_impl)
@@ -117,31 +81,26 @@ pub fn unreached_pub_fns(ws: &Workspace, graph: &CallGraph) -> Vec<GraphFinding>
     for (fi, file) in ws.files.iter().enumerate() {
         let tokens = &file.lex.tokens;
         if file.ctx.is_bin || file.ctx.is_test || file.ctx.roots_only {
-            queue.extend(mentioned(ws, graph, fi, tokens, whole(tokens)));
+            queue.extend(referenced(fi, tokens, whole(tokens), None));
             continue;
         }
-        queue.extend(mentioned(
-            ws,
-            graph,
+        queue.extend(referenced(
             fi,
             &file.doc_tests,
             whole(&file.doc_tests),
+            None,
         ));
         for f in file.parsed.fns.iter().filter(|f| f.is_test) {
             if let Some(body) = f.body {
-                let ids = mentioned(ws, graph, fi, tokens, body);
+                let ids = referenced(fi, tokens, body, f.owner.as_deref());
                 queue.extend(ids.into_iter().filter(|&id| graph.fns[id].file != fi));
             }
         }
     }
     let mut reached = vec![false; graph.fns.len()];
     while let Some(id) = queue.pop() {
-        if std::mem::replace(&mut reached[id], true) {
-            continue;
-        }
-        if let Some(body) = item(id).body {
-            let file = graph.fns[id].file;
-            queue.extend(mentioned(ws, graph, file, &ws.files[file].lex.tokens, body));
+        if !std::mem::replace(&mut reached[id], true) {
+            queue.extend(&graph.edges[id]);
         }
     }
 

@@ -345,3 +345,167 @@ fn benchmark_sources_are_roots_only() {
     assert!(report.findings[0].message.contains("unused"));
     assert!(report.panic_counts.is_empty(), "{:?}", report.panic_counts);
 }
+
+/// Names of the `unreached-pub-fn` findings in `report`, sorted.
+fn unreached_names(report: &ecolb_lint::WorkspaceReport) -> Vec<&str> {
+    let mut names: Vec<&str> = report
+        .findings
+        .iter()
+        .filter(|f| f.rule == "unreached-pub-fn")
+        .map(|f| f.message.split_whitespace().nth(2).unwrap_or(""))
+        .collect();
+    names.sort_unstable();
+    names
+}
+
+/// A turbofish keeps its qualifier: `Vec::<u32>::new()` resolves against
+/// `Vec` and `u32`, so it keeps no unrelated `new` alive, while
+/// `Box::<Foo>::default()` still reaches `Foo::default`.
+#[test]
+fn turbofish_paths_keep_their_qualifier() {
+    let sources = ws(&[
+        (
+            "crates/metrics/src/stats.rs",
+            "pub struct Foo;\n\
+             impl Foo {\n\
+                 pub fn new() -> Foo { Foo }\n\
+                 pub fn default() -> Foo { Foo }\n\
+             }\n",
+        ),
+        (
+            "tests/root.rs",
+            "#[test]\n\
+             fn t() {\n\
+                 let v = Vec::<u32>::new();\n\
+                 let b = Box::<Foo>::default();\n\
+             }\n",
+        ),
+    ]);
+    let report = lint_files(&sources);
+    assert_eq!(
+        unreached_names(&report),
+        ["Foo::new"],
+        "{:?}",
+        report.findings
+    );
+}
+
+/// `Self::helper()` inside `impl A` reaches `A::helper` and no other
+/// `helper`, for `unreached-pub-fn` and for the sim-path walk alike.
+#[test]
+fn self_paths_resolve_to_the_enclosing_impl() {
+    let sources = ws(&[
+        (
+            "crates/metrics/src/stats.rs",
+            "pub struct A;\npub struct B;\n\
+             impl A {\n\
+                 pub fn go(&self) -> u64 { Self::helper() }\n\
+                 pub fn helper() -> u64 { 1 }\n\
+             }\n\
+             impl B {\n\
+                 pub fn helper() -> u64 { 2 }\n\
+             }\n",
+        ),
+        ("tests/root.rs", "#[test]\nfn t() { A.go(); }\n"),
+    ]);
+    let report = lint_files(&sources);
+    assert_eq!(
+        unreached_names(&report),
+        ["B::helper"],
+        "{:?}",
+        report.findings
+    );
+
+    let sources = ws(&[(
+        "crates/simcore/src/engine.rs",
+        "impl Engine {\n\
+             pub fn run(&mut self) -> u64 { Self::tick() }\n\
+             fn tick() -> u64 { let t = std::time::Instant::now(); 1 }\n\
+         }\n\
+         impl Other {\n\
+             fn tick() -> u64 { let t = std::time::Instant::now(); 2 }\n\
+         }\n",
+    )]);
+    let report = lint_files(&sources);
+    let purity: Vec<u32> = report
+        .findings
+        .iter()
+        .filter(|f| f.rule == "sim-path-purity")
+        .map(|f| f.line)
+        .collect();
+    assert_eq!(purity, [3], "{:?}", report.findings);
+}
+
+/// Only calls and fn values are references: a parameter, a local and a
+/// field named `cost` keep `Ledger::cost` alive no more than an unrelated
+/// name would, while a free fn passed bare as `.map(helper)` or
+/// `f(x, helper)` is reached.
+#[test]
+fn locals_params_and_fields_are_not_references() {
+    let sources = ws(&[
+        (
+            "crates/metrics/src/stats.rs",
+            "pub struct Ledger { pub cost: f64 }\n\
+             impl Ledger {\n\
+                 pub fn cost(&self) -> f64 { self.cost }\n\
+             }\n\
+             pub fn mapped(x: &f64) -> f64 { *x }\n\
+             pub fn passed(x: f64) -> f64 { x }\n\
+             pub fn apply(x: f64, f: fn(f64) -> f64) -> f64 { f(x) }\n",
+        ),
+        (
+            "tests/root.rs",
+            "#[test]\n\
+             fn t(cost: f64) {\n\
+                 let l = Ledger { cost };\n\
+                 let cost = l.cost + cost;\n\
+                 let v: Vec<f64> = [cost].iter().map(mapped).collect();\n\
+                 apply(cost, passed);\n\
+             }\n",
+        ),
+    ]);
+    let report = lint_files(&sources);
+    assert_eq!(
+        unreached_names(&report),
+        ["Ledger::cost"],
+        "{:?}",
+        report.findings
+    );
+}
+
+/// A free fn the sim path passes bare as a value is on the sim path: a
+/// wall-clock read inside it is a `sim-path-purity` finding whose witness
+/// starts at the entry point.
+#[test]
+fn bare_fn_values_are_sim_path_edges() {
+    for call in ["loads.iter().map(helper).sum()", "fold(loads, helper)"] {
+        let balance = format!(
+            "pub fn balance_round(seed: u64, loads: &[f64]) -> f64 {{\n\
+                 {call} + seed as f64\n\
+             }}\n"
+        );
+        let sources = ws(&[
+            ("crates/cluster/src/balance.rs", balance.as_str()),
+            (
+                "crates/metrics/src/stats.rs",
+                "pub fn helper(x: &f64) -> f64 {\n\
+                     let t = std::time::Instant::now();\n\
+                     *x + t.elapsed().as_secs_f64()\n\
+                 }\n\
+                 pub fn fold(xs: &[f64], f: fn(&f64) -> f64) -> f64 { xs.iter().map(f).sum() }\n",
+            ),
+        ]);
+        let report = lint_files(&sources);
+        let purity: Vec<_> = report
+            .findings
+            .iter()
+            .filter(|f| f.rule == "sim-path-purity" && f.path == "crates/metrics/src/stats.rs")
+            .collect();
+        assert!(!purity.is_empty(), "{call}: {:?}", report.findings);
+        assert!(
+            purity[0].witness[0].contains("balance_round"),
+            "{:?}",
+            purity[0]
+        );
+    }
+}

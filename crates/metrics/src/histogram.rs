@@ -45,11 +45,6 @@ impl Histogram {
         }
     }
 
-    /// Number of in-range bins.
-    pub fn bins(&self) -> usize {
-        self.counts.len()
-    }
-
     /// Count in bin `i`.
     pub fn count(&self, i: usize) -> u64 {
         self.counts[i]

@@ -76,19 +76,9 @@ impl LatencyRecorder {
         self.p50.estimate().unwrap_or(0.0)
     }
 
-    /// P² estimate of the 95th percentile, seconds; 0.0 when empty.
-    pub fn p95(&self) -> f64 {
-        self.p95.estimate().unwrap_or(0.0)
-    }
-
     /// P² estimate of the 99th percentile, seconds; 0.0 when empty.
     pub fn p99(&self) -> f64 {
         self.p99.estimate().unwrap_or(0.0)
-    }
-
-    /// The underlying latency histogram.
-    pub fn histogram(&self) -> &Histogram {
-        &self.histogram
     }
 
     /// The underlying moment accumulator.
@@ -132,19 +122,9 @@ impl SlaClassCounters {
         self.rejected[c] += 1;
     }
 
-    /// Requests served in `class` (clamped).
-    pub fn served(&self, class: usize) -> u64 {
-        self.served[class.min(SLA_CLASSES - 1)]
-    }
-
     /// Objective violations in `class` (clamped).
     pub fn violated(&self, class: usize) -> u64 {
         self.violated[class.min(SLA_CLASSES - 1)]
-    }
-
-    /// Rejections in `class` (clamped).
-    pub fn rejected(&self, class: usize) -> u64 {
-        self.rejected[class.min(SLA_CLASSES - 1)]
     }
 
     /// Violation fraction for `class`: violated / served, a defined 0.0
@@ -178,10 +158,15 @@ impl SlaClassCounters {
 mod tests {
     use super::*;
 
+    /// P² estimate of the 95th percentile; 0.0 when empty.
+    fn p95(r: &LatencyRecorder) -> f64 {
+        r.p95.estimate().unwrap_or(0.0)
+    }
+
     #[test]
     fn empty_recorder_reports_zeros_not_nan() {
         let r = LatencyRecorder::new(10.0, 32);
-        for v in [r.mean(), r.max(), r.p50(), r.p95(), r.p99()] {
+        for v in [r.mean(), r.max(), r.p50(), p95(&r), r.p99()] {
             assert_eq!(v, 0.0);
         }
         assert_eq!(r.count(), 0);
@@ -194,10 +179,10 @@ mod tests {
             r.record((i % 100) as f64 / 100.0);
         }
         assert_eq!(r.count(), 1000);
-        assert!(r.p99() > r.p95());
-        assert!(r.p95() > r.p50());
+        assert!(r.p99() > p95(&r));
+        assert!(p95(&r) > r.p50());
         assert!((r.mean() - 0.495).abs() < 1e-9);
-        assert_eq!(r.histogram().total(), 1000);
+        assert_eq!(r.histogram.total(), 1000);
     }
 
     #[test]
@@ -221,10 +206,10 @@ mod tests {
         c.record(0, true);
         c.record(1, false);
         c.record_rejected(1);
-        assert_eq!(c.served(0), 2);
+        assert_eq!(c.served[0], 2);
         assert_eq!(c.violated(0), 1);
-        assert_eq!(c.served(1), 1);
-        assert_eq!(c.rejected(1), 1);
+        assert_eq!(c.served[1], 1);
+        assert_eq!(c.rejected[1], 1);
         assert_eq!(c.total_served(), 3);
         assert_eq!(c.total_violated(), 1);
         assert_eq!(c.total_rejected(), 1);
@@ -236,7 +221,7 @@ mod tests {
         let mut c = SlaClassCounters::new();
         c.record(99, true);
         c.record_rejected(99);
-        assert_eq!(c.served(SLA_CLASSES - 1), 1);
-        assert_eq!(c.rejected(SLA_CLASSES - 1), 1);
+        assert_eq!(c.served[SLA_CLASSES - 1], 1);
+        assert_eq!(c.rejected[SLA_CLASSES - 1], 1);
     }
 }

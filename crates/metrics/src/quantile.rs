@@ -41,11 +41,6 @@ impl P2Quantile {
         }
     }
 
-    /// The quantile this estimator tracks.
-    pub fn q(&self) -> f64 {
-        self.q
-    }
-
     /// Observations seen.
     pub fn count(&self) -> usize {
         self.count
@@ -236,7 +231,7 @@ mod tests {
             est.push(i as f64);
         }
         assert_eq!(est.count(), 7);
-        assert_eq!(est.q(), 0.5);
+        assert_eq!(est.q, 0.5);
     }
 
     #[test]

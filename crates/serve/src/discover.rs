@@ -130,15 +130,6 @@ pub enum Change {
     Updated(ServerId),
 }
 
-impl Change {
-    /// The server the change concerns.
-    pub fn server(self) -> ServerId {
-        match self {
-            Change::Joined(s) | Change::Left(s) | Change::Updated(s) => s,
-        }
-    }
-}
-
 /// Computes the changes turning `old` into `new`, in server-id order.
 /// Both sets are canonically ordered, so this is a linear merge.
 pub fn diff_into(old: &InstanceSet, new: &InstanceSet, out: &mut Vec<Change>) {

@@ -121,11 +121,6 @@ pub struct QueueView<'a> {
 }
 
 impl QueueView<'_> {
-    /// Outstanding work on `server`, seconds.
-    pub fn backlog_s(&self, server: ServerId) -> f64 {
-        self.model.backlog(self.now, server).as_secs_f64()
-    }
-
     /// Outstanding work on `server`, integer ticks — the exact quantity
     /// for tie-free comparisons.
     pub fn backlog_ticks(&self, server: ServerId) -> u64 {
@@ -192,11 +187,10 @@ mod tests {
     }
 
     #[test]
-    fn view_reports_seconds_and_ticks() {
+    fn view_reports_backlog_ticks() {
         let mut q = QueueModel::new(1);
         q.enqueue(SimTime::ZERO, ServerId(0), SimDuration::from_millis(1500));
         let v = q.view(SimTime::ZERO);
-        assert!((v.backlog_s(ServerId(0)) - 1.5).abs() < 1e-12);
         assert_eq!(v.backlog_ticks(ServerId(0)), 1_500_000);
     }
 

@@ -45,18 +45,15 @@ pub mod time;
 
 /// One-stop imports for simulation authors.
 pub mod prelude {
-    pub use crate::dist::{
-        Constant, Distribution, Erlang, Exponential, LogNormal, Normal, Pareto, Poisson, Uniform,
-        Weibull, Zipf,
-    };
+    pub use crate::dist::{Distribution, Normal, Pareto, Poisson, Zipf};
     pub use crate::engine::{Control, Disposition, Engine, RunOutcome, Scheduler};
-    pub use crate::event::{EventQueue, Priority};
+    pub use crate::event::EventQueue;
     pub use crate::rng::Rng;
     pub use crate::time::{SimDuration, SimTime};
 }
 
 pub use dist::Distribution;
 pub use engine::{Control, Disposition, Engine, RunOutcome, Scheduler};
-pub use event::{EventQueue, Priority};
+pub use event::EventQueue;
 pub use rng::Rng;
 pub use time::{SimDuration, SimTime};

@@ -81,16 +81,6 @@ where
     produced.into_iter().map(|(_, r)| r).collect()
 }
 
-/// [`map_indexed`] with [`default_threads`] workers.
-pub fn map<T, R, F>(items: Vec<T>, f: F) -> Vec<R>
-where
-    T: Send,
-    R: Send,
-    F: Fn(usize, T) -> R + Sync,
-{
-    map_indexed(items, default_threads(), f)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -124,7 +124,7 @@ struct DigestMark {
 
 /// The invariant checker. Construct with the cluster's server count,
 /// attach as the tracer of a traced run, then inspect
-/// [`InvariantChecker::violations`].
+/// [`InvariantChecker::ok`] and [`InvariantChecker::first_violation`].
 #[derive(Debug, Clone)]
 pub struct InvariantChecker {
     total_servers: u32,
@@ -192,16 +192,6 @@ impl InvariantChecker {
     /// `true` if no invariant has been violated so far.
     pub fn ok(&self) -> bool {
         self.total_violations == 0
-    }
-
-    /// The recorded violations (capped; see [`InvariantChecker::total_violations`]).
-    pub fn violations(&self) -> &[Violation] {
-        &self.violations
-    }
-
-    /// Total violations detected, including ones past the recording cap.
-    pub fn total_violations(&self) -> u64 {
-        self.total_violations
     }
 
     /// The first recorded violation, if any.
@@ -1312,7 +1302,7 @@ mod tests {
                 server: 2,
             },
         );
-        assert_eq!(c.total_violations(), 1, "closed breaker routes legally");
+        assert_eq!(c.total_violations, 1, "closed breaker routes legally");
     }
 
     #[test]
@@ -1328,7 +1318,7 @@ mod tests {
         );
         assert_eq!(c.first_violation().unwrap().invariant, "breaker_routing");
         c.event(30, TraceEventKind::BreakerOpened { server: 1 });
-        assert_eq!(c.total_violations(), 2, "double open flagged");
+        assert_eq!(c.total_violations, 2, "double open flagged");
         let mut c = InvariantChecker::new(4);
         c.event(10, TraceEventKind::BreakerClosed { server: 0 });
         assert_eq!(c.first_violation().unwrap().invariant, "breaker_routing");

@@ -49,11 +49,6 @@ impl RingTracer {
         self.next_seq
     }
 
-    /// Events evicted from the ring so far.
-    pub fn dropped(&self) -> u64 {
-        self.dropped
-    }
-
     /// The retained events, oldest first.
     pub fn events(&self) -> impl Iterator<Item = &TraceEvent> {
         self.events.iter()
@@ -62,11 +57,6 @@ impl RingTracer {
     /// The current value of a named counter (0 if never touched).
     pub fn counter_value(&self, name: &str) -> u64 {
         self.counters.get(name).copied().unwrap_or(0)
-    }
-
-    /// `span_exit` calls that found no matching open span.
-    pub fn unbalanced_span_exits(&self) -> u64 {
-        self.unbalanced_span_exits
     }
 
     /// Freezes the collected state into a serializable snapshot. `id`
@@ -217,7 +207,7 @@ mod tests {
             t.event(i, TraceEventKind::IntervalStarted { index: i });
         }
         assert_eq!(t.recorded(), 5);
-        assert_eq!(t.dropped(), 3);
+        assert_eq!(t.dropped, 3);
         let seqs: Vec<u64> = t.events().map(|e| e.seq).collect();
         assert_eq!(seqs, vec![3, 4], "newest two retained, seq gap-free");
     }
@@ -254,7 +244,7 @@ mod tests {
     fn unmatched_span_exit_is_counted_not_fatal() {
         let mut t = RingTracer::new();
         t.span_exit(5, SpanKind::Balance);
-        assert_eq!(t.unbalanced_span_exits(), 1);
+        assert_eq!(t.unbalanced_span_exits, 1);
         assert_eq!(t.snapshot("x", 0).spans, vec![]);
     }
 

@@ -137,11 +137,6 @@ impl DecisionLedgerView {
         DecisionLedgerView { rows }
     }
 
-    /// The per-interval rows, in interval order.
-    pub fn rows(&self) -> &[LedgerRow] {
-        &self.rows
-    }
-
     /// Totals over all intervals: `(local, in_cluster, deferred)`.
     pub fn totals(&self) -> (u64, u64, u64) {
         self.rows.iter().fold((0, 0, 0), |(l, h, d), r| {
@@ -295,11 +290,11 @@ mod tests {
             ),
         ];
         let view = DecisionLedgerView::from_events(&log);
-        assert_eq!(view.rows().len(), 2);
+        assert_eq!(view.rows.len(), 2);
         assert_eq!(view.totals(), (4, 9, 1));
-        assert!((view.rows()[0].ratio() - 1.5).abs() < 1e-12);
+        assert!((view.rows[0].ratio() - 1.5).abs() < 1e-12);
         assert!(
-            (view.rows()[1].ratio() - 3.0).abs() < 1e-12,
+            (view.rows[1].ratio() - 3.0).abs() < 1e-12,
             "zero vertical count clamps to 1"
         );
         let render = view.render();

@@ -31,11 +31,6 @@ impl ArrivalProcess {
         }
     }
 
-    /// The underlying step length in seconds.
-    pub fn step_seconds(&self) -> f64 {
-        self.step_seconds
-    }
-
     /// Draws the next step: returns `(true_rate, observed_count)`.
     pub fn next_step(&mut self) -> (f64, u64) {
         let rate = self.trace.next_rate();

@@ -102,11 +102,6 @@ impl TraceGenerator {
         }
     }
 
-    /// The current step index (number of rates produced so far).
-    pub fn step(&self) -> u64 {
-        self.step
-    }
-
     /// Produces the request rate for the next step. Rates are always
     /// non-negative.
     pub fn next_rate(&mut self) -> f64 {
@@ -168,7 +163,7 @@ mod tests {
     fn flat_is_constant() {
         let mut g = TraceGenerator::new(TraceShape::Flat { rate: 7.5 }, 1);
         assert!(g.take(100).iter().all(|&r| r == 7.5));
-        assert_eq!(g.step(), 100);
+        assert_eq!(g.step, 100);
     }
 
     #[test]
