@@ -32,6 +32,11 @@
 //! raise horizons, so every cached horizon is a lower bound of the true
 //! one and a query checks (and refreshes) just the leaf it lands on. The
 //! pick is always the exact argmin the linear scan would return.
+//!
+//! The same index answers the gold hedge's query: the least-backlogged
+//! awake server other than the primary. [`ServeSim`](crate::sim::ServeSim)
+//! keeps a zero-penalty index for it, and the query masks the primary's
+//! leaf for the length of one argmin.
 
 use crate::discover::{Change, InstanceSet};
 use crate::queue::QueueView;
@@ -256,8 +261,11 @@ impl Bucket {
 /// a horizon between stamp bumps), so a query validates the one leaf it
 /// lands on and, when stale, refreshes it in O(log n) and asks again.
 /// Each enqueue leaves at most one leaf stale.
+///
+/// A zero-penalty index also answers the gold hedge's query,
+/// [`HorizonIndex::alternate`].
 #[derive(Debug, Clone, Default)]
-struct HorizonIndex {
+pub(crate) struct HorizonIndex {
     stamps: Option<(u64, u64)>,
     buckets: Vec<Bucket>,
 }
@@ -270,11 +278,7 @@ impl HorizonIndex {
         queues: &QueueView<'_>,
         penalty: fn(OperatingRegime) -> u64,
     ) -> Option<ServerId> {
-        let stamps = (set.stamp(), queues.stamp());
-        if self.stamps != Some(stamps) {
-            self.rebuild(set, queues, penalty);
-            self.stamps = Some(stamps);
-        }
+        self.sync(set, queues, penalty);
         let mut best = None;
         for bucket in &mut self.buckets {
             if let Some(candidate) = bucket.argmin(queues, best) {
@@ -284,6 +288,52 @@ impl HorizonIndex {
             }
         }
         best.map(|(_, id)| id)
+    }
+
+    /// The awake server other than `primary` with the least backlog, ties
+    /// to the lower id: the gold hedge's alternate. `None` when `primary`
+    /// is the only awake server. The query builds the index with zero
+    /// penalty, so an index that answers it must not also serve a
+    /// penalised `pick`.
+    ///
+    /// The primary's leaf is masked to `u64::MAX` for the search, then
+    /// holds its true horizon, a valid lower bound.
+    pub(crate) fn alternate(
+        &mut self,
+        set: &InstanceSet,
+        queues: &QueueView<'_>,
+        primary: ServerId,
+    ) -> Option<ServerId> {
+        self.sync(set, queues, |_| 0);
+        let bucket = self.buckets.first_mut()?;
+        let masked = bucket.ids.binary_search(&primary).ok();
+        if let Some(leaf) = masked {
+            bucket.update(leaf, u64::MAX);
+        }
+        // A root at `u64::MAX` is the masked primary or padding: there is
+        // no alternate, and `argmin` must not descend into the padding.
+        let alternate = match bucket.tree.get(1) {
+            Some(&root) if root < u64::MAX => bucket.argmin(queues, None),
+            _ => None,
+        };
+        if let Some(leaf) = masked {
+            bucket.update(leaf, queues.busy_until_ticks(primary));
+        }
+        alternate.map(|(_, id)| id)
+    }
+
+    /// Rebuilds the index when the set or the queue model changed stamp.
+    fn sync(
+        &mut self,
+        set: &InstanceSet,
+        queues: &QueueView<'_>,
+        penalty: fn(OperatingRegime) -> u64,
+    ) {
+        let stamps = (set.stamp(), queues.stamp());
+        if self.stamps != Some(stamps) {
+            self.rebuild(set, queues, penalty);
+            self.stamps = Some(stamps);
+        }
     }
 
     fn rebuild(

@@ -356,11 +356,20 @@ enum BreakerState {
 /// * open → half-open once the open window elapses
 ///   ([`BreakerBank::poll_expired`]), or on a discovery rejoin
 ///   ([`BreakerBank::reset`]).
-#[derive(Debug, Clone, PartialEq)]
+///
+/// The bank keeps a watermark at or below the earliest open window's
+/// end, so [`BreakerBank::poll_expired`] is O(1) until that instant and
+/// scans the fleet once per expiry, not on every dispatch.
+#[derive(Debug, Clone)]
 pub struct BreakerBank {
     states: Vec<BreakerState>,
     failures: Vec<u32>,
     open_count: usize,
+    /// A lower bound on the `until` of every open breaker: opening one
+    /// lowers it, a poll that scans resets it to the exact minimum. A
+    /// [`reset`](BreakerBank::reset) can leave it too low, which costs
+    /// one empty scan, never a missed expiry.
+    next_expiry: SimTime,
 }
 
 impl BreakerBank {
@@ -370,6 +379,7 @@ impl BreakerBank {
             states: vec![BreakerState::Closed; n],
             failures: vec![0; n],
             open_count: 0,
+            next_expiry: SimTime::MAX,
         }
     }
 
@@ -391,6 +401,7 @@ impl BreakerBank {
             Some(slot) if !matches!(slot, BreakerState::Open { .. }) => {
                 *slot = BreakerState::Open { until };
                 self.open_count += 1;
+                self.next_expiry = self.next_expiry.min(until);
                 true
             }
             _ => false,
@@ -449,21 +460,26 @@ impl BreakerBank {
     }
 
     /// Moves every breaker whose open window has elapsed to half-open,
-    /// appending the servers to `reopened` (emit `breaker_close` for
-    /// each). O(n) only while something is open.
+    /// appending the servers to `reopened` in id order (emit
+    /// `breaker_close` for each). O(1) until the earliest open window
+    /// ends; then one O(n) scan, which also finds the next window's end.
     pub fn poll_expired(&mut self, now: SimTime, reopened: &mut Vec<ServerId>) {
-        if self.open_count == 0 {
+        if self.open_count == 0 || now < self.next_expiry {
             return;
         }
+        let mut next_expiry = SimTime::MAX;
         for (idx, slot) in self.states.iter_mut().enumerate() {
             if let BreakerState::Open { until } = *slot {
                 if now >= until {
                     *slot = BreakerState::HalfOpen;
                     self.open_count -= 1;
                     reopened.push(ServerId(idx as u32));
+                } else {
+                    next_expiry = next_expiry.min(until);
                 }
             }
         }
+        self.next_expiry = next_expiry;
     }
 
     /// Resets `server` to closed (discovery rejoin after recovery or

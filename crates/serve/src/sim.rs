@@ -40,7 +40,7 @@
 use std::collections::{BTreeMap, VecDeque};
 
 use crate::discover::{Change, ClusterDiscover, Discover, InstanceSet};
-use crate::picker::{Picker, PickerKind};
+use crate::picker::{HorizonIndex, Picker, PickerKind};
 use crate::queue::QueueModel;
 use crate::resilience::{BackoffSchedule, BreakerBank, ResiliencePolicy, RetryBudget};
 use ecolb_cluster::cluster::{Cluster, ClusterConfig, ClusterRunReport};
@@ -345,6 +345,9 @@ struct ServeState {
     budget: Option<RetryBudget>,
     ledgers: Vec<Ledger>,
     hedges: BTreeMap<u64, HedgeTrack>,
+    /// Zero-penalty horizon index answering the hedge alternate; built
+    /// on the first hedge.
+    hedge_index: HorizonIndex,
     filtered: InstanceSet,
     filter_scratch: Vec<InstanceInfo>,
     filtered_dirty: bool,
@@ -423,6 +426,7 @@ impl ServeSim {
             budget: cfg.resilience.retry.map(|r| RetryBudget::new(r.budget)),
             ledgers: vec![Ledger::default(); n_servers],
             hedges: BTreeMap::new(),
+            hedge_index: HorizonIndex::default(),
             filtered: InstanceSet::default(),
             filter_scratch: Vec::new(),
             filtered_dirty: true,
@@ -827,7 +831,12 @@ fn dispatch_attempt<T: Tracer>(
         } else {
             state.discover.instances()
         };
-        if let Some(alt) = hedge_alternate(hedge_set, &state.queues, now, server) {
+        let alt = state
+            .hedge_index
+            .alternate(hedge_set, &state.queues.view(now), server);
+        #[cfg(test)]
+        assert_eq!(alt, hedge_alternate(hedge_set, &state.queues, now, server));
+        if let Some(alt) = alt {
             let alt_service = effective_service(state, alt, service);
             let twin = InFlight {
                 attempt: HEDGE_BIT,
@@ -890,7 +899,9 @@ fn enqueue<T: Tracer>(
 }
 
 /// The least-backlogged routable alternate to `primary` (ties to the
-/// lower server id), or `None` when the primary is the only choice.
+/// lower server id), or `None` when the primary is the only choice: the
+/// linear scan the hedge index must match.
+#[cfg(test)]
 fn hedge_alternate(
     set: &InstanceSet,
     queues: &QueueModel,
@@ -904,7 +915,7 @@ fn hedge_alternate(
             continue;
         }
         let backlog = queues.backlog(now, inst.id).ticks();
-        if best.map_or(true, |(b, _)| backlog < b) {
+        if best.is_none_or(|(b, _)| backlog < b) {
             best = Some((backlog, inst.id));
         }
     }
@@ -1187,6 +1198,7 @@ fn apply_serve_crash<T: Tracer>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ecolb_simcore::proptest_lite::{check, Gen};
     use ecolb_workload::generator::WorkloadSpec;
 
     fn config(n: usize, picker: PickerKind, intervals: u64) -> ServeConfig {
@@ -1462,5 +1474,151 @@ mod tests {
         assert!(r.serve_energy_j > 0.0);
         assert!(r.total_energy_j() > r.base.energy.total_j());
         assert!(r.reject_fraction() >= 0.0 && r.reject_fraction() <= 1.0);
+    }
+
+    fn hedge_population(gen: &mut Gen, n: usize) -> Vec<InstanceInfo> {
+        (0..n)
+            .map(|i| InstanceInfo {
+                id: ServerId(i as u32),
+                awake: gen.f64_in(0.0, 1.0) < 0.8,
+                regime: OperatingRegime::ALL[gen.usize_in(0, 5)],
+                load: 0.5,
+                vms: 1,
+            })
+            .collect()
+    }
+
+    /// A coarse tick grid (multiples of 50 ms), so equal backlogs and
+    /// idle servers come up often.
+    fn coarse_ticks(gen: &mut Gen, max_steps: u64) -> SimDuration {
+        SimDuration::from_ticks(gen.u64_in(0, max_steps) * 50_000)
+    }
+
+    /// The hedge index returns exactly what the linear scan returns, over
+    /// random operation sequences that stress its cache: the serve path's
+    /// primary-then-twin enqueues, crash resets, switches between the
+    /// full and the breaker-filtered set, and set rebuilds.
+    #[test]
+    fn hedge_index_matches_the_linear_scan() {
+        check("hedge_index_vs_scan", |gen| {
+            let n = gen.usize_in(1, 40);
+            let full = hedge_population(gen, n);
+            let filtered: Vec<InstanceInfo> = full
+                .iter()
+                .filter(|_| gen.f64_in(0.0, 1.0) < 0.7)
+                .copied()
+                .collect();
+            let mut sets = [
+                InstanceSet::from_instances(full),
+                InstanceSet::from_instances(filtered),
+            ];
+            let mut set_at = 0usize;
+            let mut queues = QueueModel::new(n);
+            let mut index = HorizonIndex::default();
+            let mut now = SimTime::ZERO;
+            for step in 0..gen.usize_in(1, 200) {
+                let set = &sets[set_at];
+                match gen.usize_in(0, 12) {
+                    // The serve path: the primary is enqueued, the hedge
+                    // asks for an alternate, the twin is enqueued there.
+                    0..=4 => {
+                        now += coarse_ticks(gen, 4);
+                        let awake = set.awake_indices();
+                        if awake.is_empty() {
+                            continue;
+                        }
+                        let primary = set.instances()[awake[gen.usize_in(0, awake.len())]].id;
+                        let work = coarse_ticks(gen, 6) + SimDuration::from_ticks(1);
+                        queues.enqueue(now, primary, work);
+                        let got = index.alternate(set, &queues.view(now), primary);
+                        let want = hedge_alternate(set, &queues, now, primary);
+                        assert_eq!(got, want, "step {step} primary {primary:?} at {now:?}");
+                        if let Some(alt) = got {
+                            queues.enqueue(now, alt, coarse_ticks(gen, 6));
+                        }
+                    }
+                    // Every awake server takes a turn as the primary.
+                    5 | 6 => {
+                        now += coarse_ticks(gen, 2);
+                        for &i in set.awake_indices() {
+                            let primary = set.instances()[i].id;
+                            let got = index.alternate(set, &queues.view(now), primary);
+                            let want = hedge_alternate(set, &queues, now, primary);
+                            assert_eq!(got, want, "step {step} primary {primary:?} at {now:?}");
+                        }
+                    }
+                    // An enqueue on an arbitrary server.
+                    7 | 8 => {
+                        let server = ServerId(gen.usize_in(0, n) as u32);
+                        queues.enqueue(now, server, coarse_ticks(gen, 8));
+                    }
+                    // A crash destroys a server's queue.
+                    9 => queues.reset(ServerId(gen.usize_in(0, n) as u32)),
+                    // Breakers open or close: the other set is routed.
+                    10 => set_at = 1 - set_at,
+                    // A discovery refresh rebuilds the routed set.
+                    _ => sets[set_at] = InstanceSet::from_instances(hedge_population(gen, n)),
+                }
+            }
+        });
+    }
+
+    fn awake_set(n: u32) -> InstanceSet {
+        InstanceSet::from_instances(
+            (0..n)
+                .map(|i| InstanceInfo {
+                    id: ServerId(i),
+                    awake: true,
+                    regime: OperatingRegime::Optimal,
+                    load: 0.5,
+                    vms: 1,
+                })
+                .collect(),
+        )
+    }
+
+    #[test]
+    fn a_lone_awake_server_has_no_hedge_alternate() {
+        let mut instances = awake_set(3).instances().to_vec();
+        instances[0].awake = false;
+        instances[2].awake = false;
+        let set = InstanceSet::from_instances(instances);
+        let queues = QueueModel::new(3);
+        let mut index = HorizonIndex::default();
+        let view = queues.view(SimTime::ZERO);
+        assert_eq!(index.alternate(&set, &view, ServerId(1)), None);
+        assert_eq!(index.alternate(&awake_set(1), &view, ServerId(0)), None);
+    }
+
+    #[test]
+    fn an_all_idle_set_hedges_to_the_lowest_other_id() {
+        let set = awake_set(5);
+        let queues = QueueModel::new(5);
+        let view = queues.view(SimTime::from_secs(3));
+        let mut index = HorizonIndex::default();
+        for (primary, want) in [(0, 1), (1, 0), (4, 0)] {
+            assert_eq!(
+                index.alternate(&set, &view, ServerId(primary)),
+                Some(ServerId(want)),
+                "primary {primary}"
+            );
+        }
+    }
+
+    #[test]
+    fn a_masked_primary_is_written_back() {
+        // Server 1 is the least backlogged. Hedging away from it must not
+        // hide it from the next query, which a fresh index answers too.
+        let set = awake_set(4);
+        let mut queues = QueueModel::new(4);
+        for (id, ms) in [(0, 300), (1, 100), (2, 200), (3, 400)] {
+            queues.enqueue(SimTime::ZERO, ServerId(id), SimDuration::from_millis(ms));
+        }
+        let view = queues.view(SimTime::ZERO);
+        let mut index = HorizonIndex::default();
+        assert_eq!(index.alternate(&set, &view, ServerId(1)), Some(ServerId(2)));
+        let fresh = HorizonIndex::default().alternate(&set, &view, ServerId(3));
+        assert_eq!(fresh, Some(ServerId(1)));
+        assert_eq!(index.alternate(&set, &view, ServerId(3)), fresh);
     }
 }

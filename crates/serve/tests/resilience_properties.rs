@@ -5,12 +5,17 @@
 //!    (jittered) cap, and are byte-deterministic in
 //!    `(seed, request, policy)`;
 //! 2. the retry-budget token bucket never goes negative and conserves
-//!    milli-tokens exactly.
+//!    milli-tokens exactly;
+//! 3. the breaker bank's watermarked expiry poll agrees with a reference
+//!    bank that scans every slot on every poll.
 
+use ecolb_cluster::server::ServerId;
 use ecolb_serve::resilience::{
-    BackoffSchedule, RetryBudget, RetryBudgetSpec, RetryPolicy, RETRY_COST_MTOKENS,
+    BackoffSchedule, BreakerBank, BreakerPolicy, RetryBudget, RetryBudgetSpec, RetryPolicy,
+    RETRY_COST_MTOKENS,
 };
 use ecolb_simcore::proptest_lite::{check, Gen};
+use ecolb_simcore::time::{SimDuration, SimTime};
 use ecolb_workload::requests::RequestId;
 
 /// Draws an arbitrary-but-sane retry policy: base up to 2 s, multiplier
@@ -121,4 +126,192 @@ fn retry_budget_never_goes_negative_and_conserves_tokens() {
         }
         assert_eq!(budget.withdrawn_mtokens(), granted * RETRY_COST_MTOKENS);
     });
+}
+
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum RefState {
+    Closed,
+    Open(SimTime),
+    HalfOpen,
+}
+
+/// The breaker state machine with no watermark: every poll scans every
+/// slot.
+struct ReferenceBank {
+    states: Vec<RefState>,
+    failures: Vec<u32>,
+}
+
+impl ReferenceBank {
+    fn new(n: usize) -> Self {
+        ReferenceBank {
+            states: vec![RefState::Closed; n],
+            failures: vec![0; n],
+        }
+    }
+
+    fn open(&mut self, idx: usize, until: SimTime) -> bool {
+        if matches!(self.states[idx], RefState::Open(_)) {
+            return false;
+        }
+        self.states[idx] = RefState::Open(until);
+        true
+    }
+
+    fn open_count(&self) -> usize {
+        self.states
+            .iter()
+            .filter(|s| matches!(s, RefState::Open(_)))
+            .count()
+    }
+}
+
+#[derive(Debug, Clone, Copy)]
+enum BreakerOp {
+    Trip(usize),
+    Failure(usize),
+    Success(usize),
+    Reset(usize),
+    Poll,
+}
+
+/// Applies `op` at `now` to both banks and checks that they agree on the
+/// op's result, the reopened servers, the open count and every server's
+/// `is_open`.
+fn apply(
+    bank: &mut BreakerBank,
+    reference: &mut ReferenceBank,
+    op: BreakerOp,
+    now: SimTime,
+    policy: &BreakerPolicy,
+) {
+    let until = now + SimDuration::from_secs_f64(policy.open_s);
+    match op {
+        BreakerOp::Trip(i) => {
+            reference.failures[i] = 0;
+            let want = reference.open(i, until);
+            assert_eq!(bank.trip(ServerId(i as u32), now, policy), want);
+        }
+        BreakerOp::Failure(i) => {
+            let want = match reference.states[i] {
+                RefState::Closed => {
+                    reference.failures[i] += 1;
+                    reference.failures[i] >= policy.failure_threshold && {
+                        reference.failures[i] = 0;
+                        reference.open(i, until)
+                    }
+                }
+                RefState::HalfOpen => reference.open(i, until),
+                RefState::Open(_) => false,
+            };
+            let got = bank.record_failure(ServerId(i as u32), now, policy);
+            assert_eq!(got, want, "failure on {i} at {now:?}");
+        }
+        BreakerOp::Success(i) => {
+            if reference.states[i] == RefState::HalfOpen {
+                reference.states[i] = RefState::Closed;
+            }
+            reference.failures[i] = 0;
+            bank.record_success(ServerId(i as u32));
+        }
+        BreakerOp::Reset(i) => {
+            let want = matches!(reference.states[i], RefState::Open(_));
+            reference.states[i] = RefState::Closed;
+            reference.failures[i] = 0;
+            assert_eq!(bank.reset(ServerId(i as u32)), want, "reset {i} at {now:?}");
+        }
+        BreakerOp::Poll => {
+            let mut want = Vec::new();
+            for (i, state) in reference.states.iter_mut().enumerate() {
+                if let RefState::Open(until) = *state {
+                    if now >= until {
+                        *state = RefState::HalfOpen;
+                        want.push(ServerId(i as u32));
+                    }
+                }
+            }
+            let mut got = Vec::new();
+            bank.poll_expired(now, &mut got);
+            assert_eq!(got, want, "reopened at {now:?}");
+        }
+    }
+    assert_eq!(
+        bank.open_count(),
+        reference.open_count(),
+        "{op:?} at {now:?}"
+    );
+    for (i, state) in reference.states.iter().enumerate() {
+        assert_eq!(
+            bank.is_open(ServerId(i as u32)),
+            matches!(state, RefState::Open(_)),
+            "server {i} after {op:?} at {now:?}"
+        );
+    }
+}
+
+#[test]
+fn breaker_expiry_matches_a_full_scan_on_every_poll() {
+    check("breaker_expiry_vs_scan", |gen| {
+        let n = gen.usize_in(1, 12);
+        // Whole-second windows and clock steps, so several windows often
+        // end at one instant and polls land exactly on an expiry.
+        let policy = BreakerPolicy {
+            failure_threshold: gen.u64_in(1, 4) as u32,
+            open_s: gen.u64_in(1, 6) as f64,
+        };
+        let mut bank = BreakerBank::new(n);
+        let mut reference = ReferenceBank::new(n);
+        let mut now = SimTime::ZERO;
+        for _ in 0..gen.usize_in(1, 300) {
+            now += SimDuration::from_secs(gen.u64_in(0, 3));
+            let server = gen.usize_in(0, n);
+            let op = match gen.usize_in(0, 10) {
+                0 | 1 => BreakerOp::Trip(server),
+                2 | 3 => BreakerOp::Failure(server),
+                4 => BreakerOp::Success(server),
+                5 => BreakerOp::Reset(server),
+                _ => BreakerOp::Poll,
+            };
+            apply(&mut bank, &mut reference, op, now, &policy);
+        }
+    });
+}
+
+#[test]
+fn breaker_expiry_survives_a_reset_and_windows_ending_together() {
+    let policy = BreakerPolicy {
+        failure_threshold: 1,
+        open_s: 10.0,
+    };
+    let mut bank = BreakerBank::new(4);
+    let mut reference = ReferenceBank::new(4);
+    let script = [
+        // Server 0 opens until 10 s and a rejoin resets it, which leaves
+        // the watermark at 10 s.
+        (0, BreakerOp::Trip(0)),
+        (1, BreakerOp::Reset(0)),
+        // Servers 1 and 2 open until 12 s; server 0 trips again, until
+        // 13 s. The watermark stays at 10 s, below every open window.
+        (2, BreakerOp::Trip(1)),
+        (2, BreakerOp::Failure(2)),
+        (3, BreakerOp::Trip(0)),
+        // The stale watermark costs one empty scan at 10 s.
+        (10, BreakerOp::Poll),
+        (11, BreakerOp::Poll),
+        // Two windows end together and reopen in id order.
+        (12, BreakerOp::Poll),
+        (12, BreakerOp::Poll),
+        (13, BreakerOp::Poll),
+        (13, BreakerOp::Poll),
+    ];
+    for (secs, op) in script {
+        apply(
+            &mut bank,
+            &mut reference,
+            op,
+            SimTime::from_secs(secs),
+            &policy,
+        );
+    }
+    assert_eq!(bank.open_count(), 0);
 }
