@@ -4,12 +4,11 @@
 //! whose methods are empty `#[inline(always)]` bodies, so there is
 //! nothing to time. What this smoke test bounds is the **enabled** cost:
 //! a `RingTracer` on the same seeds must stay within the overhead budget
-//! of 10 %. The smoke currently fails it: on a 2-vCPU x86-64 host the
-//! paired statistic reads a median +16 % on the 400-server run. The run
-//! itself got ~3× cheaper since the budget was set (the incremental
-//! partner search), while the per-event cost of the ring push for every
-//! regime sample did not. `BENCH_trace.json` goes through the standard
-//! report path.
+//! of 10 %. On a 2-vCPU x86-64 host the paired statistic reads a median
+//! +4.6 % on the 400-server run over 10 runs (+2.6 to +7.3 %); most of
+//! what is left is the per-event ring push for every regime sample and
+//! the string-keyed counter map (ROADMAP item 2). `BENCH_trace.json`
+//! goes through the standard report path.
 //!
 //! ```text
 //! cargo test -p ecolb-bench --release -- --ignored perf_trace

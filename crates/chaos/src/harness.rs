@@ -4,11 +4,12 @@
 //! A chaos run is exactly a faulty run
 //! ([`FaultyClusterSim`]) traced by
 //! an [`InvariantChecker`]: the checker rides the sealed `Tracer` seam,
-//! consumes the per-interval state digests the cluster emits for
-//! digest-hungry tracers, and asks the engine to abort the moment an
-//! invariant breaks. The cluster seed **is** the plan seed, so a whole
-//! run replays from `(plan, scenario)` alone — the property the
-//! reproducer artifacts and the regression corpus rely on.
+//! receives each interval's state digest through `Tracer::digest` (the
+//! cluster builds one only for a tracer whose `wants_digest` asks), and
+//! asks the engine to abort the moment an invariant breaks. The cluster
+//! seed **is** the plan seed, so a whole run replays from
+//! `(plan, scenario)` alone — the property the reproducer artifacts and
+//! the regression corpus rely on.
 
 use crate::gen::{generate_plan, ChaosScenario};
 use ecolb_faults::plan::FaultPlan;

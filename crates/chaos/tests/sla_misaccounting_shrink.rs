@@ -28,7 +28,7 @@ use ecolb_chaos::{
 };
 use ecolb_faults::plan::{FaultEventKind, FaultPlan};
 use ecolb_metrics::json::ToJson;
-use ecolb_trace::{TraceEventKind, Tracer};
+use ecolb_trace::{StateDigest, Tracer};
 
 const SEED: u64 = 20140109;
 
@@ -64,31 +64,19 @@ fn buggy_reporter(plan: &FaultPlan, scenario: &ChaosScenario) -> InvariantChecke
         } else {
             honest
         };
-        checker.event(
+        checker.digest(
             tau.saturating_mul(interval + 1),
-            TraceEventKind::StateDigest {
+            &StateDigest {
                 interval,
                 hosted,
-                dup_hosted: 0,
-                queued: 0,
                 created: hosted,
-                retired: 0,
-                orphaned: 0,
-                imported: 0,
-                exported: 0,
                 awake: n,
-                sleeping: 0,
-                crashed: 0,
-                sleeping_hosting: 0,
-                leader: 0,
-                leader_crashed: false,
-                epoch: 0,
                 energy_j: 900.0 * k,
                 energy_volume_j: 500.0 * k,
                 energy_midrange_j: 300.0 * k,
                 energy_highend_j: 100.0 * k,
-                energy_migration_j: 0.0,
                 saturation,
+                ..StateDigest::default()
             },
         );
     }

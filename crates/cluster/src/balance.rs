@@ -763,6 +763,28 @@ fn report_sweep_with_hooks(
     }
 }
 
+/// Brings every server whose pending wake has matured by `now` to C0, in
+/// server order, and returns their ids. The balance round calls it first;
+/// a leaderless interval, which skips the round, calls it alone.
+pub(crate) fn complete_matured_wakes(
+    servers: &mut [Server],
+    now: SimTime,
+    tracer: &mut dyn Tracer,
+) -> Vec<ServerId> {
+    let mut woken = Vec::new();
+    for s in servers.iter_mut() {
+        if s.wake_ready_at().is_some_and(|t| t <= now) {
+            s.complete_wake(now);
+            tracer.event(
+                now.ticks(),
+                TraceEventKind::WakeCompleted { server: s.id().0 },
+            );
+            woken.push(s.id());
+        }
+    }
+    woken
+}
+
 /// Runs one full balancing round at instant `now`. Servers whose pending
 /// wake has completed by `now` are brought online first.
 ///
@@ -792,20 +814,7 @@ pub fn balance_round(
     scratch: &mut BalanceScratch,
 ) -> BalanceOutcome {
     tracer.span_enter(now.ticks(), SpanKind::Balance);
-    // Complete wakes that have matured.
-    let mut just_woken = Vec::new();
-    for s in servers.iter_mut() {
-        if let Some(t) = s.wake_ready_at() {
-            if t <= now {
-                s.complete_wake(now);
-                tracer.event(
-                    now.ticks(),
-                    TraceEventKind::WakeCompleted { server: s.id().0 },
-                );
-                just_woken.push(s.id());
-            }
-        }
-    }
+    let just_woken = complete_matured_wakes(servers, now, tracer);
     report_sweep_with_hooks(servers, leader, now, hooks, stats, tracer);
     let mut outcome = BalanceOutcome::default();
     shed_phase(

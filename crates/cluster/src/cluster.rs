@@ -22,8 +22,8 @@ use crate::admission::{
     AdmissionController, AdmissionPolicy, AdmissionStats, ArrivalSpec, ServiceRequest,
 };
 use crate::balance::{
-    balance_round, cluster_load_fraction, BalanceConfig, BalanceOutcome, BalanceScratch,
-    MigrationRecord,
+    balance_round, cluster_load_fraction, complete_matured_wakes, BalanceConfig, BalanceOutcome,
+    BalanceScratch, MigrationRecord,
 };
 use crate::leader::Leader;
 use crate::migration::MigrationCostModel;
@@ -37,7 +37,9 @@ use ecolb_energy::sleep::SleepModel;
 use ecolb_metrics::timeseries::TimeSeries;
 use ecolb_simcore::rng::Rng;
 use ecolb_simcore::time::{SimDuration, SimTime};
-use ecolb_trace::{NoTrace, SpanKind, TraceEventKind, Tracer, HEARTBEAT_TIMEOUT_INTERVALS};
+use ecolb_trace::{
+    NoTrace, SpanKind, StateDigest, TraceEventKind, Tracer, HEARTBEAT_TIMEOUT_INTERVALS,
+};
 use ecolb_workload::application::{AppId, Application};
 use ecolb_workload::generator::{generate_server_apps, AppIdAllocator, WorkloadSpec};
 
@@ -215,6 +217,12 @@ pub struct Cluster {
     vms_exported: u64,
     /// Reusable interval working buffers (see [`IntervalScratch`]).
     scratch: IntervalScratch,
+    /// Census of the awake servers at construction, before any interval.
+    initial_census: RegimeCensus,
+    /// Sleeping-server count and load fraction sampled at the end of
+    /// every interval ([`Cluster::interval_stats`]).
+    sleeping_series: TimeSeries,
+    load_series: TimeSeries,
 }
 
 impl Cluster {
@@ -251,7 +259,7 @@ impl Cluster {
         }
         let leader = Leader::new(config.n_servers);
         let config_admission = config.admission;
-        Cluster {
+        let mut cluster = Cluster {
             config,
             servers,
             leader,
@@ -277,7 +285,12 @@ impl Cluster {
             vms_imported: 0,
             vms_exported: 0,
             scratch: IntervalScratch::default(),
-        }
+            initial_census: RegimeCensus::new(),
+            sleeping_series: TimeSeries::new("sleeping_servers"),
+            load_series: TimeSeries::new("cluster_load"),
+        };
+        cluster.initial_census = cluster.census();
+        cluster
     }
 
     /// The servers (read-only).
@@ -889,17 +902,7 @@ impl Cluster {
         // cluster is leaderless (nobody brokers partners), which is where
         // failed consolidations accumulate.
         let outcome = if self.leaderless() {
-            for s in &mut self.servers {
-                if let Some(t) = s.wake_ready_at() {
-                    if t <= self.now {
-                        s.complete_wake(self.now);
-                        tracer.event(
-                            self.now.ticks(),
-                            TraceEventKind::WakeCompleted { server: s.id().0 },
-                        );
-                    }
-                }
-            }
+            complete_matured_wakes(&mut self.servers, self.now, tracer);
             let failed = self
                 .servers
                 .iter()
@@ -944,20 +947,34 @@ impl Cluster {
         }
         tracer.span_exit(self.now.ticks(), SpanKind::Interval);
         self.interval_index += 1;
+        let (asleep, frac) = self.interval_stats();
+        self.sleeping_series.push(asleep as f64);
+        self.load_series.push(frac);
         outcome
     }
 
-    /// Emits the end-of-interval [`TraceEventKind::StateDigest`] the
-    /// chaos invariant checker validates: the VM ledger, the server
+    /// Hands the tracer the end-of-interval [`StateDigest`] the chaos
+    /// invariant checker validates: the VM ledger, the server
     /// power-state census and the leader view. Only called when the
     /// active tracer asks for digests ([`Tracer::wants_digest`]), so
     /// golden traces and untraced runs are unaffected.
     fn emit_digest(&mut self, tracer: &mut dyn Tracer) {
-        let mut hosted = 0u64;
-        let mut awake = 0u32;
-        let mut sleeping = 0u32;
-        let mut crashed = 0u32;
-        let mut sleeping_hosting = 0u32;
+        let mut d = StateDigest {
+            interval: self.interval_index,
+            queued: self.admission.queue_len() as u64,
+            created: self.ids.allocated(),
+            retired: self.vms_retired,
+            orphaned: self.vms_orphaned,
+            imported: self.vms_imported,
+            exported: self.vms_exported,
+            leader: self.leader_host.0,
+            leader_crashed: self.leaderless(),
+            epoch: self.leader_epoch,
+            energy_j: self.energy().total_j() + self.migration_energy_j,
+            energy_migration_j: self.migration_energy_j,
+            saturation: self.saturation_violations,
+            ..StateDigest::default()
+        };
         // Duplicate detection is a linear scan over an id-indexed bitmap
         // (ids are allocated densely from 0), not a sort — the digest is
         // emitted every interval and must stay cheap enough to leave the
@@ -971,7 +988,6 @@ impl Cluster {
         seen.resize(self.ids.allocated() as usize, false);
         let overflow = &mut self.scratch.digest_overflow;
         overflow.clear();
-        let mut dup_hosted = 0u64;
         // Per-Koomey-class cumulative energy (volume, mid-range,
         // high-end): the checker cross-foots these against the fleet
         // total, so a server drawing joules under the wrong class meter
@@ -979,89 +995,53 @@ impl Cluster {
         let mut class_energy = [0.0f64; 3];
         for (s, &class) in self.servers.iter().zip(&self.classes) {
             class_energy[class as usize] += s.energy().total_j();
-            hosted += s.app_count() as u64;
+            d.hosted += s.app_count() as u64;
             for app in s.apps() {
                 match seen.get_mut(app.id.0 as usize) {
-                    Some(slot) if *slot => dup_hosted += 1,
+                    Some(slot) if *slot => d.dup_hosted += 1,
                     Some(slot) => *slot = true,
                     None => overflow.push(app.id.0),
                 }
             }
             if s.is_crashed() {
-                crashed += 1;
+                d.crashed += 1;
             } else if s.is_awake() {
-                awake += 1;
+                d.awake += 1;
             } else {
-                sleeping += 1;
+                d.sleeping += 1;
             }
             if !s.is_awake() && s.app_count() > 0 {
-                sleeping_hosting += 1;
+                d.sleeping_hosting += 1;
             }
         }
         if !overflow.is_empty() {
             overflow.sort_unstable();
-            dup_hosted += overflow.windows(2).filter(|w| w[0] == w[1]).count() as u64;
+            d.dup_hosted += overflow.windows(2).filter(|w| w[0] == w[1]).count() as u64;
         }
-        tracer.event(
-            self.now.ticks(),
-            TraceEventKind::StateDigest {
-                interval: self.interval_index,
-                hosted,
-                dup_hosted,
-                queued: self.admission.queue_len() as u64,
-                created: self.ids.allocated(),
-                retired: self.vms_retired,
-                orphaned: self.vms_orphaned,
-                imported: self.vms_imported,
-                exported: self.vms_exported,
-                awake,
-                sleeping,
-                crashed,
-                sleeping_hosting,
-                leader: self.leader_host.0,
-                leader_crashed: self.leaderless(),
-                epoch: self.leader_epoch,
-                energy_j: self.energy().total_j() + self.migration_energy_j,
-                energy_volume_j: class_energy[0],
-                energy_midrange_j: class_energy[1],
-                energy_highend_j: class_energy[2],
-                energy_migration_j: self.migration_energy_j,
-                saturation: self.saturation_violations,
-            },
-        );
+        [d.energy_volume_j, d.energy_midrange_j, d.energy_highend_j] = class_energy;
+        tracer.digest(self.now.ticks(), &d);
     }
 
     /// Runs `intervals` reallocation intervals and assembles the report.
     pub fn run(&mut self, intervals: u64) -> ClusterRunReport {
-        let initial_census = self.census();
-        let mut sleeping = TimeSeries::new("sleeping_servers");
-        let mut load = TimeSeries::new("cluster_load");
         for _ in 0..intervals {
             self.run_interval();
-            let (asleep, frac) = self.interval_stats();
-            sleeping.push(asleep as f64);
-            load.push(frac);
         }
-        self.run_report(initial_census, sleeping, load)
+        self.run_report()
     }
 
-    /// Assembles the run report from the cluster's state so far, the
-    /// census taken before the first interval and the per-interval
-    /// sleeping/load series the driving loop sampled. Every driver
-    /// (this cluster's [`Cluster::run`], the timed simulation and the
-    /// serving co-simulation) builds its report here.
-    pub fn run_report(
-        &self,
-        initial_census: RegimeCensus,
-        sleeping_series: TimeSeries,
-        load_series: TimeSeries,
-    ) -> ClusterRunReport {
+    /// Assembles the run report from the cluster's state so far: the
+    /// census taken at construction, and every series sampled at the end
+    /// of each interval since. Every run loop (this cluster's
+    /// [`Cluster::run`], the timed simulation and the serving
+    /// co-simulation) builds its report here.
+    pub fn run_report(&self) -> ClusterRunReport {
         ClusterRunReport {
-            initial_census,
+            initial_census: self.initial_census,
             final_census: self.census(),
             ratio_series: self.ledger.ratio_series(),
-            sleeping_series,
-            load_series,
+            sleeping_series: self.sleeping_series.clone(),
+            load_series: self.load_series.clone(),
             decision_totals: self.ledger.totals(),
             migrations: self.migrations,
             energy: self.energy(),

@@ -122,9 +122,6 @@ struct SimState<'h, H> {
     wake_latency_s: OnlineStats,
     in_flight: usize,
     max_in_flight: usize,
-    /// The series the base `Cluster::run` would have recorded.
-    sleeping: TimeSeries,
-    load: TimeSeries,
     /// Open crash windows: when each currently-crashed server went down.
     crash_start: BTreeMap<ServerId, SimTime>,
     /// Closed crash windows `(down, back_up)`; clamped to the run length
@@ -191,7 +188,6 @@ impl TimedClusterSim {
             }
         }
 
-        let initial_census = self.cluster.census();
         let mut state = SimState {
             cluster: self.cluster,
             hooks,
@@ -202,8 +198,6 @@ impl TimedClusterSim {
             wake_latency_s: OnlineStats::new(),
             in_flight: 0,
             max_in_flight: 0,
-            sleeping: TimeSeries::new("sleeping_servers"),
-            load: TimeSeries::new("cluster_load"),
             crash_start: BTreeMap::new(),
             closed_windows: Vec::new(),
             orphan_downtime_seconds: 0.0,
@@ -252,7 +246,7 @@ impl TimedClusterSim {
             .chain(open_windows)
             .map(|(down, up)| up.min(end).saturating_sub(down).as_secs_f64())
             .sum();
-        let base = cluster.run_report(initial_census, state.sleeping, state.load);
+        let base = cluster.run_report();
         let recovery = cluster.recovery_stats();
         let availability = if elapsed > 0.0 && n_servers > 0 {
             1.0 - crashed_server_seconds / (n_servers as f64 * elapsed)
@@ -289,9 +283,8 @@ impl TimedClusterSim {
     }
 }
 
-/// End of a reallocation interval: run it, sample the series, charge the
-/// degradation ledger, and turn the interval's transfers and wakes into
-/// timed events.
+/// End of a reallocation interval: run it, charge the degradation ledger,
+/// and turn the interval's transfers and wakes into timed events.
 fn on_tick<H: FaultHooks, T: Tracer>(
     state: &mut SimState<'_, H>,
     sched: &mut Scheduler<'_, SimEvent, T>,
@@ -301,9 +294,6 @@ fn on_tick<H: FaultHooks, T: Tracer>(
     let outcome = state
         .cluster
         .run_interval_traced(&mut *state.hooks, sched.tracer());
-    let (asleep, frac) = state.cluster.interval_stats();
-    state.sleeping.push(asleep as f64);
-    state.load.push(frac);
 
     // Degradation ledger: energy burned during a leaderless interval is
     // wasted (no balancing could act on it), and every aborted wake cycle

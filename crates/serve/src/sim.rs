@@ -365,8 +365,6 @@ struct ServeState {
     serve_energy_j: f64,
     sleep_deferral_energy_j: f64,
     deferred_sleeps: u64,
-    sleeping_series: ecolb_metrics::timeseries::TimeSeries,
-    load_series: ecolb_metrics::timeseries::TimeSeries,
 }
 
 impl ServeSim {
@@ -443,11 +441,8 @@ impl ServeSim {
             serve_energy_j: 0.0,
             sleep_deferral_energy_j: 0.0,
             deferred_sleeps: 0,
-            sleeping_series: ecolb_metrics::timeseries::TimeSeries::new("sleeping_servers"),
-            load_series: ecolb_metrics::timeseries::TimeSeries::new("cluster_load"),
             cluster,
         };
-        let initial_census = state.cluster.census();
 
         let mut engine: Engine<ServeEvent> = Engine::with_capacity(256);
         engine.schedule_at(
@@ -491,8 +486,7 @@ impl ServeSim {
         );
         debug_assert!(matches!(outcome, RunOutcome::Stopped | RunOutcome::Drained));
 
-        let (sleeping, load) = (state.sleeping_series, state.load_series);
-        let base = state.cluster.run_report(initial_census, sleeping, load);
+        let base = state.cluster.run_report();
         ServeReport {
             picker: cfg.picker.label(),
             base,
@@ -517,13 +511,9 @@ type Sched<'a, T> = ecolb_simcore::engine::Scheduler<'a, ServeEvent, T>;
 
 fn on_tick<T: Tracer>(state: &mut ServeState, sched: &mut Sched<'_, T>) -> Control {
     let now = sched.now();
-    let ServeState {
-        cluster, injector, ..
-    } = state;
-    cluster.run_interval_traced(injector, sched.tracer());
-    let (asleep, frac) = state.cluster.interval_stats();
-    state.sleeping_series.push(asleep as f64);
-    state.load_series.push(frac);
+    state
+        .cluster
+        .run_interval_traced(&mut state.injector, sched.tracer());
 
     // Surface this interval's wake/sleep/crash and migration effects to
     // the picker, and charge sleep deferral for servers the policy put

@@ -2,11 +2,11 @@
 //! validates global protocol invariants from the event stream.
 //!
 //! The checker consumes the same events a [`RingTracer`](crate::RingTracer)
-//! would record, plus the per-interval [`TraceEventKind::StateDigest`]
-//! it requests via [`Tracer::wants_digest`]. It never touches cluster
-//! internals — everything it knows arrives through the trace seam, so
-//! "checker attached" and "checker absent" runs are structurally
-//! identical apart from digest emission.
+//! would record, plus the per-interval [`StateDigest`] it requests via
+//! [`Tracer::wants_digest`] and receives through [`Tracer::digest`]. It
+//! never touches cluster internals — everything it knows arrives through
+//! the trace seam, so "checker attached" and "checker absent" runs are
+//! structurally identical apart from digest emission.
 //!
 //! Checked invariants (see DESIGN.md "Invariant model" for the paper
 //! justification of each):
@@ -45,14 +45,15 @@
 //! [`Tracer::abort_requested`], which the engine polls once per
 //! dispatched event — the run stops before further simulation can bury
 //! the evidence. Each recorded [`Violation`] carries the sim-time, the
-//! implicated server and the window of trace events leading up to it.
+//! implicated server and the window of trace events leading up to it
+//! (events only: digests never enter the window).
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 use ecolb_metrics::json::{ObjectWriter, ToJson};
 
 use crate::event::{TraceEvent, TraceEventKind};
-use crate::tracer::{SpanKind, Tracer};
+use crate::tracer::{SpanKind, StateDigest, Tracer};
 
 /// Server id used in violations that implicate the whole cluster
 /// rather than one server.
@@ -109,19 +110,6 @@ impl ToJson for Violation {
     }
 }
 
-/// Summary of the previous digest, kept for monotonicity checks.
-#[derive(Debug, Clone, Copy)]
-struct DigestMark {
-    at_us: u64,
-    interval: u64,
-    energy_j: f64,
-    /// Per-class cumulative energy (volume, mid-range, high-end), J.
-    class_energy_j: [f64; 3],
-    migration_energy_j: f64,
-    saturation: u64,
-    leader: u32,
-}
-
 /// The invariant checker. Construct with the cluster's server count,
 /// attach as the tracer of a traced run, then inspect
 /// [`InvariantChecker::ok`] and [`InvariantChecker::first_violation`].
@@ -138,7 +126,8 @@ pub struct InvariantChecker {
     /// Failover targets seen since the last digest.
     failovers_since_digest: Vec<u32>,
     leaderless_streak: u32,
-    last_digest: Option<DigestMark>,
+    /// The previous digest and its instant, for monotonicity checks.
+    last_digest: Option<(u64, StateDigest)>,
     digests_checked: u64,
     violations: Vec<Violation>,
     total_violations: u64,
@@ -277,29 +266,7 @@ impl InvariantChecker {
         self.next_seq += 1;
     }
 
-    fn check_digest(
-        &mut self,
-        at: u64,
-        interval: u64,
-        hosted: u64,
-        dup_hosted: u64,
-        created: u64,
-        retired: u64,
-        orphaned: u64,
-        imported: u64,
-        exported: u64,
-        awake: u32,
-        sleeping: u32,
-        crashed: u32,
-        sleeping_hosting: u32,
-        leader: u32,
-        leader_crashed: bool,
-        epoch: u64,
-        energy_j: f64,
-        class_energy_j: [f64; 3],
-        migration_energy_j: f64,
-        saturation: u64,
-    ) {
+    fn check_digest(&mut self, at: u64, d: &StateDigest) {
         self.digests_checked += 1;
 
         // -- shed_accounting (balance at interval close) ------------------
@@ -319,63 +286,70 @@ impl InvariantChecker {
         }
 
         // -- time_monotone ------------------------------------------------
-        if let Some(prev) = self.last_digest {
-            if at <= prev.at_us {
+        if let Some((prev_at, prev)) = self.last_digest {
+            if at <= prev_at {
                 self.report(
                     at,
                     "time_monotone",
                     CLUSTER_WIDE,
-                    format!("digest at {at}us not after previous at {}us", prev.at_us),
+                    format!("digest at {at}us not after previous at {prev_at}us"),
                 );
             }
-            if interval != prev.interval + 1 {
+            if d.interval != prev.interval + 1 {
                 self.report(
                     at,
                     "time_monotone",
                     CLUSTER_WIDE,
                     format!(
-                        "interval index {interval} does not follow {}",
-                        prev.interval
+                        "interval index {} does not follow {}",
+                        d.interval, prev.interval
                     ),
                 );
             }
         }
 
         // -- vm_conservation ----------------------------------------------
-        let sources = created + imported;
-        let sinks = hosted + retired + orphaned + exported;
+        let sources = d.created + d.imported;
+        let sinks = d.hosted + d.retired + d.orphaned + d.exported;
         if sources != sinks {
             self.report(
                 at,
                 "vm_conservation",
                 CLUSTER_WIDE,
                 format!(
-                    "created {created} + imported {imported} != hosted {hosted} \
-                     + retired {retired} + orphaned {orphaned} + exported {exported}"
+                    "created {} + imported {} != hosted {} + retired {} \
+                     + orphaned {} + exported {}",
+                    d.created, d.imported, d.hosted, d.retired, d.orphaned, d.exported
                 ),
             );
         }
-        if dup_hosted != 0 {
+        if d.dup_hosted != 0 {
             self.report(
                 at,
                 "vm_conservation",
                 CLUSTER_WIDE,
-                format!("{dup_hosted} application id(s) hosted on more than one server"),
+                format!(
+                    "{} application id(s) hosted on more than one server",
+                    d.dup_hosted
+                ),
             );
         }
 
         // -- sleep_wake_fsm (global census side) --------------------------
-        if sleeping_hosting != 0 {
+        if d.sleeping_hosting != 0 {
             self.report(
                 at,
                 "sleep_wake_fsm",
                 CLUSTER_WIDE,
-                format!("{sleeping_hosting} non-awake server(s) still hosting VMs"),
+                format!(
+                    "{} non-awake server(s) still hosting VMs",
+                    d.sleeping_hosting
+                ),
             );
         }
 
         // -- server_census ------------------------------------------------
-        let accounted = awake as u64 + sleeping as u64 + crashed as u64;
+        let accounted = d.awake as u64 + d.sleeping as u64 + d.crashed as u64;
         if accounted != self.total_servers as u64 {
             self.report(
                 at,
@@ -389,6 +363,7 @@ impl InvariantChecker {
         }
 
         // -- energy_accounting / sla_accounting ---------------------------
+        let energy_j = d.energy_j;
         if !energy_j.is_finite() || energy_j < 0.0 {
             self.report(
                 at,
@@ -402,12 +377,7 @@ impl InvariantChecker {
         // meter, and the four components must re-sum to the fleet total
         // (up to float re-association noise).
         let class_labels = ["volume", "mid_range", "high_end", "migration"];
-        let components = [
-            class_energy_j[0],
-            class_energy_j[1],
-            class_energy_j[2],
-            migration_energy_j,
-        ];
+        let components = energy_components(d);
         for (label, value) in class_labels.iter().zip(components) {
             if !value.is_finite() || value < 0.0 {
                 self.report(
@@ -430,7 +400,7 @@ impl InvariantChecker {
                 ),
             );
         }
-        if let Some(prev) = self.last_digest {
+        if let Some((_, prev)) = self.last_digest {
             if energy_j < prev.energy_j {
                 self.report(
                     at,
@@ -442,14 +412,10 @@ impl InvariantChecker {
                     ),
                 );
             }
-            let prev_components = [
-                prev.class_energy_j[0],
-                prev.class_energy_j[1],
-                prev.class_energy_j[2],
-                prev.migration_energy_j,
-            ];
-            for ((label, value), prev_value) in
-                class_labels.iter().zip(components).zip(prev_components)
+            for ((label, value), prev_value) in class_labels
+                .iter()
+                .zip(components)
+                .zip(energy_components(&prev))
             {
                 if value < prev_value {
                     self.report(
@@ -460,31 +426,35 @@ impl InvariantChecker {
                     );
                 }
             }
-            if saturation < prev.saturation {
+            if d.saturation < prev.saturation {
                 self.report(
                     at,
                     "sla_accounting",
                     CLUSTER_WIDE,
                     format!(
-                        "saturation count fell from {} to {saturation}",
-                        prev.saturation
+                        "saturation count fell from {} to {}",
+                        prev.saturation, d.saturation
                     ),
                 );
             }
         }
 
         // -- leader_uniqueness --------------------------------------------
+        let leader = d.leader;
         if let Some(known) = self.epoch {
-            if epoch != known {
+            if d.epoch != known {
                 self.report(
                     at,
                     "leader_uniqueness",
                     leader,
-                    format!("digest epoch {epoch} disagrees with failover-derived {known}"),
+                    format!(
+                        "digest epoch {} disagrees with failover-derived {known}",
+                        d.epoch
+                    ),
                 );
             }
         }
-        if let Some(prev) = self.last_digest {
+        if let Some((_, prev)) = self.last_digest {
             if leader != prev.leader && !self.failovers_since_digest.contains(&leader) {
                 self.report(
                     at,
@@ -498,11 +468,11 @@ impl InvariantChecker {
             }
         }
         self.leader = Some(leader);
-        self.epoch = Some(epoch);
+        self.epoch = Some(d.epoch);
         self.failovers_since_digest.clear();
 
         // -- leader_liveness ----------------------------------------------
-        if leader_crashed && crashed < self.total_servers {
+        if d.leader_crashed && d.crashed < self.total_servers {
             self.leaderless_streak += 1;
             if self.leaderless_streak > HEARTBEAT_TIMEOUT_INTERVALS {
                 self.report(
@@ -512,7 +482,7 @@ impl InvariantChecker {
                     format!(
                         "leaderless for {} intervals with {} live server(s)",
                         self.leaderless_streak,
-                        self.total_servers - crashed
+                        self.total_servers - d.crashed
                     ),
                 );
             }
@@ -520,30 +490,21 @@ impl InvariantChecker {
             self.leaderless_streak = 0;
         }
 
-        self.last_digest = Some(DigestMark {
-            at_us: at,
-            interval,
-            energy_j,
-            class_energy_j,
-            migration_energy_j,
-            saturation,
-            leader,
-        });
+        self.last_digest = Some((at, *d));
     }
 
     fn check_event(&mut self, at: u64, kind: &TraceEventKind) {
         // Any event stamped before the digest that closed the previous
         // interval would mean sim time ran backwards.
-        if let Some(prev) = self.last_digest {
-            if at < prev.at_us {
+        if let Some((prev_at, _)) = self.last_digest {
+            if at < prev_at {
                 self.report(
                     at,
                     "time_monotone",
                     CLUSTER_WIDE,
                     format!(
-                        "event `{}` at {at}us predates last digest at {}us",
-                        kind.name(),
-                        prev.at_us
+                        "event `{}` at {at}us predates last digest at {prev_at}us",
+                        kind.name()
                     ),
                 );
             }
@@ -697,51 +658,6 @@ impl InvariantChecker {
                 self.failovers_since_digest.push(new_leader);
                 self.leaderless_streak = 0;
             }
-            TraceEventKind::StateDigest {
-                interval,
-                hosted,
-                dup_hosted,
-                queued: _,
-                created,
-                retired,
-                orphaned,
-                imported,
-                exported,
-                awake,
-                sleeping,
-                crashed,
-                sleeping_hosting,
-                leader,
-                leader_crashed,
-                epoch,
-                energy_j,
-                energy_volume_j,
-                energy_midrange_j,
-                energy_highend_j,
-                energy_migration_j,
-                saturation,
-            } => self.check_digest(
-                at,
-                interval,
-                hosted,
-                dup_hosted,
-                created,
-                retired,
-                orphaned,
-                imported,
-                exported,
-                awake,
-                sleeping,
-                crashed,
-                sleeping_hosting,
-                leader,
-                leader_crashed,
-                epoch,
-                energy_j,
-                [energy_volume_j, energy_midrange_j, energy_highend_j],
-                energy_migration_j,
-                saturation,
-            ),
             TraceEventKind::BreakerOpened { server } => {
                 if self.breaker_open(server) {
                     self.report(
@@ -876,105 +792,51 @@ impl Tracer for InvariantChecker {
     fn wants_digest(&self) -> bool {
         true
     }
+
+    fn digest(&mut self, at_ticks: u64, digest: &StateDigest) {
+        self.check_digest(at_ticks, digest);
+    }
+}
+
+/// A digest's energy split: the three Koomey-class meters and the
+/// migration remainder, in that order.
+fn energy_components(d: &StateDigest) -> [f64; 4] {
+    [
+        d.energy_volume_j,
+        d.energy_midrange_j,
+        d.energy_highend_j,
+        d.energy_migration_j,
+    ]
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    /// Overridable digest fixture (`D { hosted: 9, ..D::clean(0, 100) }`).
-    #[derive(Clone, Copy)]
-    struct D {
-        interval: u64,
-        hosted: u64,
-        dup_hosted: u64,
-        queued: u64,
-        created: u64,
-        retired: u64,
-        orphaned: u64,
-        imported: u64,
-        exported: u64,
-        awake: u32,
-        sleeping: u32,
-        crashed: u32,
-        sleeping_hosting: u32,
-        leader: u32,
-        leader_crashed: bool,
-        epoch: u64,
-        energy_j: f64,
-        /// Per-class split override; `None` books everything to volume,
-        /// keeping struct-update overrides of `energy_j` sum-consistent.
-        class_energy_j: Option<[f64; 3]>,
-        energy_migration_j: f64,
-        saturation: u64,
-    }
-
-    impl D {
-        fn clean(interval: u64, at: u64) -> D {
-            D {
-                interval,
-                hosted: 10,
-                dup_hosted: 0,
-                queued: 0,
-                created: 10,
-                retired: 0,
-                orphaned: 0,
-                imported: 0,
-                exported: 0,
-                awake: 4,
-                sleeping: 0,
-                crashed: 0,
-                sleeping_hosting: 0,
-                leader: 0,
-                leader_crashed: false,
-                epoch: 0,
-                energy_j: at as f64,
-                class_energy_j: None,
-                energy_migration_j: 0.0,
-                saturation: 0,
-            }
-        }
-
-        fn kind(self) -> TraceEventKind {
-            let classes =
-                self.class_energy_j
-                    .unwrap_or([self.energy_j - self.energy_migration_j, 0.0, 0.0]);
-            TraceEventKind::StateDigest {
-                interval: self.interval,
-                hosted: self.hosted,
-                dup_hosted: self.dup_hosted,
-                queued: self.queued,
-                created: self.created,
-                retired: self.retired,
-                orphaned: self.orphaned,
-                imported: self.imported,
-                exported: self.exported,
-                awake: self.awake,
-                sleeping: self.sleeping,
-                crashed: self.crashed,
-                sleeping_hosting: self.sleeping_hosting,
-                leader: self.leader,
-                leader_crashed: self.leader_crashed,
-                epoch: self.epoch,
-                energy_j: self.energy_j,
-                energy_volume_j: classes[0],
-                energy_midrange_j: classes[1],
-                energy_highend_j: classes[2],
-                energy_migration_j: self.energy_migration_j,
-                saturation: self.saturation,
-            }
+    /// A consistent digest closing `interval`: 10 VMs on 4 awake
+    /// servers and `energy_j` joules drawn, all by the volume class.
+    fn metered(interval: u64, energy_j: f64) -> StateDigest {
+        StateDigest {
+            interval,
+            hosted: 10,
+            created: 10,
+            awake: 4,
+            energy_j,
+            energy_volume_j: energy_j,
+            ..StateDigest::default()
         }
     }
 
-    fn digest(interval: u64, at: u64) -> TraceEventKind {
-        D::clean(interval, at).kind()
+    /// [`metered`] with one joule per microsecond of `at`.
+    fn digest(interval: u64, at: u64) -> StateDigest {
+        metered(interval, at as f64)
     }
 
     #[test]
     fn clean_digest_stream_passes() {
         let mut c = InvariantChecker::new(4);
         for i in 0..5u64 {
-            c.event((i + 1) * 100, digest(i, (i + 1) * 100));
+            c.digest((i + 1) * 100, &digest(i, (i + 1) * 100));
         }
         assert!(c.ok());
         assert_eq!(c.digests_checked(), 5);
@@ -985,13 +847,12 @@ mod tests {
     fn lost_vm_breaks_conservation() {
         let mut c = InvariantChecker::new(4);
         // One VM vanished: created 10 but only 9 accounted for.
-        c.event(
+        c.digest(
             100,
-            D {
+            &StateDigest {
                 hosted: 9,
-                ..D::clean(0, 100)
-            }
-            .kind(),
+                ..digest(0, 100)
+            },
         );
         assert!(!c.ok());
         let v = c.first_violation().unwrap();
@@ -1003,13 +864,12 @@ mod tests {
     #[test]
     fn duplicate_hosting_is_flagged() {
         let mut c = InvariantChecker::new(4);
-        c.event(
+        c.digest(
             100,
-            D {
+            &StateDigest {
                 dup_hosted: 1,
-                ..D::clean(0, 100)
-            }
-            .kind(),
+                ..digest(0, 100)
+            },
         );
         assert_eq!(c.first_violation().unwrap().invariant, "vm_conservation");
     }
@@ -1017,13 +877,13 @@ mod tests {
     #[test]
     fn sleeping_server_hosting_vms_is_flagged() {
         let mut c = InvariantChecker::new(4);
-        let d = D {
+        let d = StateDigest {
             awake: 3,
             sleeping: 1,
             sleeping_hosting: 1,
-            ..D::clean(0, 100)
+            ..digest(0, 100)
         };
-        c.event(100, d.kind());
+        c.digest(100, &d);
         assert_eq!(c.first_violation().unwrap().invariant, "sleep_wake_fsm");
     }
 
@@ -1090,14 +950,13 @@ mod tests {
     #[test]
     fn leader_change_without_failover_is_flagged() {
         let mut c = InvariantChecker::new(4);
-        c.event(100, digest(0, 100));
-        c.event(
+        c.digest(100, &digest(0, 100));
+        c.digest(
             200,
-            D {
+            &StateDigest {
                 leader: 3,
-                ..D::clean(1, 200)
-            }
-            .kind(),
+                ..digest(1, 200)
+            },
         );
         assert_eq!(c.first_violation().unwrap().invariant, "leader_uniqueness");
     }
@@ -1105,7 +964,7 @@ mod tests {
     #[test]
     fn failover_makes_leader_change_legal_and_epoch_must_step() {
         let mut c = InvariantChecker::new(4);
-        c.event(100, digest(0, 100));
+        c.digest(100, &digest(0, 100));
         c.event(150, TraceEventKind::ServerCrashed { server: 0 });
         c.event(
             200,
@@ -1130,14 +989,13 @@ mod tests {
         let mut c = InvariantChecker::new(4).keep_running();
         c.event(50, TraceEventKind::ServerCrashed { server: 0 });
         for i in 0..4u64 {
-            let d = D {
+            let d = StateDigest {
                 awake: 3,
                 crashed: 1,
                 leader_crashed: true,
-                energy_j: (i + 1) as f64,
-                ..D::clean(i, (i + 1) * 100)
+                ..metered(i, (i + 1) as f64)
             };
-            c.event((i + 1) * 100, d.kind());
+            c.digest((i + 1) * 100, &d);
         }
         let v = c.first_violation().unwrap();
         assert_eq!(v.invariant, "leader_liveness");
@@ -1147,24 +1005,30 @@ mod tests {
     #[test]
     fn time_regression_is_flagged() {
         let mut c = InvariantChecker::new(4);
-        c.event(100, digest(0, 100));
+        c.digest(100, &digest(0, 100));
         c.event(50, TraceEventKind::WakeOrdered { server: 9 });
         assert_eq!(c.first_violation().unwrap().invariant, "time_monotone");
     }
 
     #[test]
+    fn back_in_time_digest_is_one_violation() {
+        let mut c = InvariantChecker::new(4).keep_running();
+        c.digest(200, &digest(0, 200));
+        // Stamped before its predecessor while the interval index, the
+        // energy meters and the counts all still advance.
+        c.digest(100, &metered(1, 300.0));
+        assert_eq!(c.total_violations, 1);
+        let v = c.first_violation().unwrap();
+        assert_eq!(v.invariant, "time_monotone");
+        assert!(v.detail.contains("not after previous"), "{}", v.detail);
+    }
+
+    #[test]
     fn energy_regression_is_flagged() {
         let mut c = InvariantChecker::new(4);
-        c.event(100, digest(0, 100));
+        c.digest(100, &digest(0, 100));
         // Below the 100.0 J of digest 0.
-        c.event(
-            200,
-            D {
-                energy_j: 10.0,
-                ..D::clean(1, 200)
-            }
-            .kind(),
-        );
+        c.digest(200, &metered(1, 10.0));
         assert_eq!(c.first_violation().unwrap().invariant, "energy_accounting");
     }
 
@@ -1172,13 +1036,13 @@ mod tests {
     fn class_energy_must_sum_to_the_fleet_total() {
         let mut c = InvariantChecker::new(4);
         // 100 J total but the classes only account for 60 J.
-        c.event(
+        c.digest(
             100,
-            D {
-                class_energy_j: Some([40.0, 20.0, 0.0]),
-                ..D::clean(0, 100)
-            }
-            .kind(),
+            &StateDigest {
+                energy_volume_j: 40.0,
+                energy_midrange_j: 20.0,
+                ..digest(0, 100)
+            },
         );
         let v = c.first_violation().unwrap();
         assert_eq!(v.invariant, "energy_accounting");
@@ -1192,14 +1056,15 @@ mod tests {
     #[test]
     fn class_energy_split_including_migration_passes() {
         let mut c = InvariantChecker::new(4);
-        c.event(
+        c.digest(
             100,
-            D {
-                class_energy_j: Some([50.0, 30.0, 15.0]),
+            &StateDigest {
+                energy_volume_j: 50.0,
+                energy_midrange_j: 30.0,
+                energy_highend_j: 15.0,
                 energy_migration_j: 5.0,
-                ..D::clean(0, 100)
-            }
-            .kind(),
+                ..digest(0, 100)
+            },
         );
         assert!(c.ok(), "{:?}", c.first_violation());
     }
@@ -1207,23 +1072,23 @@ mod tests {
     #[test]
     fn class_energy_regression_is_flagged_per_class() {
         let mut c = InvariantChecker::new(4).keep_running();
-        c.event(
+        c.digest(
             100,
-            D {
-                class_energy_j: Some([60.0, 40.0, 0.0]),
-                ..D::clean(0, 100)
-            }
-            .kind(),
+            &StateDigest {
+                energy_volume_j: 60.0,
+                energy_midrange_j: 40.0,
+                ..digest(0, 100)
+            },
         );
         // Fleet total grows, but the mid-range meter runs backwards —
         // energy silently re-booked between classes.
-        c.event(
+        c.digest(
             200,
-            D {
-                class_energy_j: Some([170.0, 30.0, 0.0]),
-                ..D::clean(1, 200)
-            }
-            .kind(),
+            &StateDigest {
+                energy_volume_j: 170.0,
+                energy_midrange_j: 30.0,
+                ..digest(1, 200)
+            },
         );
         let v = c.first_violation().unwrap();
         assert_eq!(v.invariant, "energy_accounting");
@@ -1237,13 +1102,13 @@ mod tests {
     #[test]
     fn negative_class_energy_is_flagged() {
         let mut c = InvariantChecker::new(4).keep_running();
-        c.event(
+        c.digest(
             100,
-            D {
-                class_energy_j: Some([110.0, -10.0, 0.0]),
-                ..D::clean(0, 100)
-            }
-            .kind(),
+            &StateDigest {
+                energy_volume_j: 110.0,
+                energy_midrange_j: -10.0,
+                ..digest(0, 100)
+            },
         );
         let v = c.first_violation().unwrap();
         assert_eq!(v.invariant, "energy_accounting");
@@ -1402,7 +1267,7 @@ mod tests {
                 reason: "shed",
             },
         );
-        c.event(100, digest(0, 100));
+        c.digest(100, &digest(0, 100));
         assert!(c.ok(), "{:?}", c.first_violation());
 
         let mut c = InvariantChecker::new(4);
@@ -1413,7 +1278,7 @@ mod tests {
                 class: 0,
             },
         );
-        c.event(100, digest(0, 100));
+        c.digest(100, &digest(0, 100));
         assert_eq!(c.first_violation().unwrap().invariant, "shed_accounting");
     }
 

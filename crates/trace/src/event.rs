@@ -145,57 +145,6 @@ pub enum TraceEventKind {
         /// The targeted server.
         server: u32,
     },
-    /// End-of-interval global state digest: the cluster's VM ledger,
-    /// server power-state census and leader view, emitted only when the
-    /// active tracer asks for it (`Tracer::wants_digest`). This is the
-    /// observation point the chaos invariant checker validates.
-    StateDigest {
-        /// 0-based interval index the digest closes.
-        interval: u64,
-        /// VMs currently hosted across all servers.
-        hosted: u64,
-        /// Application ids hosted on more than one server (must be 0).
-        dup_hosted: u64,
-        /// VMs waiting in the admission queue.
-        queued: u64,
-        /// VMs ever created (admission allocations).
-        created: u64,
-        /// VMs retired after completing their work.
-        retired: u64,
-        /// VMs destroyed by server crashes (later re-admitted as new ids).
-        orphaned: u64,
-        /// VMs imported from outside the cluster (federation placements).
-        imported: u64,
-        /// VMs exported out of the cluster (federation withdrawals).
-        exported: u64,
-        /// Servers awake (C0).
-        awake: u32,
-        /// Servers asleep or waking (C3/C6/booting).
-        sleeping: u32,
-        /// Servers crash-stopped.
-        crashed: u32,
-        /// Non-awake servers still hosting VMs (must be 0).
-        sleeping_hosting: u32,
-        /// Current leader host id.
-        leader: u32,
-        /// Whether the current leader host is crash-stopped.
-        leader_crashed: bool,
-        /// Leader election epoch.
-        epoch: u64,
-        /// Cumulative cluster energy drawn so far, joules.
-        energy_j: f64,
-        /// Cumulative energy drawn by volume-class servers, joules.
-        energy_volume_j: f64,
-        /// Cumulative energy drawn by mid-range-class servers, joules.
-        energy_midrange_j: f64,
-        /// Cumulative energy drawn by high-end-class servers, joules.
-        energy_highend_j: f64,
-        /// Cumulative migration transfer energy, joules (the remainder
-        /// of `energy_j` after the three class totals).
-        energy_migration_j: f64,
-        /// Cumulative saturation (SLA) violation count.
-        saturation: u64,
-    },
     /// The runtime invariant checker detected a violation.
     InvariantViolated {
         /// Stable invariant identifier (`"vm_conservation"`, …).
@@ -323,7 +272,6 @@ impl TraceEventKind {
             TraceEventKind::ServerCrashed { .. } => "server_crashed",
             TraceEventKind::ServerRecovered { .. } => "server_recovered",
             TraceEventKind::FaultInjected { .. } => "fault_injected",
-            TraceEventKind::StateDigest { .. } => "state_digest",
             TraceEventKind::InvariantViolated { .. } => "invariant_violated",
             TraceEventKind::ReportRetriesExhausted { .. } => "report_retries_exhausted",
             TraceEventKind::RequestAdmitted { .. } => "request_admit",
@@ -397,52 +345,6 @@ impl TraceEventKind {
             TraceEventKind::FaultInjected { fault, server } => {
                 w.field("fault", &fault).field("server", &server)
             }
-            TraceEventKind::StateDigest {
-                interval,
-                hosted,
-                dup_hosted,
-                queued,
-                created,
-                retired,
-                orphaned,
-                imported,
-                exported,
-                awake,
-                sleeping,
-                crashed,
-                sleeping_hosting,
-                leader,
-                leader_crashed,
-                epoch,
-                energy_j,
-                energy_volume_j,
-                energy_midrange_j,
-                energy_highend_j,
-                energy_migration_j,
-                saturation,
-            } => w
-                .field("interval", &interval)
-                .field("hosted", &hosted)
-                .field("dup_hosted", &dup_hosted)
-                .field("queued", &queued)
-                .field("created", &created)
-                .field("retired", &retired)
-                .field("orphaned", &orphaned)
-                .field("imported", &imported)
-                .field("exported", &exported)
-                .field("awake", &awake)
-                .field("sleeping", &sleeping)
-                .field("crashed", &crashed)
-                .field("sleeping_hosting", &sleeping_hosting)
-                .field("leader", &leader)
-                .field("leader_crashed", &leader_crashed)
-                .field("epoch", &epoch)
-                .field("energy_j", &energy_j)
-                .field("energy_volume_j", &energy_volume_j)
-                .field("energy_midrange_j", &energy_midrange_j)
-                .field("energy_highend_j", &energy_highend_j)
-                .field("energy_migration_j", &energy_migration_j)
-                .field("saturation", &saturation),
             TraceEventKind::InvariantViolated { invariant, server } => {
                 w.field("invariant", &invariant).field("server", &server)
             }
@@ -541,6 +443,15 @@ mod tests {
     }
 
     #[test]
+    fn events_stay_small() {
+        // Every trace copies, clones and windows events by value, so one
+        // bulky variant taxes them all; bulky records travel elsewhere
+        // (the state digest goes through `Tracer::digest`).
+        assert!(std::mem::size_of::<TraceEventKind>() <= 40);
+        assert!(std::mem::size_of::<TraceEvent>() <= 56);
+    }
+
+    #[test]
     fn every_variant_has_a_unique_name() {
         let names = [
             TraceEventKind::EngineStarted.name(),
@@ -601,31 +512,6 @@ mod tests {
             TraceEventKind::FaultInjected {
                 fault: "server_crash",
                 server: 0,
-            }
-            .name(),
-            TraceEventKind::StateDigest {
-                interval: 0,
-                hosted: 0,
-                dup_hosted: 0,
-                queued: 0,
-                created: 0,
-                retired: 0,
-                orphaned: 0,
-                imported: 0,
-                exported: 0,
-                awake: 0,
-                sleeping: 0,
-                crashed: 0,
-                sleeping_hosting: 0,
-                leader: 0,
-                leader_crashed: false,
-                epoch: 0,
-                energy_j: 0.0,
-                energy_volume_j: 0.0,
-                energy_midrange_j: 0.0,
-                energy_highend_j: 0.0,
-                energy_migration_j: 0.0,
-                saturation: 0,
             }
             .name(),
             TraceEventKind::InvariantViolated {

@@ -19,6 +19,11 @@
 //!   one event per occurrence would be noise (engine scheduling ops,
 //!   report deliveries).
 //!
+//! A fourth record is not an event: the per-interval [`StateDigest`]
+//! (VM ledger, power-state census, leader view) arrives through
+//! [`Tracer::digest`], and only for a tracer whose
+//! [`Tracer::wants_digest`] asks for it — the [`InvariantChecker`].
+//!
 //! The seam is the sealed [`Tracer`] trait. Simulation code is generic
 //! over it (or takes `&mut dyn Tracer` on cold paths); the default
 //! [`NoTrace`] implementation is a zero-sized type whose inlined empty
@@ -45,7 +50,7 @@ pub use check::{InvariantChecker, Violation, CLUSTER_WIDE, HEARTBEAT_TIMEOUT_INT
 pub use event::{TraceEvent, TraceEventKind};
 pub use ring::{RingTracer, SpanStat, TraceSnapshot};
 pub use timeline::{DecisionLedgerView, RegimeTimeline};
-pub use tracer::{NoTrace, SpanKind, Tracer};
+pub use tracer::{NoTrace, SpanKind, StateDigest, Tracer};
 
 /// Simulated-time ticks per second — must agree with
 /// `ecolb_simcore::time::TICKS_PER_SECOND` (asserted by a simcore test;

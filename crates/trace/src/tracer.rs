@@ -1,4 +1,5 @@
-//! The sealed [`Tracer`] seam and its structural no-op implementation.
+//! The sealed [`Tracer`] seam, its structural no-op implementation, and
+//! the [`StateDigest`] record the seam hands to tracers that ask for one.
 //!
 //! Simulation code is generic over `T: Tracer` on hot paths (the engine
 //! run loop monomorphizes the [`NoTrace`] case away entirely) and takes
@@ -69,13 +70,71 @@ pub trait Tracer: sealed::Sealed {
         false
     }
 
-    /// `true` if the tracer wants per-interval [`TraceEventKind::StateDigest`]
-    /// events. Digests are comparatively bulky, so emission sites skip
-    /// building them unless asked — which also keeps pre-digest golden
-    /// traces byte-identical.
+    /// `true` if the tracer wants a per-interval [`StateDigest`] through
+    /// [`Tracer::digest`]. A digest walks every server and every hosted
+    /// VM, so emission sites skip building one unless asked: untraced and
+    /// ring-traced runs never pay for it.
     fn wants_digest(&self) -> bool {
         false
     }
+
+    /// Receives the end-of-interval state digest at the given simulated
+    /// instant. Digests are not events: they never enter an event log or
+    /// a violation window. Called only when [`Tracer::wants_digest`]
+    /// answers `true`; the default drops it.
+    fn digest(&mut self, _at_ticks: u64, _digest: &StateDigest) {}
+}
+
+/// End-of-interval global state digest: the cluster's VM ledger, its
+/// server power-state census and its leader view. The invariant checker
+/// validates one per interval; see DESIGN.md "Invariant model".
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+pub struct StateDigest {
+    /// 0-based interval index the digest closes.
+    pub interval: u64,
+    /// VMs currently hosted across all servers.
+    pub hosted: u64,
+    /// Application ids hosted on more than one server (must be 0).
+    pub dup_hosted: u64,
+    /// VMs waiting in the admission queue.
+    pub queued: u64,
+    /// VMs ever created (admission allocations).
+    pub created: u64,
+    /// VMs retired after completing their work.
+    pub retired: u64,
+    /// VMs destroyed by server crashes (later re-admitted as new ids).
+    pub orphaned: u64,
+    /// VMs imported from outside the cluster (federation placements).
+    pub imported: u64,
+    /// VMs exported out of the cluster (federation withdrawals).
+    pub exported: u64,
+    /// Servers awake (C0).
+    pub awake: u32,
+    /// Servers asleep or waking (C3/C6/booting).
+    pub sleeping: u32,
+    /// Servers crash-stopped.
+    pub crashed: u32,
+    /// Non-awake servers still hosting VMs (must be 0).
+    pub sleeping_hosting: u32,
+    /// Current leader host id.
+    pub leader: u32,
+    /// Whether the current leader host is crash-stopped.
+    pub leader_crashed: bool,
+    /// Leader election epoch.
+    pub epoch: u64,
+    /// Cumulative cluster energy drawn so far, joules.
+    pub energy_j: f64,
+    /// Cumulative energy drawn by volume-class servers, joules.
+    pub energy_volume_j: f64,
+    /// Cumulative energy drawn by mid-range-class servers, joules.
+    pub energy_midrange_j: f64,
+    /// Cumulative energy drawn by high-end-class servers, joules.
+    pub energy_highend_j: f64,
+    /// Cumulative migration transfer energy, joules (the remainder of
+    /// `energy_j` after the three class totals).
+    pub energy_migration_j: f64,
+    /// Cumulative saturation (SLA) violation count.
+    pub saturation: u64,
 }
 
 /// The disabled tracer: a zero-sized type whose inlined empty methods
