@@ -71,7 +71,7 @@ fn main() {
         "Violating plans",
         "Violations",
     ])
-    .with_title(&format!(
+    .with_title(format!(
         "Chaos sweep: {servers} servers, {intervals} intervals, seeds {seeds:?}, \
          {total_plans} plans"
     ));

@@ -59,7 +59,7 @@ fn main() {
         "SLA viol. (s)",
         "Wasted E (kJ)",
     ])
-    .with_title(&format!(
+    .with_title(format!(
         "Fault sweep: {SIZE} servers at 30% load, {INTERVALS} intervals, seed {seed}"
     ));
     for (name, plan) in plans {

@@ -6,13 +6,9 @@
 //! cargo run --release -p ecolb-bench --bin policies [--seed N]
 //! ```
 
+use ecolb_bench::HarnessOptions;
+
 fn main() {
-    let mut seed = ecolb_bench::DEFAULT_SEED;
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        if arg == "--seed" {
-            seed = args.next().and_then(|v| v.parse().ok()).unwrap_or(seed);
-        }
-    }
-    print!("{}", ecolb_bench::policy_suite::render_suite(seed));
+    let opts = HarnessOptions::parse(std::env::args().skip(1));
+    print!("{}", ecolb_bench::policy_suite::render_suite(opts.seed));
 }

@@ -99,7 +99,7 @@ fn main() {
         "Energy (kJ)",
         "Invariant viol",
     ])
-    .with_title(&format!(
+    .with_title(format!(
         "RS: resilience level vs fault intensity — {servers} servers, {intervals} intervals, \
          seeds {seeds:?}, {plans_per_cell} plans/cell, mixed-spot fleet"
     ));

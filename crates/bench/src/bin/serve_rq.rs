@@ -101,7 +101,7 @@ fn main() {
         "Deferred (kJ)",
         "Total (kJ)",
     ])
-    .with_title(&format!(
+    .with_title(format!(
         "RQ: energy vs p99 per picker — {servers} servers, {intervals} intervals, seed {seed}"
     ));
     let mut csv = String::from(
@@ -140,7 +140,7 @@ fn main() {
     // The headline claim: regime-aware routing dominates round-robin
     // (no worse on both axes, strictly better on one) somewhere.
     let mut dominated = 0usize;
-    for scenario in 0..SCENARIOS.len() {
+    for (scenario, spec) in SCENARIOS.iter().enumerate() {
         let find = |kind: PickerKind| {
             reports
                 .iter()
@@ -159,7 +159,7 @@ fn main() {
         }
         eprintln!(
             "{}: regime_aware ({:.1} kJ, p99 {:.3} s) vs round_robin ({:.1} kJ, p99 {:.3} s){}",
-            SCENARIOS[scenario].name,
+            spec.name,
             energy.0 / 1e3,
             p99.0,
             energy.1 / 1e3,

@@ -172,7 +172,7 @@ fn print_table(
         "Rejected",
         "Pareto",
     ])
-    .with_title(&format!(
+    .with_title(format!(
         "TN: scenario tournament — {} scenarios x {} policies, seed {seed}",
         scenarios.len(),
         roster.len()

@@ -3,13 +3,23 @@
 
 use std::process::Command;
 
+fn assert_usage_error(exe: &str, args: &[&str]) {
+    let out = Command::new(exe).args(args).output().expect("binary runs");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
+    assert!(stderr.lines().any(|l| l.starts_with("error:")), "{stderr}");
+}
+
 #[test]
 fn zero_cluster_size_is_a_usage_error() {
-    let out = Command::new(env!("CARGO_BIN_EXE_table2"))
-        .args(["--sizes", "0", "--intervals", "1"])
-        .output()
-        .expect("table2 runs");
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert_eq!(out.status.code(), Some(2), "{stderr}");
-    assert!(stderr.lines().any(|l| l.starts_with("error:")), "{stderr}");
+    assert_usage_error(
+        env!("CARGO_BIN_EXE_table2"),
+        &["--sizes", "0", "--intervals", "1"],
+    );
+}
+
+#[test]
+fn policies_rejects_a_bad_seed_and_unknown_arguments() {
+    assert_usage_error(env!("CARGO_BIN_EXE_policies"), &["--seed", "x"]);
+    assert_usage_error(env!("CARGO_BIN_EXE_policies"), &["--bogus"]);
 }

@@ -254,7 +254,7 @@ fn place(servers: &mut [Server], id: ServerId, req: &ServiceRequest, ids: &mut A
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::server::ServerPowerSpec;
+    use ecolb_energy::power::LinearPowerModel;
     use ecolb_energy::regimes::RegimeBoundaries;
     use ecolb_energy::sleep::CState;
     use ecolb_workload::application::{AppId, Application};
@@ -263,7 +263,7 @@ mod tests {
         let mut s = Server::new(
             ServerId(id),
             RegimeBoundaries::new(0.2, 0.3, 0.7, 0.8),
-            ServerPowerSpec::default(),
+            LinearPowerModel::typical_volume_server(),
             SimTime::ZERO,
         );
         if load > 0.0 {

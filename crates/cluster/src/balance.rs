@@ -18,15 +18,15 @@
 //! 3. **Wake phase** — servers still in R5 with excess nobody accepted
 //!    cause the leader to order sleeping servers awake (action 5).
 //!
-//! Every VM move is an **in-cluster (horizontal) decision** in the
-//! [`DecisionLedger`]; the round driver in [`crate::cluster`] records the
-//! **local (vertical)** ones during demand evolution.
+//! Every VM move, returned in [`BalanceOutcome::migrations`], is an
+//! **in-cluster (horizontal) decision**; the round driver in
+//! [`crate::cluster`] counts them into its decision ledger beside the
+//! **local (vertical)** ones it records during demand evolution.
 
 use crate::leader::Leader;
-use crate::messages::RetryPolicy;
+use crate::messages::{backoff_before, REPORT_MAX_ATTEMPTS};
 use crate::migration::{MigrationCost, MigrationCostModel};
 use crate::recovery::{FaultHooks, RecoveryStats};
-use crate::scaling::{DecisionKind, DecisionLedger};
 use crate::server::{Server, ServerId};
 use ecolb_energy::regimes::OperatingRegime;
 use ecolb_energy::sleep::{CState, SleepModel, SleepPolicy};
@@ -344,7 +344,6 @@ fn trace_migration(tracer: &mut dyn Tracer, now: SimTime, rec: &MigrationRecord)
 fn shed_phase(
     servers: &mut [Server],
     leader: &mut Leader,
-    ledger: &mut DecisionLedger,
     migration_model: &MigrationCostModel,
     config: &BalanceConfig,
     now: SimTime,
@@ -456,7 +455,6 @@ fn shed_phase(
                         {
                             trace_migration(tracer, now, &rec);
                             outcome.migrations.push(rec);
-                            ledger.record(DecisionKind::InClusterHorizontal);
                             moved = true;
                             moves += 1;
                         }
@@ -480,7 +478,6 @@ fn shed_phase(
 fn drain_phase(
     servers: &mut [Server],
     leader: &mut Leader,
-    ledger: &mut DecisionLedger,
     migration_model: &MigrationCostModel,
     sleep_model: &SleepModel,
     config: &BalanceConfig,
@@ -588,7 +585,6 @@ fn drain_phase(
                         trace_migration(tracer, now, &rec);
                         touched.extend([rec.from, rec.to]);
                         outcome.migrations.push(rec);
-                        ledger.record(DecisionKind::InClusterHorizontal);
                         gathered = true;
                     }
                     None => break,
@@ -648,7 +644,6 @@ fn drain_phase(
                     trace_migration(tracer, now, &rec);
                     touched.extend([rec.from, rec.to]);
                     outcome.migrations.push(rec);
-                    ledger.record(DecisionKind::InClusterHorizontal);
                     moved += 1;
                 }
                 None => break,
@@ -677,14 +672,12 @@ fn drain_phase(
 /// Phase 3 — unresolved R5 servers trigger wake orders (action 5). Each
 /// wake order passes through the fault hooks: an injected transition
 /// failure loses the order and the server stays asleep.
-#[allow(clippy::too_many_arguments)] // phases share the round's full context
 fn wake_phase(
     servers: &mut [Server],
     leader: &mut Leader,
     sleep_model: &SleepModel,
     now: SimTime,
     hooks: &mut dyn FaultHooks,
-    stats: &mut RecoveryStats,
     tracer: &mut dyn Tracer,
     outcome: &mut BalanceOutcome,
 ) {
@@ -703,7 +696,6 @@ fn wake_phase(
             leader.issue_wake_order(id);
             tracer.event(now.ticks(), TraceEventKind::WakeOrdered { server: id.0 });
             if hooks.wake_fails(id) {
-                stats.wake_failures += 1;
                 tracer.event(now.ticks(), TraceEventKind::WakeFailed { server: id.0 });
                 outcome.wake_failures.push(id);
             } else {
@@ -715,8 +707,8 @@ fn wake_phase(
 }
 
 /// Per-interval reporting sweep through the fault hooks: every server's
-/// report makes up to [`RetryPolicy::default`]'s `max_attempts` delivery
-/// attempts with exponential backoff (fault-free runs never retry,
+/// report makes up to `REPORT_MAX_ATTEMPTS` delivery attempts with
+/// exponential backoff (fault-free runs never retry,
 /// because nothing is ever lost); a report that exhausts its budget
 /// leaves the leader's previous directory entry stale until the next
 /// sweep. The
@@ -732,13 +724,12 @@ fn report_sweep_with_hooks(
     stats: &mut RecoveryStats,
     tracer: &mut dyn Tracer,
 ) {
-    let retry = RetryPolicy::default();
     for s in servers {
         let mut delivered = false;
-        for attempt in 1..=retry.max_attempts.max(1) {
+        for attempt in 1..=REPORT_MAX_ATTEMPTS {
             if attempt > 1 {
                 stats.report_retries += 1;
-                stats.retry_backoff_seconds += retry.backoff_before(attempt).as_secs_f64();
+                stats.retry_backoff_seconds += backoff_before(attempt).as_secs_f64();
             }
             if hooks.report_lost(s.id(), attempt) {
                 stats.reports_lost += 1;
@@ -756,7 +747,7 @@ fn report_sweep_with_hooks(
                 now.ticks(),
                 TraceEventKind::ReportRetriesExhausted {
                     server: s.id().0,
-                    attempts: retry.max_attempts.max(1),
+                    attempts: REPORT_MAX_ATTEMPTS,
                 },
             );
         }
@@ -789,7 +780,8 @@ pub(crate) fn complete_matured_wakes(
 /// wake has completed by `now` are brought online first.
 ///
 /// Every seam is explicit: report delivery and wake orders pass through
-/// `hooks` (recovery bookkeeping lands in `stats`), the round is
+/// `hooks` (report bookkeeping lands in `stats`; lost wake orders come
+/// back in [`BalanceOutcome::wake_failures`]), the round is
 /// bracketed by a `balance` span in `tracer` with every protocol action
 /// (assistance requests, migrations, sleep/wake transitions, report
 /// deliveries) recorded, and the phases' working buffers live in the
@@ -803,7 +795,6 @@ pub(crate) fn complete_matured_wakes(
 pub fn balance_round(
     servers: &mut [Server],
     leader: &mut Leader,
-    ledger: &mut DecisionLedger,
     migration_model: &MigrationCostModel,
     sleep_model: &SleepModel,
     config: &BalanceConfig,
@@ -820,7 +811,6 @@ pub fn balance_round(
     shed_phase(
         servers,
         leader,
-        ledger,
         migration_model,
         config,
         now,
@@ -831,7 +821,6 @@ pub fn balance_round(
     drain_phase(
         servers,
         leader,
-        ledger,
         migration_model,
         sleep_model,
         config,
@@ -847,7 +836,6 @@ pub fn balance_round(
         sleep_model,
         now,
         hooks,
-        stats,
         tracer,
         &mut outcome,
     );
@@ -859,7 +847,7 @@ pub fn balance_round(
 mod tests {
     use super::*;
     use crate::recovery::NoFaults;
-    use crate::server::ServerPowerSpec;
+    use ecolb_energy::power::LinearPowerModel;
     use ecolb_energy::regimes::RegimeBoundaries;
     use ecolb_trace::NoTrace;
     use ecolb_workload::application::Application;
@@ -877,7 +865,7 @@ mod tests {
                 let mut s = Server::new(
                     ServerId(i as u32),
                     boundaries(),
-                    ServerPowerSpec::default(),
+                    LinearPowerModel::typical_volume_server(),
                     SimTime::ZERO,
                 );
                 for &d in *apps {
@@ -1093,7 +1081,7 @@ mod tests {
         let mut extra = Server::new(
             ServerId(1),
             boundaries(),
-            ServerPowerSpec::default(),
+            LinearPowerModel::typical_volume_server(),
             SimTime::ZERO,
         );
         extra.enter_sleep(SimTime::ZERO, CState::C3, &sleep_model);
@@ -1104,7 +1092,6 @@ mod tests {
         balance_round(
             &mut servers,
             &mut leader,
-            &mut DecisionLedger::new(),
             &MigrationCostModel::default(),
             &SleepModel::default(),
             &BalanceConfig::default(),
@@ -1185,7 +1172,6 @@ mod tests {
         balance_round(
             servers,
             leader,
-            &mut DecisionLedger::new(),
             &MigrationCostModel::default(),
             &SleepModel::default(),
             config,
@@ -1218,7 +1204,6 @@ mod tests {
         assert!(out.woken.is_empty());
         assert!(servers[1].is_sleeping());
         assert!(servers[1].wake_ready_at().is_none(), "no wake in flight");
-        assert_eq!(stats.wake_failures, 1);
         assert_eq!(leader.stats().wake_orders, 1, "the order was still sent");
     }
 
@@ -1377,7 +1362,7 @@ mod tests {
                             mix.power_spec(class),
                         )
                     } else {
-                        (boundaries(), ServerPowerSpec::default())
+                        (boundaries(), LinearPowerModel::typical_volume_server())
                     };
                     let mut s = Server::new(ServerId(i as u32), b, power, SimTime::ZERO);
                     for _ in 0..g.usize_in(0, 4) {

@@ -885,16 +885,14 @@ impl Cluster {
                 if regime.is_undesirable() {
                     self.undesirable_server_intervals += 1;
                 }
-                if tracer.enabled() {
-                    tracer.event(
-                        self.now.ticks(),
-                        TraceEventKind::RegimeSample {
-                            server: i as u32,
-                            regime: regime.index() as u8,
-                            load,
-                        },
-                    );
-                }
+                tracer.event(
+                    self.now.ticks(),
+                    TraceEventKind::RegimeSample {
+                        server: i as u32,
+                        regime: regime.index() as u8,
+                        load,
+                    },
+                );
             }
         }
 
@@ -915,7 +913,6 @@ impl Cluster {
             balance_round(
                 &mut self.servers,
                 &mut self.leader,
-                &mut self.ledger,
                 &self.config.migration,
                 &self.config.sleep,
                 &self.config.balance,
@@ -928,6 +925,10 @@ impl Cluster {
         };
         self.migration_energy_j += outcome.migration_energy_j();
         self.migrations += outcome.migrations.len() as u64;
+        for _ in &outcome.migrations {
+            self.ledger.record(DecisionKind::InClusterHorizontal);
+        }
+        self.recovery_stats.wake_failures += outcome.wake_failures.len() as u64;
         self.interval_migrations
             .extend_from_slice(&outcome.migrations);
 
@@ -1240,6 +1241,31 @@ mod tests {
             "no recovery work in a fault-free run"
         );
         assert_eq!(c.leader_epoch(), 0);
+    }
+
+    /// Loses every wake order the leader issues.
+    struct FailWakes;
+
+    impl FaultHooks for FailWakes {
+        fn wake_fails(&mut self, _server: ServerId) -> bool {
+            true
+        }
+    }
+
+    #[test]
+    fn lost_wake_orders_are_counted_in_recovery_stats() {
+        // Fresh requests overload consolidated hosts, so the leader
+        // orders sleepers awake.
+        let mut cfg = small_config();
+        cfg.arrivals = Some(ArrivalSpec::new(4.0, 0.2, 0.5));
+        let mut c = Cluster::new(cfg, 5);
+        let mut lost = 0;
+        for _ in 0..20 {
+            let outcome = c.run_interval_traced(&mut FailWakes, &mut NoTrace);
+            lost += outcome.wake_failures.len() as u64;
+        }
+        assert!(lost > 0, "the run issued wake orders");
+        assert_eq!(c.recovery_stats().wake_failures, lost);
     }
 
     #[test]

@@ -294,7 +294,7 @@ impl Leader {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::server::ServerPowerSpec;
+    use ecolb_energy::power::LinearPowerModel;
     use ecolb_energy::regimes::RegimeBoundaries;
     use ecolb_energy::sleep::{CState, SleepModel};
     use ecolb_simcore::time::SimTime;
@@ -304,7 +304,7 @@ mod tests {
         let mut s = Server::new(
             ServerId(id),
             RegimeBoundaries::new(0.2, 0.3, 0.7, 0.8),
-            ServerPowerSpec::default(),
+            LinearPowerModel::typical_volume_server(),
             SimTime::ZERO,
         );
         if load > 0.0 {

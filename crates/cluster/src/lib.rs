@@ -63,10 +63,10 @@ pub use cluster::{Cluster, ClusterConfig, ClusterRunReport};
 pub use federation::{Federation, FederationConfig, FederationReport};
 pub use instances::InstanceInfo;
 pub use leader::Leader;
-pub use messages::{MessageStats, RetryPolicy};
+pub use messages::MessageStats;
 pub use migration::{MigrationCost, MigrationCostModel};
 pub use mix::ServerMix;
 pub use recovery::{FaultEventKind, FaultHooks, NoFaults, RecoveryStats};
 pub use scaling::{DecisionKind, DecisionLedger, IntervalCounts};
-pub use server::{Server, ServerId, ServerPowerSpec};
+pub use server::{Server, ServerId};
 pub use sim::{FaultLedger, SimEvent, TimedClusterSim, TimedRunReport};

@@ -11,7 +11,7 @@
 //! normalized-performance units); what the class changes is how many
 //! Watts a unit of normalized load costs.
 
-use crate::server::ServerPowerSpec;
+use ecolb_energy::power::LinearPowerModel;
 use ecolb_energy::server_class::{class_power_model, ServerClass};
 use ecolb_simcore::rng::Rng;
 
@@ -75,9 +75,9 @@ impl ServerMix {
         }
     }
 
-    /// The power spec for a class under this mix's year.
-    pub fn power_spec(&self, class: ServerClass) -> ServerPowerSpec {
-        ServerPowerSpec::Linear(class_power_model(class, self.year))
+    /// The linear power model of a class under this mix's year.
+    pub fn power_spec(&self, class: ServerClass) -> LinearPowerModel {
+        class_power_model(class, self.year)
     }
 }
 

@@ -8,7 +8,7 @@
 //! the server's power draw over simulated time.
 
 use ecolb_energy::accounting::{EnergyBreakdown, EnergyMeter};
-use ecolb_energy::power::{LinearPowerModel, PiecewisePowerModel, PowerModel, SubsystemPowerModel};
+use ecolb_energy::power::LinearPowerModel;
 use ecolb_energy::regimes::{OperatingRegime, RegimeBoundaries};
 use ecolb_energy::sleep::{CState, SleepModel};
 use ecolb_simcore::time::SimTime;
@@ -34,41 +34,12 @@ impl fmt::Display for ServerId {
     }
 }
 
-/// The power model attached to a server — an enum so heterogeneous clusters
-/// can mix model families without dynamic dispatch in the metering hot
-/// path.
-#[derive(Debug, Clone, PartialEq)]
-pub enum ServerPowerSpec {
-    /// Idle + proportional line.
-    Linear(LinearPowerModel),
-    /// SPECpower-style measured curve.
-    Piecewise(PiecewisePowerModel),
-    /// Per-subsystem composite.
-    Subsystem(SubsystemPowerModel),
-}
-
-impl PowerModel for ServerPowerSpec {
-    fn power_w(&self, u: f64) -> f64 {
-        match self {
-            ServerPowerSpec::Linear(m) => m.power_w(u),
-            ServerPowerSpec::Piecewise(m) => m.power_w(u),
-            ServerPowerSpec::Subsystem(m) => m.power_w(u),
-        }
-    }
-}
-
-impl Default for ServerPowerSpec {
-    fn default() -> Self {
-        ServerPowerSpec::Linear(LinearPowerModel::typical_volume_server())
-    }
-}
-
 /// A simulated server.
 #[derive(Debug, Clone)]
 pub struct Server {
     id: ServerId,
     boundaries: RegimeBoundaries,
-    power: ServerPowerSpec,
+    power: LinearPowerModel,
     apps: Vec<Application>,
     load: f64,
     cstate: CState,
@@ -89,7 +60,7 @@ impl Server {
     pub fn new(
         id: ServerId,
         boundaries: RegimeBoundaries,
-        power: ServerPowerSpec,
+        power: LinearPowerModel,
         t0: SimTime,
     ) -> Self {
         Server {
@@ -118,7 +89,7 @@ impl Server {
     }
 
     /// The power model.
-    pub fn power(&self) -> &ServerPowerSpec {
+    pub fn power(&self) -> &LinearPowerModel {
         &self.power
     }
 
@@ -189,7 +160,7 @@ impl Server {
     /// Advances this server's energy meter to `now` under its current
     /// state. Must be called *before* any state change that alters power
     /// draw. This runs once per server per interval — no clones, no
-    /// allocation: `ServerPowerSpec` itself is the [`PowerModel`] and the
+    /// allocation: the power model is passed by reference and the
     /// meter/power fields borrow disjointly.
     pub fn meter_advance(&mut self, now: SimTime) {
         let u = self.normalized_performance();
@@ -323,7 +294,7 @@ mod tests {
         Server::new(
             ServerId(0),
             RegimeBoundaries::new(0.2, 0.3, 0.7, 0.8),
-            ServerPowerSpec::default(),
+            LinearPowerModel::typical_volume_server(),
             t(0),
         )
     }

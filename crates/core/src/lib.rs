@@ -59,7 +59,7 @@ pub mod prelude {
     pub use ecolb_cluster::federation::{Federation, FederationConfig, FederationReport};
     pub use ecolb_cluster::migration::MigrationCostModel;
     pub use ecolb_cluster::mix::ServerMix;
-    pub use ecolb_cluster::server::{Server, ServerId, ServerPowerSpec};
+    pub use ecolb_cluster::server::{Server, ServerId};
     pub use ecolb_cluster::sim::{TimedClusterSim, TimedRunReport};
     pub use ecolb_energy::dvfs::{DvfsGoverned, DvfsModel};
     pub use ecolb_energy::homogeneous::HomogeneousModel;

@@ -28,8 +28,6 @@ use ecolb_simcore::time::{SimDuration, SimTime};
 pub enum FaultKind {
     /// A host stops executing (crash-stop or crash-recover).
     ServerCrash,
-    /// A previously crashed host reboots.
-    ServerRecover,
     /// The host carrying the leader role crashes.
     LeaderCrash,
     /// A `StateReport` message is lost on its star link.
@@ -45,7 +43,6 @@ impl FaultKind {
     pub fn stream_tag(self) -> u64 {
         match self {
             FaultKind::ServerCrash => 0x5EC0_0001,
-            FaultKind::ServerRecover => 0x5EC0_0002,
             FaultKind::LeaderCrash => 0x5EC0_0003,
             FaultKind::MessageLoss => 0x5EC0_0004,
             FaultKind::MessageDelay => 0x5EC0_0005,
@@ -272,7 +269,6 @@ mod tests {
     fn stream_tags_are_distinct() {
         let kinds = [
             FaultKind::ServerCrash,
-            FaultKind::ServerRecover,
             FaultKind::LeaderCrash,
             FaultKind::MessageLoss,
             FaultKind::MessageDelay,

@@ -111,7 +111,7 @@ impl CompareWithFaulty for TimedRunReport {
 
 /// Mean of a series; 0.0 (not NaN) when empty.
 fn series_mean(ts: &TimeSeries) -> f64 {
-    if ts.len() == 0 {
+    if ts.is_empty() {
         0.0
     } else {
         ts.values().iter().sum::<f64>() / ts.len() as f64

@@ -275,7 +275,7 @@ fn tainted_idents(tokens: &[Token], body: (usize, usize), params: &[String]) -> 
         // Closure parameters: `|a, b|` after `(`, `,`, `=` or `move`.
         if t.is_punct('|') {
             let opens_closure = i == start
-                || tokens.get(i.wrapping_sub(1)).map_or(false, |p| {
+                || tokens.get(i.wrapping_sub(1)).is_some_and(|p| {
                     p.is_punct('(')
                         || p.is_punct(',')
                         || p.is_punct('=')

@@ -294,8 +294,10 @@ mod tests {
 
     #[test]
     fn report_serializes_to_json() {
-        let mut r = WorkspaceReport::default();
-        r.files_scanned = 2;
+        let mut r = WorkspaceReport {
+            files_scanned: 2,
+            ..WorkspaceReport::default()
+        };
         r.findings.push(Finding {
             rule: "no-wallclock",
             path: "crates/x/src/a.rs".into(),

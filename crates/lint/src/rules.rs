@@ -455,7 +455,7 @@ pub fn float_reduction_order(ctx: &FileContext, tokens: &[Token]) -> Vec<Finding
                 .position(|t| t.is_punct(';'))
                 .map(|p| j + p)
                 .unwrap_or(span.len());
-            if span[j..stmt_end].iter().any(|t| is_float_evidence(t)) {
+            if span[j..stmt_end].iter().any(is_float_evidence) {
                 let mut k = j + 1;
                 while k < stmt_end && matches!(span[k].text.as_str(), "mut" | "ref") {
                     k += 1;

@@ -97,8 +97,10 @@ mod tests {
 
     #[test]
     fn any_nonzero_field_marks_activity() {
-        let mut c = ResilienceCounters::default();
-        c.retries = 1;
+        let c = ResilienceCounters {
+            retries: 1,
+            ..ResilienceCounters::default()
+        };
         assert!(c.is_active());
         let mut c = ResilienceCounters::default();
         c.record_failed(0);

@@ -151,6 +151,15 @@ impl ServeConfig {
             latency_bins: 64,
         }
     }
+
+    /// The latency objective of an SLA class index (0 = gold), seconds.
+    fn objective_s(&self, class: u8) -> f64 {
+        if class == 0 {
+            self.gold_objective_s
+        } else {
+            self.bronze_objective_s
+        }
+    }
 }
 
 /// Events of the serving co-simulation.
@@ -174,18 +183,7 @@ pub enum ServeEvent {
     },
     /// A backoff delay elapsed: the resilience layer re-dispatches a
     /// failed request.
-    Retry {
-        /// The request id.
-        request: u64,
-        /// SLA class index of the request.
-        class: u8,
-        /// Original admission instant, integer ticks — deadlines and
-        /// latency are measured from first admission, not from the
-        /// retry.
-        admitted_ticks: u64,
-        /// Retry ordinal being dispatched (1 = first retry).
-        attempt: u32,
-    },
+    Retry(Attempt),
     /// A scheduled fault from the plan fires (spot reclaim, crash,
     /// scripted recovery).
     Fault(FaultEventKind),
@@ -194,12 +192,15 @@ pub enum ServeEvent {
 /// Attempt-id flag marking the hedged (duplicate) attempt of a request.
 const HEDGE_BIT: u32 = 1 << 31;
 
-/// One attempt occupying a server's queue — killed (and possibly
-/// retried) when that server crashes.
-#[derive(Debug, Clone, Copy)]
-struct InFlight {
+/// One dispatch attempt of a request: what a retry carries and what a
+/// server's queue holds until the attempt completes or a crash kills it.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Attempt {
     request: u64,
+    /// SLA class index (0 = gold).
     class: u8,
+    /// First admission instant, integer ticks: deadlines and latency are
+    /// measured from it, not from a retry.
     admitted_ticks: u64,
     /// 0 = original; retries count up; the hedge twin carries
     /// [`HEDGE_BIT`].
@@ -215,7 +216,7 @@ struct InFlight {
 /// completions it left pending then arrive stale and are dropped.
 #[derive(Debug, Clone, Default)]
 struct Ledger {
-    queued: VecDeque<InFlight>,
+    queued: VecDeque<Attempt>,
     epoch: u32,
 }
 
@@ -475,12 +476,10 @@ impl ServeSim {
                 ServeEvent::Completion { server, epoch } => {
                     on_completion(state, sched, &cfg, server, epoch)
                 }
-                ServeEvent::Retry {
-                    request,
-                    class,
-                    admitted_ticks,
-                    attempt,
-                } => on_retry(state, sched, &cfg, request, class, admitted_ticks, attempt),
+                ServeEvent::Retry(attempt) => {
+                    dispatch_attempt(state, sched, &cfg, attempt);
+                    stop_check(state, sched)
+                }
                 ServeEvent::Fault(kind) => on_fault(state, sched, &cfg, kind),
             },
         );
@@ -533,12 +532,10 @@ fn on_tick<T: Tracer>(state: &mut ServeState, sched: &mut Sched<'_, T>) -> Contr
                 // any breaker still open on the server.
                 if state.breakers.reset(server) {
                     state.counters.breaker_closes += 1;
-                    if sched.tracer().enabled() {
-                        sched.tracer().event(
-                            now.ticks(),
-                            TraceEventKind::BreakerClosed { server: server.0 },
-                        );
-                    }
+                    sched.tracer().event(
+                        now.ticks(),
+                        TraceEventKind::BreakerClosed { server: server.0 },
+                    );
                 }
             }
             Change::Updated(_) => {}
@@ -579,21 +576,19 @@ fn on_arrival<T: Tracer>(
     let now_ticks = now.ticks();
     let src_idx = source as usize;
     let (app, class) = match state.sources.get(src_idx) {
-        Some(s) => (s.app, s.class),
+        Some(s) => (s.app, s.class.index() as u8),
         None => return Control::Continue,
     };
     let request = state.next_request;
     state.next_request += 1;
-    if sched.tracer().enabled() {
-        sched.tracer().event(
-            now_ticks,
-            TraceEventKind::RequestAdmitted {
-                request,
-                app: app.0,
-                class: class.index() as u8,
-            },
-        );
-    }
+    sched.tracer().event(
+        now_ticks,
+        TraceEventKind::RequestAdmitted {
+            request,
+            app: app.0,
+            class,
+        },
+    );
 
     // Every admission refills the retry budget, then the request takes
     // its first dispatch attempt through the resilience stack (which
@@ -601,15 +596,13 @@ fn on_arrival<T: Tracer>(
     if let Some(budget) = &mut state.budget {
         budget.deposit();
     }
-    dispatch_attempt(
-        state,
-        sched,
-        cfg,
+    let first = Attempt {
         request,
-        class.index() as u8,
-        now_ticks,
-        0,
-    );
+        class,
+        admitted_ticks: now_ticks,
+        attempt: 0,
+    };
+    dispatch_attempt(state, sched, cfg, first);
 
     // Open loop: the next arrival of this source is independent of how
     // this request fared. The gap inverts the source's modulation
@@ -632,15 +625,11 @@ fn on_arrival<T: Tracer>(
 /// an optional gold hedge. With the policy disabled this is exactly the
 /// plain route-or-reject path — same pick key, same RNG draws, same
 /// trace events.
-#[allow(clippy::too_many_arguments)]
 fn dispatch_attempt<T: Tracer>(
     state: &mut ServeState,
     sched: &mut Sched<'_, T>,
     cfg: &ServeConfig,
-    request: u64,
-    class: u8,
-    admitted_ticks: u64,
-    attempt: u32,
+    a: Attempt,
 ) {
     let now = sched.now();
     let now_ticks = now.ticks();
@@ -656,12 +645,10 @@ fn dispatch_attempt<T: Tracer>(
         for server in &reopened {
             state.filtered_dirty = true;
             state.counters.breaker_closes += 1;
-            if sched.tracer().enabled() {
-                sched.tracer().event(
-                    now_ticks,
-                    TraceEventKind::BreakerClosed { server: server.0 },
-                );
-            }
+            sched.tracer().event(
+                now_ticks,
+                TraceEventKind::BreakerClosed { server: server.0 },
+            );
         }
         state.reopened_scratch = reopened;
     }
@@ -686,28 +673,16 @@ fn dispatch_attempt<T: Tracer>(
     let view = state.queues.view(now);
     // Retries re-key the pick so a retry is not glued to the server
     // that just failed it; attempt 0 preserves the original key.
-    let pick_key = RequestId(request ^ ((attempt as u64) << 56));
+    let pick_key = RequestId(a.request ^ ((a.attempt as u64) << 56));
     let set = if use_filtered {
         &state.filtered
     } else {
         state.discover.instances()
     };
     let choice = state.picker.pick(set, &view, pick_key);
-    let server = match choice {
-        Some(server) => server,
-        None => {
-            fail_attempt(
-                state,
-                sched,
-                cfg,
-                request,
-                class,
-                admitted_ticks,
-                attempt,
-                FailCause::NoInstance,
-            );
-            return;
-        }
+    let Some(server) = choice else {
+        fail_attempt(state, sched, cfg, a, FailCause::NoInstance);
+        return;
     };
 
     let backlog_s = state.queues.backlog(now, server).as_secs_f64();
@@ -716,55 +691,43 @@ fn dispatch_attempt<T: Tracer>(
     // drop load, and a retry would put it straight back.
     if res
         .shed
-        .is_some_and(|shed| backlog_s > shed.watermark_s(class as usize))
+        .is_some_and(|shed| backlog_s > shed.watermark_s(a.class as usize))
     {
-        state.counters.record_shed(class as usize);
+        state.counters.record_shed(a.class as usize);
         state.rejected += 1;
-        state.sla.record_rejected(class as usize);
-        if sched.tracer().enabled() {
-            sched
-                .tracer()
-                .event(now_ticks, TraceEventKind::RequestShed { request, class });
-            sched.tracer().event(
-                now_ticks,
-                TraceEventKind::RequestRejected {
-                    request,
-                    reason: "shed",
-                },
-            );
-        }
+        state.sla.record_rejected(a.class as usize);
+        sched.tracer().event(
+            now_ticks,
+            TraceEventKind::RequestShed {
+                request: a.request,
+                class: a.class,
+            },
+        );
+        sched.tracer().event(
+            now_ticks,
+            TraceEventKind::RequestRejected {
+                request: a.request,
+                reason: "shed",
+            },
+        );
         return;
     }
 
     if backlog_s > REJECT_BACKLOG_S {
-        fail_attempt(
-            state,
-            sched,
-            cfg,
-            request,
-            class,
-            admitted_ticks,
-            attempt,
-            FailCause::Backlog,
-        );
+        fail_attempt(state, sched, cfg, a, FailCause::Backlog);
         return;
     }
 
     // The service draw is keyed on the original request id, identical
     // across attempts.
-    let service = service_time_s(state.seed, RequestId(request), cfg.load.mean_service_s);
+    let service = service_time_s(state.seed, RequestId(a.request), cfg.load.mean_service_s);
     let (eff, regime) = effective_service(state, server, service);
 
     // Deadline guard: fail at dispatch what would miss its deadline
     // anyway, and feed the chosen server's breaker — a queue deep
     // enough to blow deadlines is the sim analogue of timing out.
-    let objective = if class == 0 {
-        cfg.gold_objective_s
-    } else {
-        cfg.bronze_objective_s
-    };
-    if let Some(deadline_s) = res.deadline_s(objective) {
-        let elapsed_s = now_ticks.saturating_sub(admitted_ticks) as f64 / 1e6;
+    if let Some(deadline_s) = res.deadline_s(cfg.objective_s(a.class)) {
+        let elapsed_s = now_ticks.saturating_sub(a.admitted_ticks) as f64 / 1e6;
         if elapsed_s + backlog_s + eff > deadline_s {
             state.counters.deadline_misses += 1;
             if res
@@ -773,49 +736,30 @@ fn dispatch_attempt<T: Tracer>(
             {
                 state.filtered_dirty = true;
                 state.counters.breaker_opens += 1;
-                if sched.tracer().enabled() {
-                    sched.tracer().event(
-                        now_ticks,
-                        TraceEventKind::BreakerOpened { server: server.0 },
-                    );
-                }
+                sched.tracer().event(
+                    now_ticks,
+                    TraceEventKind::BreakerOpened { server: server.0 },
+                );
             }
-            fail_attempt(
-                state,
-                sched,
-                cfg,
-                request,
-                class,
-                admitted_ticks,
-                attempt,
-                FailCause::Deadline,
-            );
+            fail_attempt(state, sched, cfg, a, FailCause::Deadline);
             return;
         }
     }
 
-    let primary = InFlight {
-        request,
-        class,
-        admitted_ticks,
-        attempt,
-    };
-    enqueue(state, sched, server, (eff, regime), primary);
-    if sched.tracer().enabled() {
-        sched.tracer().event(
-            now_ticks,
-            TraceEventKind::RequestRouted {
-                request,
-                server: server.0,
-            },
-        );
-    }
+    enqueue(state, sched, server, (eff, regime), a);
+    sched.tracer().event(
+        now_ticks,
+        TraceEventKind::RequestRouted {
+            request: a.request,
+            server: server.0,
+        },
+    );
 
     // Gold hedge: when the primary's predicted latency is slow, race a
     // duplicate on the least-backlogged alternate; first completion
     // wins, the straggler still runs and pays its joules.
     let predicted_s = backlog_s + eff;
-    if class == 0 && attempt == 0 && res.hedge.is_some_and(|h| predicted_s > h.threshold_s) {
+    if a.class == 0 && a.attempt == 0 && res.hedge.is_some_and(|h| predicted_s > h.threshold_s) {
         let hedge_set = if use_filtered {
             &state.filtered
         } else {
@@ -828,28 +772,26 @@ fn dispatch_attempt<T: Tracer>(
         assert_eq!(alt, hedge_alternate(hedge_set, &state.queues, now, server));
         if let Some(alt) = alt {
             let alt_service = effective_service(state, alt, service);
-            let twin = InFlight {
+            let twin = Attempt {
                 attempt: HEDGE_BIT,
-                ..primary
+                ..a
             };
             enqueue(state, sched, alt, alt_service, twin);
             state.hedges.insert(
-                request,
+                a.request,
                 HedgeTrack {
                     outstanding: 2,
                     resolved: false,
                 },
             );
             state.counters.hedges += 1;
-            if sched.tracer().enabled() {
-                sched.tracer().event(
-                    now_ticks,
-                    TraceEventKind::RequestHedge {
-                        request,
-                        server: alt.0,
-                    },
-                );
-            }
+            sched.tracer().event(
+                now_ticks,
+                TraceEventKind::RequestHedge {
+                    request: a.request,
+                    server: alt.0,
+                },
+            );
         }
     }
 }
@@ -876,7 +818,7 @@ fn enqueue<T: Tracer>(
     sched: &mut Sched<'_, T>,
     server: ServerId,
     (eff, regime): (f64, OperatingRegime),
-    entry: InFlight,
+    entry: Attempt,
 ) {
     let (_start, done) = state
         .queues
@@ -916,45 +858,31 @@ fn hedge_alternate(
 /// the ladder allows it, otherwise settle the request terminally
 /// (crash-killed attempts count as failures, everything else as a
 /// rejection).
-#[allow(clippy::too_many_arguments)]
 fn fail_attempt<T: Tracer>(
     state: &mut ServeState,
     sched: &mut Sched<'_, T>,
     cfg: &ServeConfig,
-    request: u64,
-    class: u8,
-    admitted_ticks: u64,
-    attempt: u32,
+    a: Attempt,
     cause: FailCause,
 ) {
     let now_ticks = sched.now().ticks();
     let res = &cfg.resilience;
-    let next = (attempt & !HEDGE_BIT) + 1;
+    let next = (a.attempt & !HEDGE_BIT) + 1;
     let retry = res.retry.filter(|r| next <= r.max_attempts);
     if let (Some(retry), Some(budget)) = (retry, &mut state.budget) {
         if budget.try_withdraw() {
             state.counters.retries += 1;
-            let schedule = BackoffSchedule::new(state.seed, RequestId(request), &retry);
+            let schedule = BackoffSchedule::new(state.seed, RequestId(a.request), &retry);
             let delay = SimDuration::from_secs_f64(schedule.delay_s(next));
-            if sched.tracer().enabled() {
-                sched.tracer().event(
-                    now_ticks,
-                    TraceEventKind::RequestRetry {
-                        request,
-                        attempt: next,
-                        delay_us: delay.ticks(),
-                    },
-                );
-            }
-            sched.schedule_in(
-                delay,
-                ServeEvent::Retry {
-                    request,
-                    class,
-                    admitted_ticks,
+            sched.tracer().event(
+                now_ticks,
+                TraceEventKind::RequestRetry {
+                    request: a.request,
                     attempt: next,
+                    delay_us: delay.ticks(),
                 },
             );
+            sched.schedule_in(delay, ServeEvent::Retry(Attempt { attempt: next, ..a }));
             return;
         }
         state.counters.retries_denied += 1;
@@ -962,36 +890,20 @@ fn fail_attempt<T: Tracer>(
     match cause {
         FailCause::Crash => {
             state.failed += 1;
-            state.counters.record_failed(class as usize);
+            state.counters.record_failed(a.class as usize);
         }
         _ => {
             state.rejected += 1;
-            state.sla.record_rejected(class as usize);
+            state.sla.record_rejected(a.class as usize);
         }
     }
-    if sched.tracer().enabled() {
-        sched.tracer().event(
-            now_ticks,
-            TraceEventKind::RequestRejected {
-                request,
-                reason: cause.reason(),
-            },
-        );
-    }
-}
-
-/// A backoff delay elapsed: re-dispatch the request.
-fn on_retry<T: Tracer>(
-    state: &mut ServeState,
-    sched: &mut Sched<'_, T>,
-    cfg: &ServeConfig,
-    request: u64,
-    class: u8,
-    admitted_ticks: u64,
-    attempt: u32,
-) -> Control {
-    dispatch_attempt(state, sched, cfg, request, class, admitted_ticks, attempt);
-    stop_check(state, sched)
+    sched.tracer().event(
+        now_ticks,
+        TraceEventKind::RequestRejected {
+            request: a.request,
+            reason: cause.reason(),
+        },
+    );
 }
 
 /// Past the final reallocation tick the engine stops once the last
@@ -1017,7 +929,7 @@ fn on_completion<T: Tracer>(
     } else {
         None
     };
-    let Some(InFlight {
+    let Some(Attempt {
         request,
         class,
         admitted_ticks,
@@ -1049,25 +961,19 @@ fn on_completion<T: Tracer>(
     let latency_ticks = now_ticks.saturating_sub(admitted_ticks);
     let latency_s = latency_ticks as f64 / 1e6;
     state.latency.record(latency_s);
-    let objective = if class == 0 {
-        cfg.gold_objective_s
-    } else {
-        cfg.bronze_objective_s
-    };
+    let objective = cfg.objective_s(class);
     state.sla.record(class as usize, latency_s > objective);
     state.violation_seconds[(class as usize).min(1)] += (latency_s - objective).max(0.0);
     state.completed += 1;
     state.per_instance_served[server.index()] += 1;
-    if sched.tracer().enabled() {
-        sched.tracer().event(
-            now_ticks,
-            TraceEventKind::RequestCompleted {
-                request,
-                server: server.0,
-                latency_us: latency_ticks,
-            },
-        );
-    }
+    sched.tracer().event(
+        now_ticks,
+        TraceEventKind::RequestCompleted {
+            request,
+            server: server.0,
+            latency_us: latency_ticks,
+        },
+    );
     stop_check(state, sched)
 }
 
@@ -1137,12 +1043,10 @@ fn apply_serve_crash<T: Tracer>(
         .is_some_and(|b| state.breakers.trip(server, now, &b))
     {
         state.counters.breaker_opens += 1;
-        if sched.tracer().enabled() {
-            sched.tracer().event(
-                now.ticks(),
-                TraceEventKind::BreakerOpened { server: server.0 },
-            );
-        }
+        sched.tracer().event(
+            now.ticks(),
+            TraceEventKind::BreakerOpened { server: server.0 },
+        );
     }
     // The dead queue is lost: a new epoch turns its pending completions
     // stale, and each killed attempt is settled (retry, absorbed by a
@@ -1165,16 +1069,7 @@ fn apply_serve_crash<T: Tracer>(
             terminal = !resolved && !twin_alive;
         }
         if terminal {
-            fail_attempt(
-                state,
-                sched,
-                cfg,
-                victim.request,
-                victim.class,
-                victim.admitted_ticks,
-                victim.attempt,
-                FailCause::Crash,
-            );
+            fail_attempt(state, sched, cfg, *victim, FailCause::Crash);
         }
     }
     if let Some(delay) = recover_after {
@@ -1197,6 +1092,13 @@ mod tests {
             picker,
             intervals,
         )
+    }
+
+    /// Every dispatched event is moved through the engine's heap, so the
+    /// retry's record must not widen the event.
+    #[test]
+    fn serve_event_stays_small() {
+        assert_eq!(std::mem::size_of::<ServeEvent>(), 32);
     }
 
     #[test]

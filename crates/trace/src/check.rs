@@ -698,15 +698,13 @@ impl InvariantChecker {
                     );
                 }
             }
-            TraceEventKind::RequestHedge { request, server } => {
-                if self.breaker_open(server) {
-                    self.report(
-                        at,
-                        "breaker_routing",
-                        server,
-                        format!("request {request} hedged to open-breaker server {server}"),
-                    );
-                }
+            TraceEventKind::RequestHedge { request, server } if self.breaker_open(server) => {
+                self.report(
+                    at,
+                    "breaker_routing",
+                    server,
+                    format!("request {request} hedged to open-breaker server {server}"),
+                );
             }
             TraceEventKind::RequestRetry {
                 request, attempt, ..
@@ -766,10 +764,6 @@ impl InvariantChecker {
 }
 
 impl Tracer for InvariantChecker {
-    fn enabled(&self) -> bool {
-        true
-    }
-
     fn event(&mut self, at_ticks: u64, kind: TraceEventKind) {
         self.push_window(at_ticks, kind.clone());
         self.check_event(at_ticks, &kind);
@@ -1316,7 +1310,6 @@ mod tests {
     fn checker_wants_digests_and_aborts_only_when_told() {
         let c = InvariantChecker::new(2);
         assert!(c.wants_digest());
-        assert!(c.enabled());
         let mut quiet = InvariantChecker::new(2).keep_running();
         quiet.event(10, TraceEventKind::WakeCompleted { server: 0 });
         assert!(!quiet.ok());

@@ -92,10 +92,6 @@ impl RingTracer {
 }
 
 impl Tracer for RingTracer {
-    fn enabled(&self) -> bool {
-        true
-    }
-
     fn event(&mut self, at_ticks: u64, kind: TraceEventKind) {
         if self.events.len() == self.capacity {
             self.events.pop_front();

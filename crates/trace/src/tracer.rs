@@ -45,10 +45,6 @@ impl SpanKind {
 /// ticks (microseconds) — implementations never consult a clock of
 /// their own, wall or simulated.
 pub trait Tracer: sealed::Sealed {
-    /// `true` if this tracer records anything. Callers may use this to
-    /// skip building event payloads that would only be thrown away.
-    fn enabled(&self) -> bool;
-
     /// Records one structured event at the given simulated instant.
     fn event(&mut self, at_ticks: u64, kind: TraceEventKind);
 
@@ -145,11 +141,6 @@ pub struct NoTrace;
 
 impl Tracer for NoTrace {
     #[inline(always)]
-    fn enabled(&self) -> bool {
-        false
-    }
-
-    #[inline(always)]
     fn event(&mut self, _at_ticks: u64, _kind: TraceEventKind) {}
 
     #[inline(always)]
@@ -169,7 +160,6 @@ mod tests {
     #[test]
     fn no_trace_is_zero_sized_and_disabled() {
         assert_eq!(std::mem::size_of::<NoTrace>(), 0);
-        assert!(!NoTrace.enabled());
     }
 
     #[test]

@@ -8,7 +8,6 @@ use ecolb::simcore::rng::Rng;
 use ecolb::workload::application::{AppId, Application};
 use ecolb_cluster::balance::{balance_round, BalanceConfig, BalanceScratch};
 use ecolb_cluster::migration::MigrationCostModel;
-use ecolb_cluster::scaling::DecisionLedger;
 use ecolb_cluster::{Leader, NoFaults, RecoveryStats, Server};
 use ecolb_trace::NoTrace;
 
@@ -48,7 +47,7 @@ fn balance_round_conserves_load() {
                 let mut s = Server::new(
                     ServerId(i as u32),
                     b,
-                    ServerPowerSpec::default(),
+                    LinearPowerModel::typical_volume_server(),
                     SimTime::ZERO,
                 );
                 let target = rng.uniform(0.0, 0.95);
@@ -64,11 +63,9 @@ fn balance_round_conserves_load() {
             .collect();
         let before: f64 = servers.iter().map(Server::load).sum();
         let mut leader = Leader::new(n);
-        let mut ledger = DecisionLedger::new();
         balance_round(
             &mut servers,
             &mut leader,
-            &mut ledger,
             &MigrationCostModel::default(),
             &SleepModel::default(),
             &BalanceConfig {
