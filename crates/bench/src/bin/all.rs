@@ -2,13 +2,17 @@
 //! homogeneous model, Figure 2, Figure 3, Table 2, and the policy suite.
 //!
 //! ```text
-//! cargo run --release -p ecolb-bench --bin all [--quick] [--seed N]
+//! cargo run --release -p ecolb-bench --bin all -- [--seed N] [--sizes 100,1000,10000] [--intervals 40] [--quick] [--csv DIR]
 //! ```
 
-use ecolb_bench::{render_all, render_homogeneous, render_table1, HarnessOptions};
+use ecolb_bench::{render_all, render_homogeneous, render_table1, Args, HarnessOptions};
 
 fn main() {
-    let opts = HarnessOptions::parse(std::env::args().skip(1));
+    let mut args =
+        Args::new("all [--seed N] [--sizes 100,1000,10000] [--intervals 40] [--quick] [--csv DIR]");
+    let mut opts = HarnessOptions::read(&mut args);
+    opts.csv_dir = args.value("--csv");
+    args.finish();
     println!("=== Table 1 ===\n{}", render_table1());
     println!(
         "=== Homogeneous model (eqs. 6–13) ===\n{}",

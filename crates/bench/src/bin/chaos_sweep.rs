@@ -9,15 +9,13 @@
 //! CI gate (`--ci` exits non-zero on any violation).
 //!
 //! ```text
-//! cargo run --release -p ecolb-bench --bin chaos_sweep [--ci]
-//!     [--seed N]... [--plans N] [--servers N] [--intervals N] [--threads N]
+//! cargo run --release -p ecolb-bench --bin chaos_sweep -- [--ci] [--seed N]... [--plans 4] [--servers 30] [--intervals 8] [--threads N]
 //! ```
 
-use ecolb_chaos::{
-    generate_plan, intensity_grid, run_plan, ChaosScenario, FleetKind, SweepSummary,
-};
+use ecolb_bench::Args;
+use ecolb_chaos::{intensity_grid, run_plan, sweep, ChaosScenario, FleetKind, SweepSummary};
 use ecolb_metrics::table::{fmt_f, Table};
-use ecolb_simcore::par::{default_threads, map_indexed};
+use ecolb_simcore::par::default_threads;
 
 /// Both plan families: the paper's homogeneous fleet, and the
 /// Koomey-mixed fleet with scheduled spot reclaims on top.
@@ -29,33 +27,19 @@ const CI_SEEDS: [u64; 3] = [20140109, 7, 42];
 const GRID_STEPS: usize = 4;
 
 fn main() {
-    let mut seeds: Vec<u64> = Vec::new();
-    let mut plans_per_cell: u64 = 4;
-    let mut servers: usize = 30;
-    let mut intervals: u64 = 8;
-    let mut threads = default_threads();
-    let mut ci = false;
-
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        let mut num = |name: &str| -> u64 {
-            args.next()
-                .and_then(|v| v.parse().ok())
-                .unwrap_or_else(|| panic!("{name} needs an unsigned integer"))
-        };
-        match arg.as_str() {
-            "--ci" => ci = true,
-            "--seed" => seeds.push(num("--seed")),
-            "--plans" => plans_per_cell = num("--plans").max(1),
-            "--servers" => servers = num("--servers").max(2) as usize,
-            "--intervals" => intervals = num("--intervals").max(1),
-            "--threads" => threads = num("--threads").max(1) as usize,
-            other => panic!(
-                "unknown argument {other:?} (supported: --ci --seed N --plans N \
-                 --servers N --intervals N --threads N)"
-            ),
-        }
-    }
+    let mut args = Args::new(
+        "chaos_sweep [--ci] [--seed N]... [--plans 4] [--servers 30] [--intervals 8] [--threads N]",
+    );
+    let ci = args.switch("--ci");
+    let mut seeds: Vec<u64> = args.values("--seed");
+    let plans_per_cell = args.value("--plans").unwrap_or(4u64).max(1);
+    let servers = args.value("--servers").unwrap_or(30usize).max(2);
+    let intervals = args.value("--intervals").unwrap_or(8u64).max(1);
+    let threads = args
+        .value("--threads")
+        .unwrap_or_else(default_threads)
+        .max(1);
+    args.finish();
     if seeds.is_empty() {
         seeds = CI_SEEDS.to_vec();
     }
@@ -77,35 +61,26 @@ fn main() {
     ));
 
     let mut grand_total = SweepSummary::default();
-    let mut failures: Vec<(u64, f64, u64)> = Vec::new();
     for fleet in FLEETS {
         for &intensity in &grid {
             let scenario = ChaosScenario::new(servers, intervals, intensity).with_fleet(fleet);
             let mut row_summary = SweepSummary::default();
             for &seed in &seeds {
-                let indices: Vec<u64> = (0..plans_per_cell).collect();
-                let outcomes = map_indexed(indices, threads, |_, index| {
-                    let plan = generate_plan(seed, index, &scenario);
-                    (index, run_plan(&scenario, &plan))
-                });
-                for (index, outcome) in &outcomes {
-                    if !outcome.ok() {
-                        failures.push((seed, intensity, *index));
-                        for v in &outcome.violations {
-                            eprintln!(
-                                "VIOLATION fleet {} seed {seed} intensity {intensity} plan \
-                                 {index}: `{}` at {} µs (server {}): {}",
-                                fleet.label(),
-                                v.invariant,
-                                v.at_us,
-                                v.server,
-                                v.detail
-                            );
-                        }
+                let outcomes = sweep(&scenario, seed, plans_per_cell, threads, run_plan);
+                for (index, outcome) in outcomes.iter().enumerate() {
+                    for v in &outcome.violations {
+                        eprintln!(
+                            "VIOLATION fleet {} seed {seed} intensity {intensity} plan \
+                             {index}: `{}` at {} µs (server {}): {}",
+                            fleet.label(),
+                            v.invariant,
+                            v.at_us,
+                            v.server,
+                            v.detail
+                        );
                     }
                 }
-                let flat: Vec<_> = outcomes.into_iter().map(|(_, o)| o).collect();
-                let s = SweepSummary::of(&flat);
+                let s = SweepSummary::of(&outcomes);
                 row_summary.plans += s.plans;
                 row_summary.violating_plans += s.violating_plans;
                 row_summary.violations += s.violations;

@@ -4,10 +4,10 @@
 //! run midpoint.
 //!
 //! ```text
-//! cargo run --release -p ecolb-bench --bin faults_sweep [--seed N]
+//! cargo run --release -p ecolb-bench --bin faults_sweep -- [--seed N]
 //! ```
 
-use ecolb_bench::DEFAULT_SEED;
+use ecolb_bench::{Args, DEFAULT_SEED};
 use ecolb_cluster::cluster::ClusterConfig;
 use ecolb_cluster::sim::TimedClusterSim;
 use ecolb_faults::{CompareWithFaulty, FaultPlan, FaultyClusterSim};
@@ -19,19 +19,9 @@ const SIZE: usize = 100;
 const INTERVALS: u64 = 40;
 
 fn main() {
-    let mut seed = DEFAULT_SEED;
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--seed" => {
-                seed = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--seed needs a u64");
-            }
-            other => panic!("unknown argument {other:?} (supported: --seed N)"),
-        }
-    }
+    let mut args = Args::new("faults_sweep [--seed N]");
+    let seed = args.value("--seed").unwrap_or(DEFAULT_SEED);
+    args.finish();
 
     let config = || ClusterConfig::paper(SIZE, WorkloadSpec::paper_low_load());
     let midpoint = SimTime::from_secs(INTERVALS / 2 * 300);

@@ -4,14 +4,16 @@
 //! load.
 //!
 //! ```text
-//! cargo run --release -p ecolb-bench --bin fig2 [--quick] [--seed N]
+//! cargo run --release -p ecolb-bench --bin fig2 -- [--seed N] [--sizes 100,1000,10000] [--intervals 40] [--quick]
 //! ```
 
 use ecolb::experiments::fig2_panels;
-use ecolb_bench::{render_fig2, run_matrix_parallel, HarnessOptions};
+use ecolb_bench::{render_fig2, run_matrix_parallel, Args, HarnessOptions};
 
 fn main() {
-    let opts = HarnessOptions::parse(std::env::args().skip(1));
+    let mut args = Args::new("fig2 [--seed N] [--sizes 100,1000,10000] [--intervals 40] [--quick]");
+    let opts = HarnessOptions::read(&mut args);
+    args.finish();
     let cells = run_matrix_parallel(opts.seed, &opts.sizes, opts.intervals);
     print!("{}", render_fig2(&fig2_panels(&cells)));
 }

@@ -7,5 +7,6 @@
 //! ```
 
 fn main() {
+    ecolb_bench::Args::new("homogeneous").finish();
     print!("{}", ecolb_bench::render_homogeneous());
 }

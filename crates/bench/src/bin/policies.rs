@@ -3,12 +3,14 @@
 //! over a predictable diurnal trace and an unpredictable spiky trace.
 //!
 //! ```text
-//! cargo run --release -p ecolb-bench --bin policies [--seed N]
+//! cargo run --release -p ecolb-bench --bin policies -- [--seed N]
 //! ```
 
-use ecolb_bench::HarnessOptions;
+use ecolb_bench::{Args, DEFAULT_SEED};
 
 fn main() {
-    let opts = HarnessOptions::parse(std::env::args().skip(1));
-    print!("{}", ecolb_bench::policy_suite::render_suite(opts.seed));
+    let mut args = Args::new("policies [--seed N]");
+    let seed = args.value("--seed").unwrap_or(DEFAULT_SEED);
+    args.finish();
+    print!("{}", ecolb_bench::policy_suite::render_suite(seed));
 }

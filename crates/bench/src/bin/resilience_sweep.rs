@@ -17,11 +17,11 @@
 //! the energy cost of that rescue honestly alongside.
 //!
 //! ```text
-//! cargo run --release -p ecolb-bench --bin resilience_sweep [--ci]
-//!     [--seed N]... [--plans N] [--servers N] [--intervals N] [--threads N] [--csv DIR]
+//! cargo run --release -p ecolb-bench --bin resilience_sweep -- [--ci] [--seed N]... [--plans 3] [--servers 30] [--intervals 8] [--threads N] [--csv DIR]
 //! ```
 
-use ecolb_chaos::{intensity_grid, serve_sweep, ChaosScenario, FleetKind};
+use ecolb_bench::{write_file, Args};
+use ecolb_chaos::{intensity_grid, run_serve_plan, sweep, ChaosScenario, FleetKind};
 use ecolb_metrics::table::{fmt_f, Table};
 use ecolb_scenarios::ResilienceSpec;
 use ecolb_simcore::par::default_threads;
@@ -52,35 +52,21 @@ struct RowStats {
 }
 
 fn main() {
-    let mut seeds: Vec<u64> = Vec::new();
-    let mut plans_per_cell: u64 = 3;
-    let mut servers: usize = 30;
-    let mut intervals: u64 = 8;
-    let mut threads = default_threads();
-    let mut csv_dir: Option<String> = None;
-    let mut ci = false;
-
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        let mut num = |name: &str| -> u64 {
-            args.next()
-                .and_then(|v| v.parse().ok())
-                .unwrap_or_else(|| panic!("{name} needs an unsigned integer"))
-        };
-        match arg.as_str() {
-            "--ci" => ci = true,
-            "--seed" => seeds.push(num("--seed")),
-            "--plans" => plans_per_cell = num("--plans").max(1),
-            "--servers" => servers = num("--servers").max(2) as usize,
-            "--intervals" => intervals = num("--intervals").max(1),
-            "--threads" => threads = num("--threads").max(1) as usize,
-            "--csv" => csv_dir = Some(args.next().expect("--csv needs a directory")),
-            other => panic!(
-                "unknown argument {other:?} (supported: --ci --seed N --plans N \
-                 --servers N --intervals N --threads N --csv DIR)"
-            ),
-        }
-    }
+    let mut args = Args::new(
+        "resilience_sweep [--ci] [--seed N]... [--plans 3] [--servers 30] [--intervals 8] \
+         [--threads N] [--csv DIR]",
+    );
+    let ci = args.switch("--ci");
+    let mut seeds: Vec<u64> = args.values("--seed");
+    let plans_per_cell = args.value("--plans").unwrap_or(3u64).max(1);
+    let servers = args.value("--servers").unwrap_or(30usize).max(2);
+    let intervals = args.value("--intervals").unwrap_or(8u64).max(1);
+    let threads = args
+        .value("--threads")
+        .unwrap_or_else(default_threads)
+        .max(1);
+    let csv_dir: Option<String> = args.value("--csv");
+    args.finish();
     if seeds.is_empty() {
         seeds = CI_SEEDS.to_vec();
     }
@@ -122,7 +108,8 @@ fn main() {
             let policy = level.policy();
             let mut stats = RowStats::default();
             for &seed in &seeds {
-                for o in &serve_sweep(&scenario, seed, plans_per_cell, threads, policy) {
+                let run = |s: &_, plan: &_| run_serve_plan(s, plan, policy);
+                for o in &sweep(&scenario, seed, plans_per_cell, threads, run) {
                     let r = &o.report;
                     stats.gold_violation_s += r.violation_seconds[0];
                     stats.bronze_violation_s += r.violation_seconds[1];
@@ -209,9 +196,8 @@ fn main() {
     }
 
     if let Some(dir) = csv_dir {
-        std::fs::create_dir_all(&dir).expect("create csv dir");
         let path = format!("{dir}/resilience_sweep.csv");
-        std::fs::write(&path, csv).expect("write resilience_sweep.csv");
+        write_file(&path, &csv);
         eprintln!("wrote {path}");
     }
 

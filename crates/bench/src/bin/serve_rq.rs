@@ -10,11 +10,10 @@
 //! sleeps), p99 latency, SLA violation fraction, and rejects.
 //!
 //! ```text
-//! cargo run --release -p ecolb-bench --bin serve_rq
-//!     [--seed N] [--servers N] [--intervals N] [--threads N] [--csv DIR]
+//! cargo run --release -p ecolb-bench --bin serve_rq -- [--seed N] [--servers 60] [--intervals 12] [--threads N] [--csv DIR]
 //! ```
 
-use ecolb_bench::DEFAULT_SEED;
+use ecolb_bench::{write_file, Args, DEFAULT_SEED};
 use ecolb_cluster::cluster::ClusterConfig;
 use ecolb_metrics::table::{fmt_f, Table};
 use ecolb_serve::picker::PickerKind;
@@ -54,31 +53,17 @@ fn overall_violation_fraction(r: &ServeReport) -> f64 {
 }
 
 fn main() {
-    let mut seed = DEFAULT_SEED;
-    let mut servers: usize = 60;
-    let mut intervals: u64 = 12;
-    let mut threads = default_threads();
-    let mut csv_dir: Option<String> = None;
-
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        let mut num = |name: &str| -> u64 {
-            args.next()
-                .and_then(|v| v.parse().ok())
-                .unwrap_or_else(|| panic!("{name} needs an unsigned integer"))
-        };
-        match arg.as_str() {
-            "--seed" => seed = num("--seed"),
-            "--servers" => servers = num("--servers").max(2) as usize,
-            "--intervals" => intervals = num("--intervals").max(1),
-            "--threads" => threads = num("--threads").max(1) as usize,
-            "--csv" => csv_dir = Some(args.next().expect("--csv needs a directory")),
-            other => panic!(
-                "unknown argument {other:?} (supported: --seed N --servers N \
-                 --intervals N --threads N --csv DIR)"
-            ),
-        }
-    }
+    let mut args =
+        Args::new("serve_rq [--seed N] [--servers 60] [--intervals 12] [--threads N] [--csv DIR]");
+    let seed = args.value("--seed").unwrap_or(DEFAULT_SEED);
+    let servers = args.value("--servers").unwrap_or(60usize).max(2);
+    let intervals = args.value("--intervals").unwrap_or(12u64).max(1);
+    let threads = args
+        .value("--threads")
+        .unwrap_or_else(default_threads)
+        .max(1);
+    let csv_dir: Option<String> = args.value("--csv");
+    args.finish();
 
     let cells: Vec<(usize, PickerKind)> = (0..SCENARIOS.len())
         .flat_map(|s| PickerKind::all().into_iter().map(move |p| (s, p)))
@@ -173,9 +158,8 @@ fn main() {
     );
 
     if let Some(dir) = csv_dir {
-        std::fs::create_dir_all(&dir).expect("create csv dir");
         let path = format!("{dir}/serve_rq.csv");
-        std::fs::write(&path, csv).expect("write serve_rq.csv");
+        write_file(&path, &csv);
         eprintln!("wrote {path}");
     }
 }

@@ -1,7 +1,7 @@
 //! Cross-seed robustness sweep of the Table 2 statistics.
 //!
 //! ```text
-//! cargo run --release -p ecolb-bench --bin sweep [--quick] [--seed N] [--intervals N]
+//! cargo run --release -p ecolb-bench --bin sweep -- [--seed N] [--sizes 100,1000] [--intervals 40] [--quick]
 //! ```
 //!
 //! Runs the experiment matrix over 10 seeds derived from `--seed` and
@@ -9,18 +9,18 @@
 //! reproduced shapes are not seed artifacts.
 
 use ecolb_bench::sweep::{multi_seed_table2, render_sweep};
-use ecolb_bench::HarnessOptions;
+use ecolb_bench::{Args, HarnessOptions};
+use ecolb_simcore::par::default_threads;
 
 fn main() {
-    let mut opts = HarnessOptions::parse(std::env::args().skip(1));
+    let mut args = Args::new("sweep [--seed N] [--sizes 100,1000] [--intervals 40] [--quick]");
+    let mut opts = HarnessOptions::read(&mut args);
+    args.finish();
     // The full 10^4 x 10-seed sweep is hours; default to the quick sizes.
     if opts.sizes == vec![100, 1_000, 10_000] {
         opts.sizes = vec![100, 1_000];
     }
     let seeds: Vec<u64> = (0..10).map(|i| opts.seed.wrapping_add(i * 7919)).collect();
-    let workers = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(4);
-    let rows = multi_seed_table2(&seeds, &opts.sizes, opts.intervals, workers);
+    let rows = multi_seed_table2(&seeds, &opts.sizes, opts.intervals, default_threads());
     print!("{}", render_sweep(&rows, seeds.len()));
 }

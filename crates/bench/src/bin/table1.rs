@@ -7,5 +7,6 @@
 //! ```
 
 fn main() {
+    ecolb_bench::Args::new("table1").finish();
     print!("{}", ecolb_bench::render_table1());
 }

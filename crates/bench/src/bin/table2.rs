@@ -3,17 +3,21 @@
 //! servers for the six cluster configurations.
 //!
 //! ```text
-//! cargo run --release -p ecolb-bench --bin table2 [--quick] [--seed N]
+//! cargo run --release -p ecolb-bench --bin table2 -- [--seed N] [--sizes 100,1000,10000] [--intervals 40] [--quick] [--csv DIR]
 //! ```
 
-use ecolb_bench::{render_table2, run_matrix_parallel, HarnessOptions};
+use ecolb_bench::{export_matrix, render_table2, run_matrix_parallel, Args, HarnessOptions};
 
 fn main() {
-    let opts = HarnessOptions::parse(std::env::args().skip(1));
+    let mut args = Args::new(
+        "table2 [--seed N] [--sizes 100,1000,10000] [--intervals 40] [--quick] [--csv DIR]",
+    );
+    let mut opts = HarnessOptions::read(&mut args);
+    opts.csv_dir = args.value("--csv");
+    args.finish();
     let cells = run_matrix_parallel(opts.seed, &opts.sizes, opts.intervals);
     if let Some(dir) = &opts.csv_dir {
-        let mut files = ecolb_bench::write_matrix_csvs(&cells, dir).expect("CSV export");
-        files.extend(ecolb_bench::write_matrix_json(&cells, &opts, dir).expect("JSON export"));
+        let files = export_matrix(&cells, &opts, dir);
         eprintln!("wrote {} result files to {dir}", files.len());
     }
     print!("{}", render_table2(&cells));

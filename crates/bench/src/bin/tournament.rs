@@ -8,11 +8,10 @@
 //! compares the files byte for byte.
 //!
 //! ```text
-//! cargo run --release -p ecolb-bench --bin tournament
-//!     [--seed N] [--threads N] [--out FILE] [--no-mirror]
+//! cargo run --release -p ecolb-bench --bin tournament -- [--seed N] [--threads N] [--out results/perf/BENCH_tournament.json]
 //! ```
 
-use ecolb_bench::DEFAULT_SEED;
+use ecolb_bench::{write_file, Args, DEFAULT_SEED};
 use ecolb_metrics::json::{ObjectWriter, ToJson};
 use ecolb_metrics::table::{fmt_f, Table};
 use ecolb_scenarios::tournament::{dominates, pareto_front, policy_roster, run_cell, CellOutcome};
@@ -38,29 +37,17 @@ impl ToJson for ScenarioResult {
 }
 
 fn main() {
-    let mut seed = DEFAULT_SEED;
-    let mut threads = default_threads();
-    let mut out_path = String::from("BENCH_tournament.json");
-    let mut mirror = true;
-
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        let mut num = |name: &str| -> u64 {
-            args.next()
-                .and_then(|v| v.parse().ok())
-                .unwrap_or_else(|| panic!("{name} needs an unsigned integer"))
-        };
-        match arg.as_str() {
-            "--seed" => seed = num("--seed"),
-            "--threads" => threads = num("--threads").max(1) as usize,
-            "--out" => out_path = args.next().expect("--out needs a file path"),
-            "--no-mirror" => mirror = false,
-            other => panic!(
-                "unknown argument {other:?} (supported: --seed N --threads N --out FILE \
-                 --no-mirror)"
-            ),
-        }
-    }
+    let mut args =
+        Args::new("tournament [--seed N] [--threads N] [--out results/perf/BENCH_tournament.json]");
+    let seed = args.value("--seed").unwrap_or(DEFAULT_SEED);
+    let threads = args
+        .value("--threads")
+        .unwrap_or_else(default_threads)
+        .max(1);
+    let out_path: String = args
+        .value("--out")
+        .unwrap_or_else(|| "results/perf/BENCH_tournament.json".into());
+    args.finish();
 
     let scenarios = catalog();
     let roster = policy_roster();
@@ -126,13 +113,8 @@ fn main() {
         .field("paper_dominated_in", &dominated_in)
         .finish();
     json.push('\n');
-    std::fs::write(&out_path, &json).expect("write tournament json");
+    write_file(&out_path, &json);
     eprintln!("wrote {out_path}");
-    if mirror {
-        std::fs::create_dir_all("results/perf").expect("create results/perf");
-        std::fs::write("results/perf/BENCH_tournament.json", &json).expect("write results mirror");
-        eprintln!("wrote results/perf/BENCH_tournament.json");
-    }
 }
 
 /// Scenario lists where the paper policy is strictly dominated by some

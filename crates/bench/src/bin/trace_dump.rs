@@ -4,11 +4,10 @@
 //! aggregates. The raw snapshot is written as deterministic JSON.
 //!
 //! ```text
-//! cargo run --release -p ecolb-bench --bin trace_dump \
-//!     [--seed N] [--servers N] [--intervals N] [--out DIR]
+//! cargo run --release -p ecolb-bench --bin trace_dump -- [--seed N] [--servers 24] [--intervals 12] [--out results/trace]
 //! ```
 
-use ecolb_bench::DEFAULT_SEED;
+use ecolb_bench::{write_file, Args, DEFAULT_SEED};
 use ecolb_cluster::cluster::ClusterConfig;
 use ecolb_cluster::sim::TimedClusterSim;
 use ecolb_metrics::json::ToJson;
@@ -16,40 +15,15 @@ use ecolb_trace::{DecisionLedgerView, RegimeTimeline, RingTracer};
 use ecolb_workload::generator::WorkloadSpec;
 
 fn main() {
-    let mut seed = DEFAULT_SEED;
-    let mut servers: usize = 24;
-    let mut intervals: u64 = 12;
-    let mut out_dir = String::from("results/trace");
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--seed" => {
-                seed = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--seed needs a u64");
-            }
-            "--servers" => {
-                servers = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--servers needs a usize");
-            }
-            "--intervals" => {
-                intervals = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--intervals needs a u64");
-            }
-            "--out" => {
-                out_dir = args.next().expect("--out needs a directory");
-            }
-            other => panic!(
-                "unknown argument {other:?} \
-                 (supported: --seed N --servers N --intervals N --out DIR)"
-            ),
-        }
-    }
+    let mut args =
+        Args::new("trace_dump [--seed N] [--servers 24] [--intervals 12] [--out results/trace]");
+    let seed = args.value("--seed").unwrap_or(DEFAULT_SEED);
+    let servers = args.value("--servers").unwrap_or(24usize).max(1);
+    let intervals = args.value("--intervals").unwrap_or(12u64).max(1);
+    let out_dir: String = args
+        .value("--out")
+        .unwrap_or_else(|| "results/trace".into());
+    args.finish();
 
     let config = ClusterConfig::paper(servers, WorkloadSpec::paper_low_load());
     let mut tracer = RingTracer::new();
@@ -90,8 +64,7 @@ fn main() {
         println!("  {name:<28} {value}");
     }
 
-    std::fs::create_dir_all(&out_dir).expect("create trace output directory");
     let path = format!("{out_dir}/{id}.json");
-    std::fs::write(&path, snapshot.to_json()).expect("write trace snapshot");
+    write_file(&path, &snapshot.to_json());
     println!("wrote {path}");
 }

@@ -50,7 +50,105 @@ pub fn run_matrix_threads(
     })
 }
 
-/// Minimal CLI options shared by the regenerator binaries.
+/// The command line of one regenerator binary. The binary states its
+/// usage line, reads each flag it uses by name, then calls
+/// [`Args::finish`], which rejects whatever no read consumed. A token
+/// that starts with `--` is always a flag, never a value. Bad input of
+/// any kind prints `error:` and the usage line and exits 2; `--help`
+/// prints the usage line and exits 0.
+pub struct Args {
+    usage: &'static str,
+    args: Vec<String>,
+    read: Vec<bool>,
+}
+
+impl Args {
+    /// The process's arguments, to be read against `usage` (the text
+    /// after `usage: `, starting with the binary's name).
+    pub fn new(usage: &'static str) -> Self {
+        Args::of(usage, std::env::args().skip(1).collect())
+    }
+
+    fn of(usage: &'static str, args: Vec<String>) -> Self {
+        if args.iter().any(|a| a == "--help") {
+            eprintln!("usage: {usage}");
+            std::process::exit(0);
+        }
+        let read = vec![false; args.len()];
+        Args { usage, args, read }
+    }
+
+    /// Every value of the repeatable flag `name` (`name V`), in order.
+    pub fn values<T: std::str::FromStr>(&mut self, name: &str) -> Vec<T> {
+        let mut values = Vec::new();
+        for i in 0..self.args.len() {
+            if self.args[i] != name {
+                continue;
+            }
+            let raw = match self.args.get(i + 1) {
+                Some(raw) if !raw.starts_with("--") => raw,
+                _ => self.fail(&format!("{name} needs a value")),
+            };
+            match raw.parse() {
+                Ok(value) => values.push(value),
+                Err(_) => self.fail(&format!(
+                    "{name}: {raw:?} is not a valid {}",
+                    std::any::type_name::<T>()
+                )),
+            }
+            self.read[i] = true;
+            self.read[i + 1] = true;
+        }
+        values
+    }
+
+    /// The value of flag `name` (the last one, if repeated).
+    pub fn value<T: std::str::FromStr>(&mut self, name: &str) -> Option<T> {
+        self.values(name).pop()
+    }
+
+    /// Whether the flag `name`, which takes no value, was given.
+    pub fn switch(&mut self, name: &str) -> bool {
+        let mut given = false;
+        for (arg, read) in self.args.iter().zip(&mut self.read) {
+            if arg == name {
+                *read = true;
+                given = true;
+            }
+        }
+        given
+    }
+
+    /// Rejects the first argument no read consumed: an unknown flag, a
+    /// flag this binary does not take, or a stray value.
+    pub fn finish(self) {
+        if let Some((arg, _)) = self.args.iter().zip(&self.read).find(|(_, read)| !**read) {
+            self.fail(&format!("unexpected argument {arg:?}"));
+        }
+    }
+
+    /// Prints `error: {msg}` and the usage line, then exits 2.
+    fn fail(&self, msg: &str) -> ! {
+        eprintln!("error: {msg}\nusage: {}", self.usage);
+        std::process::exit(2)
+    }
+}
+
+/// Writes `contents` to `path`, creating its directory first. Every
+/// result file a regenerator writes goes through here: on failure it
+/// prints `error: <path>: <cause>` and exits 1.
+pub fn write_file(path: &str, contents: &str) {
+    let written = std::path::Path::new(path)
+        .parent()
+        .map_or(Ok(()), std::fs::create_dir_all)
+        .and_then(|()| std::fs::write(path, contents));
+    if let Err(e) = written {
+        eprintln!("error: {path}: {e}");
+        std::process::exit(1);
+    }
+}
+
+/// The experiment matrix's options, shared by the binaries that run it.
 #[derive(Debug, Clone, PartialEq)]
 pub struct HarnessOptions {
     /// RNG base seed.
@@ -75,53 +173,32 @@ impl Default for HarnessOptions {
 }
 
 impl HarnessOptions {
-    /// Parses `--seed N`, `--sizes a,b,c`, `--intervals N`, `--quick`
-    /// (sizes 100,1000 only) from an argument iterator. Unknown arguments
-    /// abort with a usage message.
-    pub fn parse(args: impl Iterator<Item = String>) -> Self {
-        let mut opts = HarnessOptions::default();
-        let mut args = args.peekable();
-        while let Some(arg) = args.next() {
-            match arg.as_str() {
-                "--seed" => {
-                    opts.seed = args
-                        .next()
-                        .and_then(|v| v.parse().ok())
-                        .unwrap_or_else(|| usage("--seed needs an integer"));
-                }
-                "--sizes" => {
-                    let list = args.next().unwrap_or_else(|| usage("--sizes needs a list"));
-                    opts.sizes = list
-                        .split(',')
-                        .map(|s| {
-                            s.trim()
-                                .parse()
-                                .ok()
-                                .filter(|&n: &usize| n > 0)
-                                .unwrap_or_else(|| usage("sizes must be positive integers"))
-                        })
-                        .collect();
-                }
-                "--intervals" => {
-                    opts.intervals = args
-                        .next()
-                        .and_then(|v| v.parse().ok())
-                        .unwrap_or_else(|| usage("--intervals needs an integer"));
-                }
-                "--quick" => {
-                    opts.sizes = vec![100, 1_000];
-                }
-                "--csv" => {
-                    opts.csv_dir = Some(
-                        args.next()
-                            .unwrap_or_else(|| usage("--csv needs a directory")),
-                    );
-                }
-                "--help" | "-h" => usage(""),
-                other => usage(&format!("unknown argument {other:?}")),
-            }
+    /// Reads `--seed N`, `--sizes a,b,c` (positive integers), `--intervals
+    /// N` and `--quick` (sizes 100,1000, unless `--sizes` is given). The
+    /// binaries that export results read `--csv DIR` themselves.
+    pub fn read(args: &mut Args) -> Self {
+        let defaults = HarnessOptions::default();
+        let quick = args.switch("--quick");
+        let sizes = match args.value::<String>("--sizes") {
+            Some(list) => list
+                .split(',')
+                .map(|s| {
+                    s.trim()
+                        .parse()
+                        .ok()
+                        .filter(|&n: &usize| n > 0)
+                        .unwrap_or_else(|| args.fail("sizes must be positive integers"))
+                })
+                .collect(),
+            None if quick => vec![100, 1_000],
+            None => defaults.sizes,
+        };
+        HarnessOptions {
+            seed: args.value("--seed").unwrap_or(defaults.seed),
+            sizes,
+            intervals: args.value("--intervals").unwrap_or(defaults.intervals),
+            csv_dir: None,
         }
-        opts
     }
 }
 
@@ -134,17 +211,6 @@ impl ToJson for HarnessOptions {
             .field("csv_dir", &self.csv_dir)
             .finish();
     }
-}
-
-fn usage(msg: &str) -> ! {
-    if !msg.is_empty() {
-        eprintln!("error: {msg}");
-    }
-    eprintln!(
-        "usage: <bin> [--seed N] [--sizes 100,1000,10000] [--intervals 40] [--quick] [--csv DIR]\n\
-         Regenerates one artifact of Paya & Marinescu (2014)."
-    );
-    std::process::exit(if msg.is_empty() { 0 } else { 2 })
 }
 
 /// Renders Table 1 as printed in the paper.
@@ -278,71 +344,56 @@ pub fn render_table2(cells: &[MatrixCell]) -> String {
     table.to_string()
 }
 
-/// Writes machine-readable CSVs for a run matrix into `dir`:
-/// one series file per cell (ratio / sleeping / load per interval) and a
-/// `table2.csv` summary. Returns the files written.
-pub fn write_matrix_csvs(cells: &[MatrixCell], dir: &str) -> std::io::Result<Vec<String>> {
+/// Writes a run matrix's result files into `dir`: one CSV per cell (ratio
+/// / sleeping / load per interval), a `table2.csv` summary, one JSON
+/// report per cell (scalars plus the same series) and a `config.json`
+/// describing the run. Returns the paths written, in that order.
+pub fn export_matrix(cells: &[MatrixCell], opts: &HarnessOptions, dir: &str) -> Vec<String> {
     use ecolb_metrics::report::Report;
-    std::fs::create_dir_all(dir)?;
-    let mut written = Vec::new();
-    for cell in cells {
-        let id = format!("size{}_load{}", cell.size, cell.load.percent());
-        let mut report = Report::new(id.clone(), 0);
-        report.push_series(cell.report.ratio_series.clone());
-        report.push_series(cell.report.sleeping_series.clone());
-        report.push_series(cell.report.load_series.clone());
-        let path = format!("{dir}/{id}.csv");
-        std::fs::write(&path, report.series_csv())?;
-        written.push(path);
-    }
+    let reports: Vec<Report> = cells
+        .iter()
+        .map(|cell| {
+            let id = format!("size{}_load{}", cell.size, cell.load.percent());
+            let mut report = Report::new(id, opts.seed);
+            let stats = cell.report.ratio_series.stats();
+            report.scalar("avg_ratio", stats.mean());
+            report.scalar("ratio_sd", stats.std_dev());
+            report.scalar("avg_sleeping", cell.report.sleeping_series.stats().mean());
+            report.scalar("savings_fraction", cell.report.savings_fraction());
+            report.push_series(cell.report.ratio_series.clone());
+            report.push_series(cell.report.sleeping_series.clone());
+            report.push_series(cell.report.load_series.clone());
+            report
+        })
+        .collect();
     let mut table2 = String::from("plot,size,load_pct,avg_sleeping,avg_ratio,std_dev\n");
     for row in table2_rows(cells) {
-        use std::fmt::Write as _;
         let _ = writeln!(
             table2,
             "{},{},{},{},{},{}",
             row.plot, row.size, row.load_pct, row.avg_sleeping, row.avg_ratio, row.std_dev
         );
     }
-    let path = format!("{dir}/table2.csv");
-    std::fs::write(&path, table2)?;
-    written.push(path);
-    Ok(written)
+    let files = reports
+        .iter()
+        .map(|r| (format!("{dir}/{}.csv", r.id), r.series_csv()))
+        .chain([(format!("{dir}/table2.csv"), table2)])
+        .chain(
+            reports
+                .iter()
+                .map(|r| (format!("{dir}/{}.json", r.id), r.to_json())),
+        )
+        .chain([(format!("{dir}/config.json"), opts.to_json())]);
+    files
+        .map(|(path, contents)| {
+            write_file(&path, &contents);
+            path
+        })
+        .collect()
 }
 
-/// Writes one machine-readable JSON report per cell into `dir` (scalars
-/// plus all three per-interval series), and a `config.json` describing
-/// the run. Returns the files written.
-pub fn write_matrix_json(
-    cells: &[MatrixCell],
-    opts: &HarnessOptions,
-    dir: &str,
-) -> std::io::Result<Vec<String>> {
-    use ecolb_metrics::report::Report;
-    std::fs::create_dir_all(dir)?;
-    let mut written = Vec::new();
-    for cell in cells {
-        let id = format!("size{}_load{}", cell.size, cell.load.percent());
-        let mut report = Report::new(id.clone(), opts.seed);
-        let stats = cell.report.ratio_series.stats();
-        report.scalar("avg_ratio", stats.mean());
-        report.scalar("ratio_sd", stats.std_dev());
-        report.scalar("avg_sleeping", cell.report.sleeping_series.stats().mean());
-        report.scalar("savings_fraction", cell.report.savings_fraction());
-        report.push_series(cell.report.ratio_series.clone());
-        report.push_series(cell.report.sleeping_series.clone());
-        report.push_series(cell.report.load_series.clone());
-        let path = format!("{dir}/{id}.json");
-        std::fs::write(&path, report.to_json())?;
-        written.push(path);
-    }
-    let path = format!("{dir}/config.json");
-    std::fs::write(&path, opts.to_json())?;
-    written.push(path);
-    Ok(written)
-}
-
-/// Convenience: run the matrix and render figure 2 + figure 3 + table 2.
+/// Convenience: run the matrix and render figure 2 + figure 3 + table 2,
+/// exporting the result files when `opts.csv_dir` is set.
 pub fn render_all(opts: &HarnessOptions) -> String {
     let cells = run_matrix_parallel(opts.seed, &opts.sizes, opts.intervals);
     let mut out = String::new();
@@ -350,17 +401,8 @@ pub fn render_all(opts: &HarnessOptions) -> String {
     let _ = writeln!(out, "{}", render_fig3(&fig3_panels(&cells)));
     let _ = writeln!(out, "{}", render_table2(&cells));
     if let Some(dir) = &opts.csv_dir {
-        match write_matrix_csvs(&cells, dir).and_then(|mut files| {
-            files.extend(write_matrix_json(&cells, opts, dir)?);
-            Ok(files)
-        }) {
-            Ok(files) => {
-                let _ = writeln!(out, "Result files written: {}", files.join(", "));
-            }
-            Err(e) => {
-                let _ = writeln!(out, "Result export failed: {e}");
-            }
-        }
+        let files = export_matrix(&cells, opts, dir);
+        let _ = writeln!(out, "Result files written: {}", files.join(", "));
     }
     out
 }
@@ -457,21 +499,43 @@ pub fn paired_overhead<A, B>(
 mod tests {
     use super::*;
 
+    fn read(args: &[&str]) -> HarnessOptions {
+        let mut args = Args::of("test", args.iter().map(|s| s.to_string()).collect());
+        let opts = HarnessOptions::read(&mut args);
+        args.finish();
+        opts
+    }
+
     #[test]
     fn options_parse_defaults_and_flags() {
-        let opts = HarnessOptions::parse(std::iter::empty());
+        let opts = read(&[]);
         assert_eq!(opts.seed, DEFAULT_SEED);
         assert_eq!(opts.sizes, vec![100, 1_000, 10_000]);
-        let opts = HarnessOptions::parse(
-            ["--seed", "7", "--sizes", "10,20", "--intervals", "5"]
-                .iter()
-                .map(|s| s.to_string()),
-        );
+        let opts = read(&["--seed", "7", "--sizes", "10,20", "--intervals", "5"]);
         assert_eq!(opts.seed, 7);
         assert_eq!(opts.sizes, vec![10, 20]);
         assert_eq!(opts.intervals, 5);
-        let opts = HarnessOptions::parse(["--quick"].iter().map(|s| s.to_string()));
-        assert_eq!(opts.sizes, vec![100, 1_000]);
+        assert_eq!(read(&["--quick"]).sizes, vec![100, 1_000]);
+        assert_eq!(
+            read(&["--seed", "1", "--seed", "2"]).seed,
+            2,
+            "the last value wins"
+        );
+    }
+
+    #[test]
+    fn repeated_flags_keep_every_value_in_order() {
+        let mut args = Args::of(
+            "test",
+            ["--seed", "3", "--ci", "--seed", "1"]
+                .iter()
+                .map(|s| s.to_string())
+                .collect(),
+        );
+        assert_eq!(args.values::<u64>("--seed"), vec![3, 1]);
+        assert!(args.switch("--ci"));
+        assert!(!args.switch("--quick"));
+        args.finish();
     }
 
     #[test]

@@ -16,18 +16,14 @@ use ecolb_metrics::report::Report;
 use std::io;
 use std::time::Instant;
 
-/// Writes a perf smoke's report to `results/perf/<id>.json` and mirrors
-/// it at the repository root, where the latest numbers are visible at a
-/// glance. Paths are relative to this crate's directory, the working
-/// directory of its integration tests.
+/// Writes a perf smoke's report to `results/perf/<id>.json`. The path is
+/// relative to this crate's directory, the working directory of its
+/// integration tests.
 pub fn emit(report: &Report) -> io::Result<()> {
-    let json = report.to_json();
     std::fs::create_dir_all("../../results/perf")?;
-    for dir in ["../../results/perf", "../.."] {
-        let path = format!("{dir}/{}.json", report.id);
-        std::fs::write(&path, &json)?;
-        println!("wrote {path}");
-    }
+    let path = format!("../../results/perf/{}.json", report.id);
+    std::fs::write(&path, report.to_json())?;
+    println!("wrote {path}");
     Ok(())
 }
 

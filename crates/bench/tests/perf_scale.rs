@@ -4,9 +4,7 @@
 //! Each grid cell times a full `TimedClusterSim` run (best of a few
 //! repetitions) and reports **events/sec** (engine dispatch throughput)
 //! and **intervals/sec** (end-to-end simulation throughput). The numbers
-//! land in `BENCH_scale.json`, written both to `results/perf/` and
-//! mirrored at the repository root so the current throughput curve is
-//! visible without digging.
+//! land in `results/perf/BENCH_scale.json`.
 //!
 //! The **ratchet** gates the smallest cell (400 servers × 40 intervals)
 //! in CI. Asserting on raw wall-clock would tie the budget to one host's

@@ -18,46 +18,41 @@ use ecolb_faults::sim::FaultyClusterSim;
 use ecolb_simcore::par::map_indexed;
 use ecolb_trace::{InvariantChecker, Violation};
 
-/// Everything one checked chaos run produced.
+/// Everything one checked chaos run produced. `R` is the report of the
+/// axis that ran: the cluster simulation's [`FaultyRunReport`] or the
+/// serving simulation's `ServeReport`.
 #[derive(Debug, Clone, PartialEq)]
-pub struct ChaosOutcome {
+pub struct ChaosOutcome<R = FaultyRunReport> {
     /// The plan that ran (replays the run together with the scenario).
     pub plan: FaultPlan,
     /// The scenario it ran under.
     pub scenario: ChaosScenario,
-    /// The degradation-augmented run report. When the checker aborted the
-    /// run mid-flight the report covers the prefix up to the violation.
-    pub report: FaultyRunReport,
+    /// The run report. When the checker aborted the run mid-flight the
+    /// report covers the prefix up to the violation.
+    pub report: R,
     /// Invariant violations, in detection order (empty on a healthy run).
     pub violations: Vec<Violation>,
     /// State digests the checker validated.
     pub digests_checked: u64,
 }
 
-impl ChaosOutcome {
+impl<R> ChaosOutcome<R> {
     /// `true` when no invariant was violated.
     pub fn ok(&self) -> bool {
         self.violations.is_empty()
     }
 }
 
-/// Builds the checker a chaos run uses, sized to the scenario.
-pub(crate) fn checker_for(scenario: &ChaosScenario) -> InvariantChecker {
-    InvariantChecker::new(scenario.n_servers as u32)
-}
-
-/// Runs `plan` under `scenario` with the invariant checker attached and
-/// abort-on-violation enabled (a violating run stops at the first broken
-/// invariant; the evidence is in [`ChaosOutcome::violations`]).
-pub fn run_plan(scenario: &ChaosScenario, plan: &FaultPlan) -> ChaosOutcome {
-    let mut checker = checker_for(scenario);
-    let report = FaultyClusterSim::new(
-        scenario.config(),
-        plan.seed,
-        scenario.intervals,
-        plan.clone(),
-    )
-    .run_traced(&mut checker);
+/// Runs one axis's simulation of `plan` under `scenario` with a fresh
+/// invariant checker, sized to the scenario, as its tracer: `run` drives
+/// the simulation with the checker it is given.
+pub(crate) fn checked<R>(
+    scenario: &ChaosScenario,
+    plan: &FaultPlan,
+    run: impl FnOnce(&mut InvariantChecker) -> R,
+) -> ChaosOutcome<R> {
+    let mut checker = InvariantChecker::new(scenario.n_servers as u32);
+    let report = run(&mut checker);
     ChaosOutcome {
         plan: plan.clone(),
         scenario: *scenario,
@@ -67,22 +62,37 @@ pub fn run_plan(scenario: &ChaosScenario, plan: &FaultPlan) -> ChaosOutcome {
     }
 }
 
-/// Generates and runs `n_plans` plans for `(seed, scenario)` across
-/// `threads` workers. Work is striped deterministically (the same
-/// `(seed, scenario, n_plans)` produces the same outcome vector at any
-/// thread count) and each plan carries its index-keyed seed, so any
-/// violating entry replays standalone.
-pub fn sweep(
+/// Runs `plan` under `scenario` with the invariant checker attached and
+/// abort-on-violation enabled (a violating run stops at the first broken
+/// invariant; the evidence is in [`ChaosOutcome::violations`]).
+pub fn run_plan(scenario: &ChaosScenario, plan: &FaultPlan) -> ChaosOutcome {
+    checked(scenario, plan, |checker| {
+        FaultyClusterSim::new(
+            scenario.config(),
+            plan.seed,
+            scenario.intervals,
+            plan.clone(),
+        )
+        .run_traced(checker)
+    })
+}
+
+/// Generates `n_plans` plans for `(seed, scenario)` and runs each through
+/// `run` ([`run_plan`], or a serve-axis run) across `threads` workers.
+/// Work is striped deterministically (the same `(seed, scenario,
+/// n_plans)` produces the same outcome vector at any thread count), the
+/// outcome at position `i` ran plan index `i`, and each plan carries its
+/// index-keyed seed, so any violating entry replays standalone.
+pub fn sweep<R: Send>(
     scenario: &ChaosScenario,
     seed: u64,
     n_plans: u64,
     threads: usize,
-) -> Vec<ChaosOutcome> {
+    run: impl Fn(&ChaosScenario, &FaultPlan) -> ChaosOutcome<R> + Sync,
+) -> Vec<ChaosOutcome<R>> {
     let indices: Vec<u64> = (0..n_plans).collect();
-    let scenario = *scenario;
-    map_indexed(indices, threads, move |_, index| {
-        let plan = generate_plan(seed, index, &scenario);
-        run_plan(&scenario, &plan)
+    map_indexed(indices, threads, |_, index| {
+        run(scenario, &generate_plan(seed, index, scenario))
     })
 }
 
@@ -102,8 +112,8 @@ pub struct SweepSummary {
 }
 
 impl SweepSummary {
-    /// Summarises a slice of outcomes.
-    pub fn of(outcomes: &[ChaosOutcome]) -> Self {
+    /// Summarises a slice of outcomes of either axis.
+    pub fn of<R>(outcomes: &[ChaosOutcome<R>]) -> Self {
         let mut s = SweepSummary {
             plans: outcomes.len() as u64,
             ..SweepSummary::default()
@@ -143,8 +153,8 @@ mod tests {
     #[test]
     fn sweeps_are_thread_count_invariant() {
         let scenario = ChaosScenario::new(15, 4, 0.8);
-        let a = sweep(&scenario, 42, 6, 1);
-        let b = sweep(&scenario, 42, 6, 3);
+        let a = sweep(&scenario, 42, 6, 1, run_plan);
+        let b = sweep(&scenario, 42, 6, 3, run_plan);
         assert_eq!(a, b);
         let summary = SweepSummary::of(&a);
         assert_eq!(summary.plans, 6);
@@ -156,7 +166,7 @@ mod tests {
     fn mixed_spot_sweeps_run_clean_at_the_same_bar() {
         use crate::gen::FleetKind;
         let scenario = ChaosScenario::new(16, 4, 0.75).with_fleet(FleetKind::MixedSpot);
-        let outcomes = sweep(&scenario, 20140109, 4, 2);
+        let outcomes = sweep(&scenario, 20140109, 4, 2, run_plan);
         let summary = SweepSummary::of(&outcomes);
         assert!(summary.clean(), "summary: {summary:?}");
         assert!(

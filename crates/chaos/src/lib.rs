@@ -27,7 +27,7 @@
 //! [`harness::sweep`] ties the pieces into the CI entry point: a bounded
 //! multi-seed sweep over the intensity grid that must find zero
 //! violations on a healthy tree. [`serve_axis`] points the same fuzzer
-//! at the request-level co-simulation, where the checker additionally
+//! and sweep at the request-level co-simulation, where the checker additionally
 //! validates the resilience invariants (`retry_budget`,
 //! `breaker_routing`, `shed_accounting`) against real retries, breaker
 //! trips and sheds.
@@ -47,5 +47,5 @@ pub use artifact::ReproArtifact;
 pub use ecolb_trace::{InvariantChecker, Violation, CLUSTER_WIDE};
 pub use gen::{generate_plan, intensity_grid, ChaosScenario, FleetKind};
 pub use harness::{run_plan, sweep, ChaosOutcome, SweepSummary};
-pub use serve_axis::{run_serve_plan, serve_chaos_config, serve_sweep, ServeChaosOutcome};
+pub use serve_axis::{run_serve_plan, serve_chaos_config};
 pub use shrink::{shrink, ShrinkOutcome};

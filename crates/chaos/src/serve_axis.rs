@@ -13,38 +13,12 @@
 //! events. The serve seed **is** the plan seed, so a serve-axis outcome
 //! replays from `(plan, scenario, policy)` alone.
 
-use crate::gen::{generate_plan, ChaosScenario};
-use crate::harness::checker_for;
+use crate::gen::ChaosScenario;
+use crate::harness::{checked, ChaosOutcome};
 use ecolb_faults::plan::FaultPlan;
 use ecolb_serve::picker::PickerKind;
 use ecolb_serve::resilience::ResiliencePolicy;
 use ecolb_serve::sim::{ServeConfig, ServeReport, ServeSim};
-use ecolb_simcore::par::map_indexed;
-use ecolb_trace::Violation;
-
-/// Everything one checked serve-axis chaos run produced.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ServeChaosOutcome {
-    /// The plan that ran (with the scenario and policy, replays the run).
-    pub plan: FaultPlan,
-    /// The scenario it ran under.
-    pub scenario: ChaosScenario,
-    /// The resilience policy the serving layer ran with.
-    pub resilience: ResiliencePolicy,
-    /// The finished serving report.
-    pub report: ServeReport,
-    /// Invariant violations, in detection order (empty on a healthy run).
-    pub violations: Vec<Violation>,
-    /// State digests the checker validated.
-    pub digests_checked: u64,
-}
-
-impl ServeChaosOutcome {
-    /// `true` when no invariant was violated.
-    pub fn ok(&self) -> bool {
-        self.violations.is_empty()
-    }
-}
 
 /// The serving configuration a serve-axis chaos run uses: the paper
 /// stack (regime-aware picker, consolidation on) over the scenario's
@@ -74,64 +48,17 @@ pub fn run_serve_plan(
     scenario: &ChaosScenario,
     plan: &FaultPlan,
     resilience: ResiliencePolicy,
-) -> ServeChaosOutcome {
-    let mut checker = checker_for(scenario);
-    let report = ServeSim::new(serve_chaos_config(scenario, plan, resilience), plan.seed)
-        .run_traced(&mut checker);
-    ServeChaosOutcome {
-        plan: plan.clone(),
-        scenario: *scenario,
-        resilience,
-        digests_checked: checker.digests_checked(),
-        violations: checker.into_violations(),
-        report,
-    }
-}
-
-/// Generates and runs `n_plans` serve-axis plans for `(seed, scenario)`
-/// across `threads` workers under one resilience policy. Striping is
-/// deterministic, so the outcome vector is thread-count invariant and
-/// any violating entry replays standalone.
-pub fn serve_sweep(
-    scenario: &ChaosScenario,
-    seed: u64,
-    n_plans: u64,
-    threads: usize,
-    resilience: ResiliencePolicy,
-) -> Vec<ServeChaosOutcome> {
-    let indices: Vec<u64> = (0..n_plans).collect();
-    let scenario = *scenario;
-    map_indexed(indices, threads, move |_, index| {
-        let plan = generate_plan(seed, index, &scenario);
-        run_serve_plan(&scenario, &plan, resilience)
+) -> ChaosOutcome<ServeReport> {
+    checked(scenario, plan, |checker| {
+        ServeSim::new(serve_chaos_config(scenario, plan, resilience), plan.seed).run_traced(checker)
     })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::gen::FleetKind;
-    use crate::harness::SweepSummary;
-
-    impl SweepSummary {
-        /// Summarises a slice of serve-axis outcomes with the same
-        /// bookkeeping as [`SweepSummary::of`].
-        fn of_serve(outcomes: &[ServeChaosOutcome]) -> Self {
-            let mut s = SweepSummary {
-                plans: outcomes.len() as u64,
-                ..SweepSummary::default()
-            };
-            for o in outcomes {
-                if !o.ok() {
-                    s.violating_plans += 1;
-                }
-                s.violations += o.violations.len() as u64;
-                s.events_injected += o.plan.events.len() as u64;
-                s.digests_checked += o.digests_checked;
-            }
-            s
-        }
-    }
+    use crate::gen::{generate_plan, FleetKind};
+    use crate::harness::{sweep, SweepSummary};
 
     const SEED: u64 = 20140109;
 
@@ -156,10 +83,11 @@ mod tests {
             ResiliencePolicy::retry_only(),
             ResiliencePolicy::full(),
         ] {
-            let a = serve_sweep(&scenario, 42, 4, 1, policy);
-            let b = serve_sweep(&scenario, 42, 4, 2, policy);
+            let run = |s: &ChaosScenario, plan: &FaultPlan| run_serve_plan(s, plan, policy);
+            let a = sweep(&scenario, 42, 4, 1, run);
+            let b = sweep(&scenario, 42, 4, 2, run);
             assert_eq!(a, b, "thread-count divergence under {policy:?}");
-            let summary = SweepSummary::of_serve(&a);
+            let summary = SweepSummary::of(&a);
             assert!(summary.clean(), "summary under {policy:?}: {summary:?}");
             assert_eq!(summary.digests_checked, 4 * scenario.intervals);
         }
@@ -172,8 +100,10 @@ mod tests {
         // retry_budget invariant) and breaker activity (breaker_routing)
         // somewhere in the sweep — not just digest checks.
         let scenario = ChaosScenario::new(16, 6, 0.9).with_fleet(FleetKind::MixedSpot);
-        let outcomes = serve_sweep(&scenario, SEED, 4, 2, ResiliencePolicy::full());
-        assert!(SweepSummary::of_serve(&outcomes).clean());
+        let outcomes = sweep(&scenario, SEED, 4, 2, |s, plan| {
+            run_serve_plan(s, plan, ResiliencePolicy::full())
+        });
+        assert!(SweepSummary::of(&outcomes).clean());
         let retries: u64 = outcomes.iter().map(|o| o.report.resilience.retries).sum();
         let opens: u64 = outcomes
             .iter()

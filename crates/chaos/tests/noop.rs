@@ -6,7 +6,7 @@
 //! and the resulting [`TimedRunReport`]s are byte-identical to plain
 //! fault-free runs — at any `par` fan-out width.
 
-use ecolb_chaos::{generate_plan, sweep, ChaosScenario, SweepSummary};
+use ecolb_chaos::{generate_plan, run_plan, sweep, ChaosScenario, SweepSummary};
 use ecolb_cluster::sim::{TimedClusterSim, TimedRunReport};
 
 const SEED: u64 = 20140109;
@@ -38,10 +38,10 @@ fn zero_intensity_sweep_is_byte_identical_at_any_thread_count() {
         })
         .collect();
 
-    let base = sweep(&scenario, SEED, PLANS, 1);
+    let base = sweep(&scenario, SEED, PLANS, 1, run_plan);
     for threads in [2usize, 8] {
         assert_eq!(
-            sweep(&scenario, SEED, PLANS, threads),
+            sweep(&scenario, SEED, PLANS, threads, run_plan),
             base,
             "sweep diverged at {threads} threads"
         );

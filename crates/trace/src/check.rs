@@ -1,12 +1,13 @@
 //! The runtime invariant checker: a third sealed [`Tracer`] that
 //! validates global protocol invariants from the event stream.
 //!
-//! The checker consumes the same events a [`RingTracer`](crate::RingTracer)
-//! would record, plus the per-interval [`StateDigest`] it requests via
-//! [`Tracer::wants_digest`] and receives through [`Tracer::digest`]. It
-//! never touches cluster internals — everything it knows arrives through
-//! the trace seam, so "checker attached" and "checker absent" runs are
-//! structurally identical apart from digest emission.
+//! The checker consumes the same events a [`RingTracer`] would record
+//! (and keeps the trailing few in one, as violation context), plus the
+//! per-interval [`StateDigest`] it requests via [`Tracer::wants_digest`]
+//! and receives through [`Tracer::digest`]. It never touches cluster
+//! internals — everything it knows arrives through the trace seam, so
+//! "checker attached" and "checker absent" runs are structurally
+//! identical apart from digest emission.
 //!
 //! Checked invariants (see DESIGN.md "Invariant model" for the paper
 //! justification of each):
@@ -48,11 +49,12 @@
 //! implicated server and the window of trace events leading up to it
 //! (events only: digests never enter the window).
 
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::{BTreeMap, BTreeSet};
 
 use ecolb_metrics::json::{ObjectWriter, ToJson};
 
 use crate::event::{TraceEvent, TraceEventKind};
+use crate::ring::RingTracer;
 use crate::tracer::{SpanKind, StateDigest, Tracer};
 
 /// Server id used in violations that implicate the whole cluster
@@ -118,8 +120,8 @@ pub struct InvariantChecker {
     total_servers: u32,
     abort_on_violation: bool,
     max_violations: usize,
-    window: VecDeque<TraceEvent>,
-    next_seq: u64,
+    /// The trailing events kept as violation context.
+    window: RingTracer,
     states: Vec<PowerState>,
     leader: Option<u32>,
     epoch: Option<u64>,
@@ -152,8 +154,7 @@ impl InvariantChecker {
             total_servers,
             abort_on_violation: true,
             max_violations: DEFAULT_MAX_VIOLATIONS,
-            window: VecDeque::with_capacity(DEFAULT_WINDOW),
-            next_seq: 0,
+            window: RingTracer::with_capacity(DEFAULT_WINDOW),
             states: vec![PowerState::Awake; total_servers as usize],
             leader: None,
             epoch: None,
@@ -237,7 +238,7 @@ impl InvariantChecker {
     fn report(&mut self, at_us: u64, invariant: &'static str, server: u32, detail: String) {
         self.total_violations += 1;
         if self.violations.len() < self.max_violations {
-            let window: Vec<TraceEvent> = self.window.iter().cloned().collect();
+            let window: Vec<TraceEvent> = self.window.events().cloned().collect();
             self.violations.push(Violation {
                 at_us,
                 invariant,
@@ -248,22 +249,10 @@ impl InvariantChecker {
         }
         // Leave a marker in the context window so later violations show
         // earlier ones in their lead-up.
-        self.push_window(
+        self.window.event(
             at_us,
             TraceEventKind::InvariantViolated { invariant, server },
         );
-    }
-
-    fn push_window(&mut self, at_us: u64, kind: TraceEventKind) {
-        if self.window.len() == DEFAULT_WINDOW {
-            self.window.pop_front();
-        }
-        self.window.push_back(TraceEvent {
-            seq: self.next_seq,
-            at_us,
-            kind,
-        });
-        self.next_seq += 1;
     }
 
     fn check_digest(&mut self, at: u64, d: &StateDigest) {
@@ -765,16 +754,16 @@ impl InvariantChecker {
 
 impl Tracer for InvariantChecker {
     fn event(&mut self, at_ticks: u64, kind: TraceEventKind) {
-        self.push_window(at_ticks, kind.clone());
+        self.window.event(at_ticks, kind.clone());
         self.check_event(at_ticks, &kind);
     }
 
     fn span_enter(&mut self, at_ticks: u64, span: SpanKind) {
-        self.push_window(at_ticks, TraceEventKind::SpanEnter { span: span.label() });
+        self.window.span_enter(at_ticks, span);
     }
 
     fn span_exit(&mut self, at_ticks: u64, span: SpanKind) {
-        self.push_window(at_ticks, TraceEventKind::SpanExit { span: span.label() });
+        self.window.span_exit(at_ticks, span);
     }
 
     fn counter(&mut self, _name: &'static str, _delta: u64) {}

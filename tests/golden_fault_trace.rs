@@ -12,13 +12,14 @@
 //! ECOLB_BLESS=1 cargo test --test golden_fault_trace
 //! ```
 
+mod common;
+
 use ecolb_bench::DEFAULT_SEED;
 use ecolb_cluster::admission::ArrivalSpec;
 use ecolb_cluster::cluster::ClusterConfig;
 use ecolb_cluster::server::ServerId;
 use ecolb_faults::{FaultPlan, FaultyClusterSim, FaultyRunReport};
 use ecolb_metrics::json::ToJson;
-use ecolb_simcore::par::map_indexed;
 use ecolb_simcore::time::{SimDuration, SimTime};
 use ecolb_trace::{RingTracer, TraceSnapshot};
 use ecolb_workload::generator::WorkloadSpec;
@@ -66,45 +67,16 @@ fn rendered(seed: u64) -> [String; 2] {
 
 #[test]
 fn golden_fault_trace_is_byte_identical_at_any_thread_count() {
-    let paths = [TRACE_PATH, REPORT_PATH];
-    let rendered_now = rendered(DEFAULT_SEED);
-
-    // ecolb-lint: allow(no-env-reads, "deliberate bless seam for regenerating the golden files")
-    if std::env::var_os("ECOLB_BLESS").is_some() {
-        for (path, bytes) in paths.iter().zip(&rendered_now) {
-            std::fs::write(path, bytes).expect("write golden fault file");
-            eprintln!("blessed {path} ({} bytes)", bytes.len());
-        }
-        return;
-    }
-
-    let golden = paths.map(|path| {
-        std::fs::read_to_string(path).unwrap_or_else(|_| {
-            panic!("{path} missing — bless it with `ECOLB_BLESS=1 cargo test --test golden_fault_trace`")
-        })
+    common::assert_golden("golden_fault_trace", [TRACE_PATH, REPORT_PATH], || {
+        rendered(DEFAULT_SEED)
     });
-    for ((path, bytes), golden) in paths.iter().zip(&rendered_now).zip(&golden) {
-        assert_eq!(
-            bytes, golden,
-            "{path} diverged; if the change is intended, re-bless with ECOLB_BLESS=1"
-        );
-    }
     // The untraced run renders the same report: tracing perturbs nothing.
     let plain = FaultyClusterSim::new(config(), DEFAULT_SEED, INTERVALS, plan()).run();
     assert_eq!(
         format!("{plain:#?}\n"),
-        golden[1],
+        common::golden("golden_fault_trace", REPORT_PATH),
         "tracing changed the report"
     );
-
-    for threads in [1usize, 2, 8] {
-        let runs = map_indexed(vec![DEFAULT_SEED; threads], threads, |_, seed| {
-            rendered(seed)
-        });
-        for (worker, run) in runs.iter().enumerate() {
-            assert_eq!(run, &golden, "worker {worker} of {threads} diverged");
-        }
-    }
 }
 
 #[test]

@@ -9,12 +9,13 @@
 //! ECOLB_BLESS=1 cargo test --test golden_serve_trace
 //! ```
 
+mod common;
+
 use ecolb_bench::DEFAULT_SEED;
 use ecolb_cluster::cluster::ClusterConfig;
 use ecolb_metrics::json::ToJson;
 use ecolb_serve::picker::PickerKind;
 use ecolb_serve::sim::{ServeConfig, ServeSim};
-use ecolb_simcore::par::map_indexed;
 use ecolb_trace::{NoTrace, RingTracer, TraceSnapshot};
 use ecolb_workload::generator::WorkloadSpec;
 
@@ -40,42 +41,11 @@ fn traced_snapshot(seed: u64) -> TraceSnapshot {
     tracer.snapshot("golden_serve", seed)
 }
 
-fn golden_bytes() -> String {
-    std::fs::read_to_string(GOLDEN_PATH).expect(
-        "golden serve trace missing — bless it with \
-         `ECOLB_BLESS=1 cargo test --test golden_serve_trace`",
-    )
-}
-
 #[test]
 fn golden_serve_trace_is_byte_identical_at_any_thread_count() {
-    let rendered = traced_snapshot(DEFAULT_SEED).to_json();
-
-    // ecolb-lint: allow(no-env-reads, "deliberate bless seam for regenerating the golden file")
-    if std::env::var_os("ECOLB_BLESS").is_some() {
-        std::fs::write(GOLDEN_PATH, &rendered).expect("write golden serve trace");
-        eprintln!("blessed {GOLDEN_PATH} ({} bytes)", rendered.len());
-        return;
-    }
-
-    let golden = golden_bytes();
-    assert_eq!(
-        rendered, golden,
-        "serve trace diverged from {GOLDEN_PATH}; if the change is \
-         intended, re-bless with ECOLB_BLESS=1"
-    );
-
-    for threads in [1usize, 2, 8] {
-        let snapshots = map_indexed(vec![DEFAULT_SEED; threads], threads, |_, seed| {
-            traced_snapshot(seed).to_json()
-        });
-        for (worker, json) in snapshots.iter().enumerate() {
-            assert_eq!(
-                json, &golden,
-                "worker {worker} of {threads} produced a different serve trace"
-            );
-        }
-    }
+    common::assert_golden("golden_serve_trace", [GOLDEN_PATH], || {
+        [traced_snapshot(DEFAULT_SEED).to_json()]
+    });
 }
 
 #[test]

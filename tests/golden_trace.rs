@@ -13,11 +13,12 @@
 //! ECOLB_BLESS=1 cargo test --test golden_trace
 //! ```
 
+mod common;
+
 use ecolb_bench::DEFAULT_SEED;
 use ecolb_cluster::cluster::ClusterConfig;
 use ecolb_cluster::sim::TimedClusterSim;
 use ecolb_metrics::json::ToJson;
-use ecolb_simcore::par::map_indexed;
 use ecolb_trace::{NoTrace, RingTracer, TraceSnapshot};
 use ecolb_workload::generator::WorkloadSpec;
 
@@ -35,44 +36,11 @@ fn traced_snapshot(seed: u64) -> TraceSnapshot {
     tracer.snapshot("golden", seed)
 }
 
-fn golden_bytes() -> String {
-    std::fs::read_to_string(GOLDEN_PATH).expect(
-        "golden trace missing — bless it with \
-         `ECOLB_BLESS=1 cargo test --test golden_trace`",
-    )
-}
-
 #[test]
 fn golden_trace_is_byte_identical_at_any_thread_count() {
-    let rendered = traced_snapshot(DEFAULT_SEED).to_json();
-
-    // ecolb-lint: allow(no-env-reads, "deliberate bless seam for regenerating the golden file")
-    if std::env::var_os("ECOLB_BLESS").is_some() {
-        std::fs::write(GOLDEN_PATH, &rendered).expect("write golden trace");
-        eprintln!("blessed {GOLDEN_PATH} ({} bytes)", rendered.len());
-        return;
-    }
-
-    let golden = golden_bytes();
-    assert_eq!(
-        rendered, golden,
-        "trace diverged from {GOLDEN_PATH}; if the change is intended, \
-         re-bless with ECOLB_BLESS=1"
-    );
-
-    // The same traced run inside the hermetic `par` fan-out, at every
-    // supported width: worker scheduling must never leak into a trace.
-    for threads in [1usize, 2, 8] {
-        let snapshots = map_indexed(vec![DEFAULT_SEED; threads], threads, |_, seed| {
-            traced_snapshot(seed).to_json()
-        });
-        for (worker, json) in snapshots.iter().enumerate() {
-            assert_eq!(
-                json, &golden,
-                "worker {worker} of {threads} produced a different trace"
-            );
-        }
-    }
+    common::assert_golden("golden_trace", [GOLDEN_PATH], || {
+        [traced_snapshot(DEFAULT_SEED).to_json()]
+    });
 }
 
 #[test]
@@ -106,7 +74,7 @@ fn golden_comparison_catches_a_single_event_reorder() {
     let mutated = snapshot.to_json();
     assert_ne!(
         mutated,
-        golden_bytes(),
+        common::golden("golden_trace", GOLDEN_PATH),
         "golden comparison failed to detect an event reorder"
     );
 }
