@@ -10,7 +10,7 @@ use ecolb_bench::{render_all, render_homogeneous, render_table1, Args, HarnessOp
 fn main() {
     let mut args =
         Args::new("all [--seed N] [--sizes 100,1000,10000] [--intervals 40] [--quick] [--csv DIR]");
-    let mut opts = HarnessOptions::read(&mut args);
+    let mut opts = HarnessOptions::read(&mut args, false);
     opts.csv_dir = args.value("--csv");
     args.finish();
     println!("=== Table 1 ===\n{}", render_table1());

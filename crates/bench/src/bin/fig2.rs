@@ -12,7 +12,7 @@ use ecolb_bench::{render_fig2, run_matrix_parallel, Args, HarnessOptions};
 
 fn main() {
     let mut args = Args::new("fig2 [--seed N] [--sizes 100,1000,10000] [--intervals 40] [--quick]");
-    let opts = HarnessOptions::read(&mut args);
+    let opts = HarnessOptions::read(&mut args, false);
     args.finish();
     let cells = run_matrix_parallel(opts.seed, &opts.sizes, opts.intervals);
     print!("{}", render_fig2(&fig2_panels(&cells)));

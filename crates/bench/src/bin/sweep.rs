@@ -14,12 +14,9 @@ use ecolb_simcore::par::default_threads;
 
 fn main() {
     let mut args = Args::new("sweep [--seed N] [--sizes 100,1000] [--intervals 40] [--quick]");
-    let mut opts = HarnessOptions::read(&mut args);
-    args.finish();
     // The full 10^4 x 10-seed sweep is hours; default to the quick sizes.
-    if opts.sizes == vec![100, 1_000, 10_000] {
-        opts.sizes = vec![100, 1_000];
-    }
+    let opts = HarnessOptions::read(&mut args, true);
+    args.finish();
     let seeds: Vec<u64> = (0..10).map(|i| opts.seed.wrapping_add(i * 7919)).collect();
     let rows = multi_seed_table2(&seeds, &opts.sizes, opts.intervals, default_threads());
     print!("{}", render_sweep(&rows, seeds.len()));

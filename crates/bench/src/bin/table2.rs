@@ -12,7 +12,7 @@ fn main() {
     let mut args = Args::new(
         "table2 [--seed N] [--sizes 100,1000,10000] [--intervals 40] [--quick] [--csv DIR]",
     );
-    let mut opts = HarnessOptions::read(&mut args);
+    let mut opts = HarnessOptions::read(&mut args, false);
     opts.csv_dir = args.value("--csv");
     args.finish();
     let cells = run_matrix_parallel(opts.seed, &opts.sizes, opts.intervals);

@@ -174,11 +174,13 @@ impl Default for HarnessOptions {
 
 impl HarnessOptions {
     /// Reads `--seed N`, `--sizes a,b,c` (positive integers), `--intervals
-    /// N` and `--quick` (sizes 100,1000, unless `--sizes` is given). The
-    /// binaries that export results read `--csv DIR` themselves.
-    pub fn read(args: &mut Args) -> Self {
+    /// N` and `--quick` (sizes 100,1000, unless `--sizes` is given). With
+    /// `quick_default` the sizes are 100,1000 whenever `--sizes` is absent,
+    /// `--quick` or not. The binaries that export results read `--csv DIR`
+    /// themselves.
+    pub fn read(args: &mut Args, quick_default: bool) -> Self {
         let defaults = HarnessOptions::default();
-        let quick = args.switch("--quick");
+        let quick = args.switch("--quick") || quick_default;
         let sizes = match args.value::<String>("--sizes") {
             Some(list) => list
                 .split(',')
@@ -499,11 +501,15 @@ pub fn paired_overhead<A, B>(
 mod tests {
     use super::*;
 
-    fn read(args: &[&str]) -> HarnessOptions {
+    fn read_with(args: &[&str], quick_default: bool) -> HarnessOptions {
         let mut args = Args::of("test", args.iter().map(|s| s.to_string()).collect());
-        let opts = HarnessOptions::read(&mut args);
+        let opts = HarnessOptions::read(&mut args, quick_default);
         args.finish();
         opts
+    }
+
+    fn read(args: &[&str]) -> HarnessOptions {
+        read_with(args, false)
     }
 
     #[test]
@@ -520,6 +526,16 @@ mod tests {
             read(&["--seed", "1", "--seed", "2"]).seed,
             2,
             "the last value wins"
+        );
+    }
+
+    #[test]
+    fn quick_default_yields_to_explicit_sizes() {
+        assert_eq!(read_with(&[], true).sizes, vec![100, 1_000]);
+        assert_eq!(
+            read_with(&["--sizes", "100,1000,10000"], true).sizes,
+            vec![100, 1_000, 10_000],
+            "an explicit list equal to the full default is kept"
         );
     }
 

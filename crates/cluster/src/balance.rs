@@ -23,13 +23,14 @@
 //! [`crate::cluster`] counts them into its decision ledger beside the
 //! **local (vertical)** ones it records during demand evolution.
 
+use crate::cluster::ClusterConfig;
 use crate::leader::Leader;
 use crate::messages::{backoff_before, REPORT_MAX_ATTEMPTS};
-use crate::migration::{MigrationCost, MigrationCostModel};
+use crate::migration::MigrationCost;
 use crate::recovery::{FaultHooks, RecoveryStats};
 use crate::server::{Server, ServerId};
 use ecolb_energy::regimes::OperatingRegime;
-use ecolb_energy::sleep::{CState, SleepModel, SleepPolicy};
+use ecolb_energy::sleep::{CState, SleepPolicy};
 use ecolb_simcore::time::SimTime;
 use ecolb_trace::{SpanKind, TraceEventKind, Tracer};
 use ecolb_workload::application::AppId;
@@ -161,34 +162,6 @@ pub fn cluster_load_fraction(servers: &[Server]) -> f64 {
     servers.iter().map(Server::load).sum::<f64>() / servers.len() as f64
 }
 
-/// Moves `app` from `from` to `to`, updating loads and counters; the move
-/// is applied instantaneously (the timed variant lives in the event-driven
-/// simulation layer, which replays the same records with delays). `None`
-/// if `from` no longer hosts `app` — callers treat that as "nothing to
-/// move" and the chaos invariant checker would flag any VM imbalance it
-/// caused.
-fn commit_migration(
-    servers: &mut [Server],
-    from: ServerId,
-    to: ServerId,
-    app: AppId,
-    model: &MigrationCostModel,
-) -> Option<MigrationRecord> {
-    let application = servers[from.index()].take_app(app)?;
-    let demand = application.demand;
-    let cost = model.cost_of(&application);
-    servers[from.index()].migrations_out += 1;
-    servers[to.index()].migrations_in += 1;
-    servers[to.index()].place_app(application);
-    Some(MigrationRecord {
-        from,
-        to,
-        app,
-        demand,
-        cost,
-    })
-}
-
 /// Truncates a partner list to the configured negotiation budget.
 fn cap<'a>(ids: &'a [ServerId], config: &BalanceConfig) -> &'a [ServerId] {
     match config.max_partners {
@@ -293,25 +266,6 @@ impl DrainRank {
     }
 }
 
-/// Reusable working buffers for the balancing phases.
-///
-/// The shed and drain phases build several short-lived sorted lists *per
-/// donor / per candidate* (partner lists, app working sets); with a few
-/// hundred servers that used to mean thousands of heap allocations per
-/// reallocation interval. A round-owned scratch turns them all into
-/// clear-and-refill on buffers that reach steady-state capacity after the
-/// first interval. Contents and iteration order are identical to the
-/// fresh-`Vec` formulation, so reports and traces are byte-identical.
-#[derive(Debug, Clone, Default)]
-pub struct BalanceScratch {
-    /// Donor / drain-candidate roster of the current phase.
-    roster: Vec<ServerId>,
-    /// Partner list: the leader's reply or the fallback receiver scan.
-    partners: Vec<ServerId>,
-    /// `(app, demand)` working set of the server being relieved or drained.
-    apps: Vec<(AppId, f64)>,
-}
-
 /// Static label for a sleep state, for trace events.
 fn cstate_label(state: CState) -> &'static str {
     match state {
@@ -325,431 +279,392 @@ fn cstate_label(state: CState) -> &'static str {
     }
 }
 
-/// Emits the trace event for one committed migration.
-fn trace_migration(tracer: &mut dyn Tracer, now: SimTime, rec: &MigrationRecord) {
-    tracer.event(
-        now.ticks(),
-        TraceEventKind::Migration {
-            from: rec.from.0,
-            to: rec.to.0,
-            app: rec.app.0,
-            demand: rec.demand,
-        },
-    );
+/// One balancing round in progress: the state it acts on, the context
+/// every phase shares, and the outcome so far. Its methods are the report
+/// sweep and the three phases; every protocol migration goes through
+/// [`Round::migrate`].
+struct Round<'a> {
+    servers: &'a mut [Server],
+    leader: &'a mut Leader,
+    config: &'a ClusterConfig,
+    now: SimTime,
+    tracer: &'a mut dyn Tracer,
+    outcome: BalanceOutcome,
 }
 
-/// Phase 1 — overloaded servers (R4, R5) shed VMs to underloaded
-/// receivers.
-#[allow(clippy::too_many_arguments)] // phases share the round's full context
-fn shed_phase(
-    servers: &mut [Server],
-    leader: &mut Leader,
-    migration_model: &MigrationCostModel,
-    config: &BalanceConfig,
-    now: SimTime,
-    tracer: &mut dyn Tracer,
-    scratch: &mut BalanceScratch,
-    outcome: &mut BalanceOutcome,
-) {
-    let BalanceScratch {
-        roster: donors,
-        partners,
-        apps,
-    } = scratch;
-    // Donors sorted: R5 (urgent) first, then heaviest.
-    donors.clear();
-    donors.extend(
-        servers
-            .iter()
-            .filter(|s| s.is_awake() && s.regime().is_overloaded())
-            .map(Server::id),
-    );
-    donors.sort_by(|&a, &b| {
-        let (sa, sb) = (&servers[a.index()], &servers[b.index()]);
-        sb.regime()
-            .index()
-            .cmp(&sa.regime().index())
-            .then(sb.load().total_cmp(&sa.load()))
-            .then(a.cmp(&b))
-    });
-
-    for &donor in donors.iter() {
-        if !servers[donor.index()].regime().is_overloaded() {
-            continue; // already relieved by an earlier donor's receiver churn
-        }
-        let donor_regime = servers[donor.index()].regime();
-        leader.receive_assistance_request();
-        tracer.event(
-            now.ticks(),
-            TraceEventKind::AssistanceRequested {
-                server: donor.0,
-                regime: donor_regime.index() as u8,
+impl Round<'_> {
+    /// Moves `app` from `from` to `to` at once (the timed simulation layer
+    /// replays the record with its delay): costs it, counts it on both
+    /// servers, traces it and records it. Returns `false`, and does
+    /// nothing, if `from` no longer hosts `app`.
+    fn migrate(&mut self, from: ServerId, to: ServerId, app: AppId) -> bool {
+        let Some(application) = self.servers[from.index()].take_app(app) else {
+            return false;
+        };
+        let demand = application.demand;
+        let cost = self.config.migration.cost_of(&application);
+        self.servers[from.index()].migrations_out += 1;
+        self.servers[to.index()].migrations_in += 1;
+        self.servers[to.index()].place_app(application);
+        self.tracer.event(
+            self.now.ticks(),
+            TraceEventKind::Migration {
+                from: from.0,
+                to: to.0,
+                app: app.0,
+                demand,
             },
         );
-        // Leader proposes R1/R2 receivers; fall back to R3 servers with
-        // headroom when the strict list is empty (see module docs).
-        leader.find_receivers_into(donor, partners);
-        if partners.is_empty() {
-            partners.extend(
-                servers
-                    .iter()
-                    .filter(|s| {
-                        s.is_awake()
-                            && s.id() != donor
-                            && s.regime() == OperatingRegime::Optimal
-                            && s.load() < config.shed_fill.ceiling(s)
-                    })
-                    .map(Server::id),
-            );
-            partners.sort_by(|&a, &b| {
-                servers[a.index()]
-                    .load()
-                    .total_cmp(&servers[b.index()].load())
-                    .then(a.cmp(&b))
-            });
-        }
-        let receivers = cap(partners, config);
+        self.outcome.migrations.push(MigrationRecord {
+            from,
+            to,
+            app,
+            demand,
+            cost,
+        });
+        true
+    }
 
-        // Shed apps, largest first, until back inside the optimal band or
-        // the per-interval negotiation budget runs out.
-        let mut moves = 0usize;
-        loop {
-            if moves >= SHED_MOVES_PER_DONOR {
-                break;
-            }
-            let donor_srv = &servers[donor.index()];
-            let excess = donor_srv.shed_pressure();
-            if excess <= 0.0 {
-                break;
-            }
-            // Prefer the *smallest* app that clears the excess in one move
-            // (minimal churn); apps too small to clear it come after,
-            // largest first.
-            apps.clear();
-            apps.extend(donor_srv.apps().iter().map(|a| (a.id, a.demand)));
-            apps.sort_by(|a, b| {
-                let a_clears = a.1 + EPS >= excess;
-                let b_clears = b.1 + EPS >= excess;
-                b_clears
-                    .cmp(&a_clears)
-                    .then_with(|| {
-                        if a_clears && b_clears {
-                            a.1.total_cmp(&b.1)
-                        } else {
-                            b.1.total_cmp(&a.1)
-                        }
-                    })
-                    .then(a.0.cmp(&b.0))
-            });
+    /// `server` asks the leader for partners.
+    fn request_assistance(&mut self, server: ServerId) {
+        self.leader.receive_assistance_request();
+        self.tracer.event(
+            self.now.ticks(),
+            TraceEventKind::AssistanceRequested {
+                server: server.0,
+                regime: self.servers[server.index()].regime().index() as u8,
+            },
+        );
+    }
 
-            let mut moved = false;
-            'apps: for &(app, demand) in apps.iter() {
-                for &rx in receivers {
-                    let rx_srv = &servers[rx.index()];
-                    if !rx_srv.is_awake() {
-                        continue;
-                    }
-                    if rx_srv.load() + demand <= config.shed_fill.ceiling(rx_srv) + EPS {
-                        if let Some(rec) =
-                            commit_migration(servers, donor, rx, app, migration_model)
-                        {
-                            trace_migration(tracer, now, &rec);
-                            outcome.migrations.push(rec);
-                            moved = true;
-                            moves += 1;
-                        }
-                        break 'apps;
-                    }
+    /// Per-interval reporting sweep through the fault hooks: every
+    /// server's report makes up to `REPORT_MAX_ATTEMPTS` delivery attempts
+    /// with exponential backoff (fault-free runs never retry, because
+    /// nothing is ever lost). A report that exhausts its budget leaves the
+    /// leader's previous directory entry stale until the next sweep; it
+    /// counts toward `RecoveryStats::reports_abandoned` (the degradation
+    /// summary's `lost_reports`) and emits a `report_retries_exhausted`
+    /// trace event.
+    fn report_sweep(&mut self, hooks: &mut dyn FaultHooks, stats: &mut RecoveryStats) {
+        for s in self.servers.iter() {
+            let mut delivered = false;
+            for attempt in 1..=REPORT_MAX_ATTEMPTS {
+                if attempt > 1 {
+                    stats.report_retries += 1;
+                    stats.retry_backoff_seconds += backoff_before(attempt).as_secs_f64();
                 }
+                if hooks.report_lost(s.id(), attempt) {
+                    stats.reports_lost += 1;
+                    self.tracer.counter("balance.reports_lost", 1);
+                    continue;
+                }
+                self.leader
+                    .receive_report(s.id(), s.regime(), s.load(), s.is_sleeping());
+                self.tracer.counter("balance.reports_delivered", 1);
+                delivered = true;
+                break;
             }
-            if !moved {
-                break; // nothing placeable anywhere
+            if !delivered {
+                stats.reports_abandoned += 1;
+                self.tracer.event(
+                    self.now.ticks(),
+                    TraceEventKind::ReportRetriesExhausted {
+                        server: s.id().0,
+                        attempts: REPORT_MAX_ATTEMPTS,
+                    },
+                );
             }
-        }
-
-        if servers[donor.index()].regime() == OperatingRegime::UndesirableHigh {
-            outcome.unresolved_overloads.push(donor);
         }
     }
-}
 
-/// Phase 2 — R1 servers gather from remaining donors or drain-and-sleep.
-#[allow(clippy::too_many_arguments)] // phases share the round's full context
-fn drain_phase(
-    servers: &mut [Server],
-    leader: &mut Leader,
-    migration_model: &MigrationCostModel,
-    sleep_model: &SleepModel,
-    config: &BalanceConfig,
-    now: SimTime,
-    just_woken: &[ServerId],
-    tracer: &mut dyn Tracer,
-    scratch: &mut BalanceScratch,
-    outcome: &mut BalanceOutcome,
-) {
-    let BalanceScratch {
-        roster: candidates,
-        partners,
-        apps,
-    } = scratch;
-    let cluster_load = cluster_load_fraction(servers);
-    // R1 candidates, emptiest first (cheapest to drain). A server whose
-    // wake matured this round is exempt — it was woken to absorb load and
-    // must not oscillate straight back to sleep.
-    candidates.clear();
-    candidates.extend(
-        servers
+    /// Phase 1 — overloaded servers (R4, R5) shed VMs to underloaded
+    /// receivers.
+    fn shed(&mut self) {
+        let balance = &self.config.balance;
+        let servers = &*self.servers;
+        // Donors sorted: R5 (urgent) first, then heaviest.
+        let mut donors: Vec<ServerId> = servers
+            .iter()
+            .filter(|s| s.is_awake() && s.regime().is_overloaded())
+            .map(Server::id)
+            .collect();
+        donors.sort_by(|&a, &b| {
+            let (sa, sb) = (&servers[a.index()], &servers[b.index()]);
+            sb.regime()
+                .index()
+                .cmp(&sa.regime().index())
+                .then(sb.load().total_cmp(&sa.load()))
+                .then(a.cmp(&b))
+        });
+
+        let mut partners = Vec::new();
+        let mut apps: Vec<(AppId, f64)> = Vec::new();
+        for donor in donors {
+            if !self.servers[donor.index()].regime().is_overloaded() {
+                continue; // already relieved by an earlier donor's receiver churn
+            }
+            self.request_assistance(donor);
+            // Leader proposes R1/R2 receivers; fall back to R3 servers with
+            // headroom when the strict list is empty (see module docs).
+            self.leader.find_receivers_into(donor, &mut partners);
+            if partners.is_empty() {
+                let servers = &*self.servers;
+                partners.extend(
+                    servers
+                        .iter()
+                        .filter(|s| {
+                            s.is_awake()
+                                && s.id() != donor
+                                && s.regime() == OperatingRegime::Optimal
+                                && s.load() < balance.shed_fill.ceiling(s)
+                        })
+                        .map(Server::id),
+                );
+                partners.sort_by(|&a, &b| {
+                    servers[a.index()]
+                        .load()
+                        .total_cmp(&servers[b.index()].load())
+                        .then(a.cmp(&b))
+                });
+            }
+            let receivers = cap(&partners, balance);
+
+            // Shed apps, largest first, until back inside the optimal band or
+            // the per-interval negotiation budget runs out.
+            for _ in 0..SHED_MOVES_PER_DONOR {
+                let donor_srv = &self.servers[donor.index()];
+                let excess = donor_srv.shed_pressure();
+                if excess <= 0.0 {
+                    break;
+                }
+                // Prefer the *smallest* app that clears the excess in one move
+                // (minimal churn); apps too small to clear it come after,
+                // largest first.
+                apps.clear();
+                apps.extend(donor_srv.apps().iter().map(|a| (a.id, a.demand)));
+                apps.sort_by(|a, b| {
+                    let a_clears = a.1 + EPS >= excess;
+                    let b_clears = b.1 + EPS >= excess;
+                    b_clears
+                        .cmp(&a_clears)
+                        .then_with(|| {
+                            if a_clears && b_clears {
+                                a.1.total_cmp(&b.1)
+                            } else {
+                                b.1.total_cmp(&a.1)
+                            }
+                        })
+                        .then(a.0.cmp(&b.0))
+                });
+                // The first app, in that order, with a receiver it fits.
+                let placement = apps.iter().find_map(|&(app, demand)| {
+                    let fits = |rx: &&ServerId| {
+                        let s = &self.servers[rx.index()];
+                        s.is_awake() && s.load() + demand <= balance.shed_fill.ceiling(s) + EPS
+                    };
+                    receivers.iter().find(fits).map(|&rx| (app, rx))
+                });
+                let Some((app, rx)) = placement else {
+                    break; // nothing placeable anywhere
+                };
+                if !self.migrate(donor, rx, app) {
+                    break;
+                }
+            }
+
+            if self.servers[donor.index()].regime() == OperatingRegime::UndesirableHigh {
+                self.outcome.unresolved_overloads.push(donor);
+            }
+        }
+    }
+
+    /// Phase 2 — R1 servers gather from remaining donors or drain-and-sleep.
+    /// Servers in `just_woken` stay awake this round.
+    fn drain(&mut self, just_woken: &[ServerId]) {
+        let config = self.config;
+        let balance = &config.balance;
+        let servers = &*self.servers;
+        let cluster_load = cluster_load_fraction(servers);
+        // R1 candidates, emptiest first (cheapest to drain). A server whose
+        // wake matured this round is exempt — it was woken to absorb load and
+        // must not oscillate straight back to sleep.
+        let mut candidates: Vec<ServerId> = servers
             .iter()
             .filter(|s| {
                 s.is_awake()
                     && s.regime() == OperatingRegime::UndesirableLow
                     && !just_woken.contains(&s.id())
             })
-            .map(Server::id),
-    );
-    // Heterogeneous fleets drain the least energy-proportional machines
-    // first: idle wattage is exactly the draw a sleep removes, so a
-    // high-end server asleep buys more joules than a volume server
-    // asleep. Within a wattage tier, emptiest first (cheapest to drain).
-    // Homogeneous fleets tie on idle wattage, preserving the paper's
-    // original emptiest-first order byte-for-byte.
-    candidates.sort_by(|&a, &b| {
-        use ecolb_energy::power::PowerModel;
-        servers[b.index()]
-            .power()
-            .idle_power_w()
-            .total_cmp(&servers[a.index()].power().idle_power_w())
-            .then(
-                servers[a.index()]
-                    .load()
-                    .total_cmp(&servers[b.index()].load()),
-            )
-            .then(a.cmp(&b))
-    });
+            .map(Server::id)
+            .collect();
+        // Heterogeneous fleets drain the least energy-proportional machines
+        // first: idle wattage is exactly the draw a sleep removes, so a
+        // high-end server asleep buys more joules than a volume server
+        // asleep. Within a wattage tier, emptiest first (cheapest to drain).
+        // Homogeneous fleets tie on idle wattage, preserving the paper's
+        // original emptiest-first order byte-for-byte.
+        candidates.sort_by(|&a, &b| {
+            use ecolb_energy::power::PowerModel;
+            servers[b.index()]
+                .power()
+                .idle_power_w()
+                .total_cmp(&servers[a.index()].power().idle_power_w())
+                .then(
+                    servers[a.index()]
+                        .load()
+                        .total_cmp(&servers[b.index()].load()),
+                )
+                .then(a.cmp(&b))
+        });
 
-    // Built at the first drain search. Servers a candidate's commits touch
-    // are re-keyed only when the *next* search starts: a candidate with
-    // several moves walks its receivers in the order they had when its
-    // own search began. Re-keying after each move would reorder them
-    // mid-candidate and change which receiver takes the next app.
-    let mut rank: Option<DrainRank> = None;
-    let mut touched: Vec<ServerId> = Vec::new();
-    let partner_limit = config.max_partners.unwrap_or(usize::MAX);
+        // Built at the first drain search. Servers a candidate's commits touch
+        // are re-keyed only when the *next* search starts: a candidate with
+        // several moves walks its receivers in the order they had when its
+        // own search began. Re-keying after each move would reorder them
+        // mid-candidate and change which receiver takes the next app.
+        let mut rank: Option<DrainRank> = None;
+        let mut touched: Vec<ServerId> = Vec::new();
+        let partner_limit = balance.max_partners.unwrap_or(usize::MAX);
+        let mut partners = Vec::new();
+        let mut apps: Vec<(AppId, f64)> = Vec::new();
 
-    let mut processed = 0usize;
-    for &cand in candidates.iter() {
-        if let Some(budget) = config.drain_candidates_per_interval {
+        let budget = balance.drain_candidates_per_interval.unwrap_or(usize::MAX);
+        let mut processed = 0usize;
+        for cand in candidates {
             if processed >= budget {
                 break; // leader defers remaining consolidation requests
             }
-        }
-        if servers[cand.index()].regime() != OperatingRegime::UndesirableLow
-            || !servers[cand.index()].is_awake()
-        {
-            continue; // regime changed due to earlier drains landing here
-        }
-        processed += 1;
-        leader.receive_assistance_request();
-        tracer.event(
-            now.ticks(),
-            TraceEventKind::AssistanceRequested {
-                server: cand.0,
-                regime: OperatingRegime::UndesirableLow.index() as u8,
-            },
-        );
+            if self.servers[cand.index()].regime() != OperatingRegime::UndesirableLow
+                || !self.servers[cand.index()].is_awake()
+            {
+                continue; // regime changed due to earlier drains landing here
+            }
+            processed += 1;
+            self.request_assistance(cand);
 
-        // Option A: gather from remaining overloaded donors (paper gives
-        // this branch when R4/R5 servers exist).
-        leader.find_donors_into(cand, partners);
-        let donors = cap(partners, config);
-        let mut gathered = false;
-        for &donor in donors {
-            loop {
-                let donor_srv = &servers[donor.index()];
-                if !donor_srv.is_awake() || donor_srv.shed_pressure() <= 0.0 {
+            // Option A: gather from remaining overloaded donors (paper gives
+            // this branch when R4/R5 servers exist).
+            self.leader.find_donors_into(cand, &mut partners);
+            let mut gathered = false;
+            for &donor in cap(&partners, balance) {
+                loop {
+                    let donor_srv = &self.servers[donor.index()];
+                    if !donor_srv.is_awake() || donor_srv.shed_pressure() <= 0.0 {
+                        break;
+                    }
+                    let cand_srv = &self.servers[cand.index()];
+                    let ceiling = balance.shed_fill.ceiling(cand_srv);
+                    // Largest app that fits the candidate.
+                    let pick = donor_srv
+                        .apps()
+                        .iter()
+                        .filter(|a| cand_srv.load() + a.demand <= ceiling + EPS)
+                        .max_by(|x, y| x.demand.total_cmp(&y.demand))
+                        .map(|a| a.id);
+                    if !pick.is_some_and(|app| self.migrate(donor, cand, app)) {
+                        break;
+                    }
+                    touched.extend([donor, cand]);
+                    gathered = true;
+                }
+                if self.servers[cand.index()].regime() != OperatingRegime::UndesirableLow {
+                    break; // candidate climbed out of R1
+                }
+            }
+            if gathered {
+                continue; // gathering resolved (or improved) this candidate
+            }
+
+            // Option B: drain into R2 receivers filled at most to the drain
+            // ceiling. The per-interval transfer budget means a loaded server
+            // drains over several intervals; it sleeps only once empty. Most
+            // spare drain capacity first maximises placement success.
+            match &mut rank {
+                Some(rank) => {
+                    for id in touched.drain(..) {
+                        rank.refresh(self.servers, DRAIN_FILL, id);
+                    }
+                }
+                None => touched.clear(), // the build below reads live state
+            }
+            let rank = rank.get_or_insert_with(|| DrainRank::build(self.servers, DRAIN_FILL));
+
+            // Move the largest placeable apps within the interval budget.
+            for _ in 0..balance.drain_moves_per_candidate {
+                apps.clear();
+                apps.extend(
+                    self.servers[cand.index()]
+                        .apps()
+                        .iter()
+                        .map(|a| (a.id, a.demand)),
+                );
+                apps.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
+                let placement = apps.iter().find_map(|&(app, demand)| {
+                    rank.iter()
+                        .filter(|&(id, _)| id != cand)
+                        .take(partner_limit)
+                        // A receiver that cannot fit ends the walk: neither
+                        // can anyone ranked after it.
+                        .take_while(|&(_, stored_headroom)| !cannot_fit(stored_headroom, demand))
+                        .find(|&(rx, _)| {
+                            let s = &self.servers[rx.index()];
+                            s.is_awake() && s.load() + demand <= DRAIN_FILL.ceiling(s) + EPS
+                        })
+                        .map(|(rx, _)| (app, rx))
+                });
+                let Some((app, rx)) = placement else {
+                    break;
+                };
+                if !self.migrate(cand, rx, app) {
                     break;
                 }
-                let cand_srv = &servers[cand.index()];
-                let ceiling = config.shed_fill.ceiling(cand_srv);
-                // Largest app that fits the candidate.
-                let pick = donor_srv
-                    .apps()
-                    .iter()
-                    .filter(|a| cand_srv.load() + a.demand <= ceiling + EPS)
-                    .max_by(|x, y| x.demand.total_cmp(&y.demand))
-                    .map(|a| a.id);
-                match pick
-                    .and_then(|app| commit_migration(servers, donor, cand, app, migration_model))
-                {
-                    Some(rec) => {
-                        trace_migration(tracer, now, &rec);
-                        touched.extend([rec.from, rec.to]);
-                        outcome.migrations.push(rec);
-                        gathered = true;
-                    }
-                    None => break,
-                }
+                touched.extend([cand, rx]);
             }
-            if servers[cand.index()].regime() != OperatingRegime::UndesirableLow {
-                break; // candidate climbed out of R1
-            }
-        }
-        if gathered {
-            continue; // gathering resolved (or improved) this candidate
-        }
 
-        // Option B: drain into R2 receivers filled at most to the drain
-        // ceiling. The per-interval transfer budget means a loaded server
-        // drains over several intervals; it sleeps only once empty. Most
-        // spare drain capacity first maximises placement success.
-        match &mut rank {
-            Some(rank) => {
-                for id in touched.drain(..) {
-                    rank.refresh(servers, DRAIN_FILL, id);
-                }
-            }
-            None => touched.clear(), // the build below reads live state
-        }
-        let rank = rank.get_or_insert_with(|| DrainRank::build(servers, DRAIN_FILL));
-
-        // Move the largest placeable apps within the interval budget.
-        let mut moved = 0usize;
-        while moved < config.drain_moves_per_candidate {
-            apps.clear();
-            apps.extend(
-                servers[cand.index()]
-                    .apps()
-                    .iter()
-                    .map(|a| (a.id, a.demand)),
-            );
-            apps.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
-            let mut placed = None;
-            'search: for &(app, demand) in apps.iter() {
-                let receivers = rank.iter().filter(|&(id, _)| id != cand);
-                for (rx, stored_headroom) in receivers.take(partner_limit) {
-                    if cannot_fit(stored_headroom, demand) {
-                        break; // and neither can anyone ranked after `rx`
-                    }
-                    let s = &servers[rx.index()];
-                    if s.is_awake() && s.load() + demand <= DRAIN_FILL.ceiling(s) + EPS {
-                        placed = Some((app, rx));
-                        break 'search;
-                    }
-                }
-            }
-            match placed
-                .and_then(|(app, rx)| commit_migration(servers, cand, rx, app, migration_model))
-            {
-                Some(rec) => {
-                    trace_migration(tracer, now, &rec);
-                    touched.extend([rec.from, rec.to]);
-                    outcome.migrations.push(rec);
-                    moved += 1;
-                }
-                None => break,
-            }
-        }
-
-        if servers[cand.index()].app_count() == 0 {
-            if let Some(state) = config.sleep_policy.choose(cluster_load) {
-                servers[cand.index()].enter_sleep(now, state, sleep_model);
-                leader.receive_report(cand, OperatingRegime::UndesirableLow, 0.0, true);
-                tracer.event(
-                    now.ticks(),
+            if self.servers[cand.index()].app_count() > 0 {
+                self.outcome.failed_drains.push(cand);
+            } else if let Some(state) = balance.sleep_policy.choose(cluster_load) {
+                self.servers[cand.index()].enter_sleep(self.now, state, &config.sleep);
+                self.leader
+                    .receive_report(cand, OperatingRegime::UndesirableLow, 0.0, true);
+                self.tracer.event(
+                    self.now.ticks(),
                     TraceEventKind::SleepEntered {
                         server: cand.0,
                         cstate: cstate_label(state),
                     },
                 );
-                outcome.slept.push((cand, state));
+                self.outcome.slept.push((cand, state));
             }
-        } else {
-            outcome.failed_drains.push(cand);
         }
     }
-}
 
-/// Phase 3 — unresolved R5 servers trigger wake orders (action 5). Each
-/// wake order passes through the fault hooks: an injected transition
-/// failure loses the order and the server stays asleep.
-fn wake_phase(
-    servers: &mut [Server],
-    leader: &mut Leader,
-    sleep_model: &SleepModel,
-    now: SimTime,
-    hooks: &mut dyn FaultHooks,
-    tracer: &mut dyn Tracer,
-    outcome: &mut BalanceOutcome,
-) {
-    if outcome.unresolved_overloads.is_empty() {
-        return;
-    }
-    let still_critical: Vec<ServerId> = outcome
-        .unresolved_overloads
-        .iter()
-        .copied()
-        .filter(|id| servers[id.index()].regime() == OperatingRegime::UndesirableHigh)
-        .collect();
-    for _ in still_critical {
-        let sleepers = leader.find_sleepers(servers);
-        for id in sleepers.into_iter().take(WAKES_PER_EMERGENCY) {
-            leader.issue_wake_order(id);
-            tracer.event(now.ticks(), TraceEventKind::WakeOrdered { server: id.0 });
-            if hooks.wake_fails(id) {
-                tracer.event(now.ticks(), TraceEventKind::WakeFailed { server: id.0 });
-                outcome.wake_failures.push(id);
-            } else {
-                servers[id.index()].begin_wake(now, sleep_model);
-                outcome.woken.push(id);
+    /// Phase 3 — unresolved R5 servers trigger wake orders (action 5). Each
+    /// wake order passes through the fault hooks: an injected transition
+    /// failure loses the order and the server stays asleep.
+    fn wake(&mut self, hooks: &mut dyn FaultHooks) {
+        let still_critical = self
+            .outcome
+            .unresolved_overloads
+            .iter()
+            .filter(|id| self.servers[id.index()].regime() == OperatingRegime::UndesirableHigh)
+            .count();
+        for _ in 0..still_critical {
+            let sleepers = self.leader.find_sleepers(self.servers);
+            for id in sleepers.into_iter().take(WAKES_PER_EMERGENCY) {
+                self.leader.issue_wake_order(id);
+                let at = self.now.ticks();
+                self.tracer
+                    .event(at, TraceEventKind::WakeOrdered { server: id.0 });
+                if hooks.wake_fails(id) {
+                    self.tracer
+                        .event(at, TraceEventKind::WakeFailed { server: id.0 });
+                    self.outcome.wake_failures.push(id);
+                } else {
+                    self.servers[id.index()].begin_wake(self.now, &self.config.sleep);
+                    self.outcome.woken.push(id);
+                }
             }
-        }
-    }
-}
-
-/// Per-interval reporting sweep through the fault hooks: every server's
-/// report makes up to `REPORT_MAX_ATTEMPTS` delivery attempts with
-/// exponential backoff (fault-free runs never retry,
-/// because nothing is ever lost); a report that exhausts its budget
-/// leaves the leader's previous directory entry stale until the next
-/// sweep. The
-/// exhaustion is no longer silent: it counts toward
-/// `RecoveryStats::reports_abandoned` (surfaced as the degradation
-/// summary's `lost_reports`) and emits a `report_retries_exhausted`
-/// trace event.
-fn report_sweep_with_hooks(
-    servers: &[Server],
-    leader: &mut Leader,
-    now: SimTime,
-    hooks: &mut dyn FaultHooks,
-    stats: &mut RecoveryStats,
-    tracer: &mut dyn Tracer,
-) {
-    for s in servers {
-        let mut delivered = false;
-        for attempt in 1..=REPORT_MAX_ATTEMPTS {
-            if attempt > 1 {
-                stats.report_retries += 1;
-                stats.retry_backoff_seconds += backoff_before(attempt).as_secs_f64();
-            }
-            if hooks.report_lost(s.id(), attempt) {
-                stats.reports_lost += 1;
-                tracer.counter("balance.reports_lost", 1);
-                continue;
-            }
-            leader.receive_report(s.id(), s.regime(), s.load(), s.is_sleeping());
-            tracer.counter("balance.reports_delivered", 1);
-            delivered = true;
-            break;
-        }
-        if !delivered {
-            stats.reports_abandoned += 1;
-            tracer.event(
-                now.ticks(),
-                TraceEventKind::ReportRetriesExhausted {
-                    server: s.id().0,
-                    attempts: REPORT_MAX_ATTEMPTS,
-                },
-            );
         }
     }
 }
@@ -781,66 +696,40 @@ pub(crate) fn complete_matured_wakes(
 ///
 /// Every seam is explicit: report delivery and wake orders pass through
 /// `hooks` (report bookkeeping lands in `stats`; lost wake orders come
-/// back in [`BalanceOutcome::wake_failures`]), the round is
-/// bracketed by a `balance` span in `tracer` with every protocol action
-/// (assistance requests, migrations, sleep/wake transitions, report
-/// deliveries) recorded, and the phases' working buffers live in the
-/// caller-owned `scratch`, so an interval-driving loop allocates them
-/// once per simulation. With [`NoFaults`], [`NoTrace`] and a fresh
-/// [`BalanceScratch`] this is exactly the fault-free, untraced round.
+/// back in [`BalanceOutcome::wake_failures`]), and the round is bracketed
+/// by a `balance` span in `tracer` with every protocol action (assistance
+/// requests, migrations, sleep/wake transitions, report deliveries)
+/// recorded. The round reads its tunables, the migration cost model and
+/// the sleep model from `config`. With [`NoFaults`] and [`NoTrace`] this
+/// is exactly the fault-free, untraced round.
 ///
 /// [`NoFaults`]: crate::recovery::NoFaults
 /// [`NoTrace`]: ecolb_trace::NoTrace
-#[allow(clippy::too_many_arguments)] // one parameter per seam
 pub fn balance_round(
     servers: &mut [Server],
     leader: &mut Leader,
-    migration_model: &MigrationCostModel,
-    sleep_model: &SleepModel,
-    config: &BalanceConfig,
+    config: &ClusterConfig,
     now: SimTime,
     hooks: &mut dyn FaultHooks,
     stats: &mut RecoveryStats,
     tracer: &mut dyn Tracer,
-    scratch: &mut BalanceScratch,
 ) -> BalanceOutcome {
     tracer.span_enter(now.ticks(), SpanKind::Balance);
     let just_woken = complete_matured_wakes(servers, now, tracer);
-    report_sweep_with_hooks(servers, leader, now, hooks, stats, tracer);
-    let mut outcome = BalanceOutcome::default();
-    shed_phase(
+    let mut round = Round {
         servers,
         leader,
-        migration_model,
         config,
         now,
         tracer,
-        scratch,
-        &mut outcome,
-    );
-    drain_phase(
-        servers,
-        leader,
-        migration_model,
-        sleep_model,
-        config,
-        now,
-        &just_woken,
-        tracer,
-        scratch,
-        &mut outcome,
-    );
-    wake_phase(
-        servers,
-        leader,
-        sleep_model,
-        now,
-        hooks,
-        tracer,
-        &mut outcome,
-    );
-    tracer.span_exit(now.ticks(), SpanKind::Balance);
-    outcome
+        outcome: BalanceOutcome::default(),
+    };
+    round.report_sweep(hooks, stats);
+    round.shed();
+    round.drain(&just_woken);
+    round.wake(hooks);
+    round.tracer.span_exit(now.ticks(), SpanKind::Balance);
+    round.outcome
 }
 
 #[cfg(test)]
@@ -849,6 +738,7 @@ mod tests {
     use crate::recovery::NoFaults;
     use ecolb_energy::power::LinearPowerModel;
     use ecolb_energy::regimes::RegimeBoundaries;
+    use ecolb_energy::sleep::SleepModel;
     use ecolb_trace::NoTrace;
     use ecolb_workload::application::Application;
 
@@ -1092,14 +982,11 @@ mod tests {
         balance_round(
             &mut servers,
             &mut leader,
-            &MigrationCostModel::default(),
-            &SleepModel::default(),
-            &BalanceConfig::default(),
+            &ClusterConfig::default(),
             ready + ecolb_simcore::time::SimDuration::from_secs(1),
             &mut NoFaults,
             &mut RecoveryStats::default(),
             &mut NoTrace,
-            &mut BalanceScratch::default(),
         );
         assert!(servers[1].is_awake());
     }
@@ -1169,17 +1056,18 @@ mod tests {
         hooks: &mut dyn FaultHooks,
         stats: &mut RecoveryStats,
     ) -> BalanceOutcome {
+        let config = ClusterConfig {
+            balance: *config,
+            ..ClusterConfig::default()
+        };
         balance_round(
             servers,
             leader,
-            &MigrationCostModel::default(),
-            &SleepModel::default(),
-            config,
+            &config,
             SimTime::ZERO,
             hooks,
             stats,
             &mut NoTrace,
-            &mut BalanceScratch::default(),
         )
     }
 

@@ -23,7 +23,7 @@ use crate::admission::{
 };
 use crate::balance::{
     balance_round, cluster_load_fraction, complete_matured_wakes, BalanceConfig, BalanceOutcome,
-    BalanceScratch, MigrationRecord,
+    MigrationRecord,
 };
 use crate::leader::Leader;
 use crate::migration::MigrationCostModel;
@@ -32,7 +32,7 @@ use crate::recovery::{FaultHooks, NoFaults, RecoveryStats};
 use crate::scaling::{DecisionKind, DecisionLedger, IntervalCounts};
 use crate::server::{Server, ServerId};
 use ecolb_energy::accounting::EnergyBreakdown;
-use ecolb_energy::regimes::{OperatingRegime, RegimeBoundaries, RegimeCensus};
+use ecolb_energy::regimes::{RegimeBoundaries, RegimeCensus};
 use ecolb_energy::sleep::SleepModel;
 use ecolb_metrics::timeseries::TimeSeries;
 use ecolb_simcore::rng::Rng;
@@ -153,29 +153,6 @@ impl ClusterRunReport {
     }
 }
 
-/// Reusable per-interval working storage, struct-of-arrays style: the
-/// interval driver's hot loops (receiver pooling, regime classification,
-/// digest dup-detection, balancing-phase lists) write into these compact
-/// buffers instead of allocating fresh `Vec`s each interval. After the
-/// first interval every buffer sits at steady-state capacity, so the
-/// interval loop runs allocation-free. Purely an execution detail:
-/// contents and iteration order match the allocating formulation exactly,
-/// keeping reports and traces byte-identical.
-#[derive(Debug, Clone, Default)]
-struct IntervalScratch {
-    /// Balancing-phase working buffers (rosters, partner lists, app sets).
-    balance: BalanceScratch,
-    /// Receiver pool for horizontal scaling: `(server, remaining room)`.
-    pool: Vec<(ServerId, f64)>,
-    /// Batched per-server `(awake, regime, load)` classification feeding
-    /// the QoS census and the per-interval regime samples.
-    samples: Vec<(bool, OperatingRegime, f64)>,
-    /// Digest duplicate-detection bitmap, VM-id indexed.
-    digest_seen: Vec<bool>,
-    /// Digest overflow ids (VMs minted by a foreign allocator).
-    digest_overflow: Vec<u64>,
-}
-
 /// A simulated cluster.
 #[derive(Debug, Clone)]
 pub struct Cluster {
@@ -215,8 +192,6 @@ pub struct Cluster {
     vms_orphaned: u64,
     vms_imported: u64,
     vms_exported: u64,
-    /// Reusable interval working buffers (see [`IntervalScratch`]).
-    scratch: IntervalScratch,
     /// Census of the awake servers at construction, before any interval.
     initial_census: RegimeCensus,
     /// Sleeping-server count and load fraction sampled at the end of
@@ -284,7 +259,6 @@ impl Cluster {
             vms_orphaned: 0,
             vms_imported: 0,
             vms_exported: 0,
-            scratch: IntervalScratch::default(),
             initial_census: RegimeCensus::new(),
             sleeping_series: TimeSeries::new("sleeping_servers"),
             load_series: TimeSeries::new("cluster_load"),
@@ -497,21 +471,17 @@ impl Cluster {
     /// Demand evolution + scaling decisions for one interval (step 1).
     fn evolve_and_scale(&mut self, tracer: &mut dyn Tracer) {
         // Receiver pool for horizontal requests: awake servers with spare
-        // room below their opt_high ceiling, fullest first (best-fit keeps
-        // the workload concentrated). Remaining room is tracked locally so
-        // one pool serves the whole interval; the buffer itself is interval
-        // scratch, reused across intervals (taken here, handed back below).
-        let mut pool = std::mem::take(&mut self.scratch.pool);
-        pool.clear();
-        pool.extend(
-            self.servers
-                .iter()
-                .filter(|s| s.is_awake())
-                .map(|s| (s.id(), s.boundaries().opt_high - s.load()))
-                .filter(|&(_, room)| room > 0.0),
-        );
+        // room below their opt_high ceiling, fullest (least room) first:
+        // best-fit keeps the workload concentrated. Remaining room is
+        // tracked locally so one pool serves the whole interval.
+        let mut pool: Vec<(ServerId, f64)> = self
+            .servers
+            .iter()
+            .filter(|s| s.is_awake())
+            .map(|s| (s.id(), s.boundaries().opt_high - s.load()))
+            .filter(|&(_, room)| room > 0.0)
+            .collect();
         pool.sort_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)));
-        // least room first = fullest first
 
         let vm_cap = self.config.workload.max_app_demand;
         for i in 0..self.servers.len() {
@@ -628,7 +598,6 @@ impl Cluster {
                 self.servers[i].refresh_load();
             }
         }
-        self.scratch.pool = pool;
     }
 
     /// Lands `app` on `to` as an in-cluster migration from `from`: costs
@@ -862,38 +831,26 @@ impl Cluster {
         // Step 1: demand evolution and scaling decisions.
         self.evolve_and_scale(tracer);
 
-        // QoS census for the interval that just elapsed: saturated
-        // servers violated response times, undesirable regimes violated
-        // the energy-optimality objective (the paper's metric #2).
-        // Classification is batched: one pass over the (large) `Server`
-        // structs fills a compact struct-of-arrays snapshot, and the
-        // census/trace pass walks that instead — each server's regime is
-        // classified once per interval, in server order, so the emitted
-        // samples are unchanged.
-        let samples = &mut self.scratch.samples;
-        samples.clear();
-        samples.extend(
-            self.servers
-                .iter()
-                .map(|s| (s.is_awake(), s.regime(), s.load())),
-        );
-        for (i, &(awake, regime, load)) in samples.iter().enumerate() {
-            if awake {
-                if load > 1.0 + 1e-9 {
-                    self.saturation_violations += 1;
-                }
-                if regime.is_undesirable() {
-                    self.undesirable_server_intervals += 1;
-                }
-                tracer.event(
-                    self.now.ticks(),
-                    TraceEventKind::RegimeSample {
-                        server: i as u32,
-                        regime: regime.index() as u8,
-                        load,
-                    },
-                );
+        // QoS census for the interval that just elapsed, one regime
+        // sample per awake server in server order: saturated servers
+        // violated response times, undesirable regimes violated the
+        // energy-optimality objective (the paper's metric #2).
+        for s in self.servers.iter().filter(|s| s.is_awake()) {
+            let (regime, load) = (s.regime(), s.load());
+            if load > 1.0 + 1e-9 {
+                self.saturation_violations += 1;
             }
+            if regime.is_undesirable() {
+                self.undesirable_server_intervals += 1;
+            }
+            tracer.event(
+                self.now.ticks(),
+                TraceEventKind::RegimeSample {
+                    server: s.id().0,
+                    regime: regime.index() as u8,
+                    load,
+                },
+            );
         }
 
         // Step 2: the §4 balancing protocol — skipped entirely while the
@@ -913,14 +870,11 @@ impl Cluster {
             balance_round(
                 &mut self.servers,
                 &mut self.leader,
-                &self.config.migration,
-                &self.config.sleep,
-                &self.config.balance,
+                &self.config,
                 self.now,
                 hooks,
                 &mut self.recovery_stats,
                 tracer,
-                &mut self.scratch.balance,
             )
         };
         self.migration_energy_j += outcome.migration_energy_j();
@@ -959,7 +913,7 @@ impl Cluster {
     /// power-state census and the leader view. Only called when the
     /// active tracer asks for digests ([`Tracer::wants_digest`]), so
     /// golden traces and untraced runs are unaffected.
-    fn emit_digest(&mut self, tracer: &mut dyn Tracer) {
+    fn emit_digest(&self, tracer: &mut dyn Tracer) {
         let mut d = StateDigest {
             interval: self.interval_index,
             queued: self.admission.queue_len() as u64,
@@ -979,16 +933,11 @@ impl Cluster {
         // Duplicate detection is a linear scan over an id-indexed bitmap
         // (ids are allocated densely from 0), not a sort — the digest is
         // emitted every interval and must stay cheap enough to leave the
-        // checker on. The bitmap and overflow list are interval scratch:
-        // cleared and refilled, never re-allocated at steady state. Ids
-        // minted by a *different* cluster's allocator (federation imports
-        // in tests) can exceed the local bound; they fall back to a sort
-        // over the normally-empty overflow list.
-        let seen = &mut self.scratch.digest_seen;
-        seen.clear();
-        seen.resize(self.ids.allocated() as usize, false);
-        let overflow = &mut self.scratch.digest_overflow;
-        overflow.clear();
+        // checker on. Ids minted by a *different* cluster's allocator
+        // (federation imports in tests) can exceed the local bound; they
+        // fall back to a sort over the normally-empty overflow list.
+        let mut seen = vec![false; self.ids.allocated() as usize];
+        let mut overflow = Vec::new();
         // Per-Koomey-class cumulative energy (volume, mid-range,
         // high-end): the checker cross-foots these against the fleet
         // total, so a server drawing joules under the wrong class meter

@@ -56,9 +56,7 @@ pub mod sim;
 pub use admission::{
     AdmissionController, AdmissionPolicy, AdmissionStats, ArrivalSpec, ServiceRequest,
 };
-pub use balance::{
-    balance_round, BalanceConfig, BalanceOutcome, BalanceScratch, FillLimit, MigrationRecord,
-};
+pub use balance::{balance_round, BalanceConfig, BalanceOutcome, FillLimit, MigrationRecord};
 pub use cluster::{Cluster, ClusterConfig, ClusterRunReport};
 pub use federation::{Federation, FederationConfig, FederationReport};
 pub use instances::InstanceInfo;

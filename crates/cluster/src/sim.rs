@@ -181,7 +181,10 @@ impl TimedClusterSim {
         // of in-flight migration/wake events; the dispatch loop then never
         // reallocates it.
         let mut engine: Engine<SimEvent> = Engine::with_capacity(64);
-        engine.schedule_at(SimTime::ZERO + realloc_interval, SimEvent::ReallocationTick);
+        // A zero-interval run has no tick, so it drains at once.
+        if self.intervals > 0 {
+            engine.schedule_at(SimTime::ZERO + realloc_interval, SimEvent::ReallocationTick);
+        }
         for (at, kind) in faults {
             if at <= horizon {
                 engine.schedule_at(at, SimEvent::Fault(kind));
@@ -470,6 +473,13 @@ mod tests {
     fn in_flight_peak_is_sane() {
         let timed = TimedClusterSim::new(config(80), 9, 10).run();
         assert!(timed.max_in_flight as u64 <= timed.base.migrations);
+    }
+
+    #[test]
+    fn zero_interval_run_is_empty() {
+        let timed = TimedClusterSim::new(config(30), 5, 0).run();
+        assert_eq!(timed.base, Cluster::new(config(30), 5).run(0));
+        assert_eq!(timed.events_processed, 0);
     }
 
     #[test]

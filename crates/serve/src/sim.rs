@@ -446,10 +446,13 @@ impl ServeSim {
         };
 
         let mut engine: Engine<ServeEvent> = Engine::with_capacity(256);
-        engine.schedule_at(
-            SimTime::ZERO + realloc_interval,
-            ServeEvent::ReallocationTick,
-        );
+        // A zero-interval run has no tick, so it drains at once.
+        if cfg.intervals > 0 {
+            engine.schedule_at(
+                SimTime::ZERO + realloc_interval,
+                ServeEvent::ReallocationTick,
+            );
+        }
         for (i, source) in state.sources.iter_mut().enumerate() {
             if let Some(gap) = state.profiles[i].next_gap_s(source, 0.0) {
                 let at = SimTime::ZERO + SimDuration::from_secs_f64(gap);
@@ -1108,6 +1111,16 @@ mod tests {
             let b = ServeSim::new(config(20, kind, 4), 11).run();
             assert_eq!(a, b, "{}", kind.label());
         }
+    }
+
+    #[test]
+    fn zero_interval_run_is_empty() {
+        let cfg = config(20, PickerKind::RoundRobin, 0);
+        let base = Cluster::new(cfg.cluster.clone(), 11).run(0);
+        let r = ServeSim::new(cfg, 11).run();
+        assert_eq!(r.base, base);
+        assert_eq!(r.events_processed, 0);
+        assert_eq!(r.requests_admitted, 0);
     }
 
     #[test]

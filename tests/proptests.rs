@@ -6,7 +6,7 @@ use ecolb::prelude::*;
 use ecolb::simcore::proptest_lite::check;
 use ecolb::simcore::rng::Rng;
 use ecolb::workload::application::{AppId, Application};
-use ecolb_cluster::balance::{balance_round, BalanceConfig, BalanceScratch};
+use ecolb_cluster::balance::{balance_round, BalanceConfig};
 use ecolb_cluster::migration::MigrationCostModel;
 use ecolb_cluster::{Leader, NoFaults, RecoveryStats, Server};
 use ecolb_trace::NoTrace;
@@ -66,17 +66,17 @@ fn balance_round_conserves_load() {
         balance_round(
             &mut servers,
             &mut leader,
-            &MigrationCostModel::default(),
-            &SleepModel::default(),
-            &BalanceConfig {
-                drain_moves_per_candidate: 8,
-                ..Default::default()
+            &ClusterConfig {
+                balance: BalanceConfig {
+                    drain_moves_per_candidate: 8,
+                    ..Default::default()
+                },
+                ..ClusterConfig::default()
             },
             SimTime::ZERO,
             &mut NoFaults,
             &mut RecoveryStats::default(),
             &mut NoTrace,
-            &mut BalanceScratch::default(),
         );
         let after: f64 = servers.iter().map(Server::load).sum();
         assert!((before - after).abs() < 1e-6, "load {before} -> {after}");
