@@ -1,7 +1,7 @@
 //! Cross-seed robustness sweep of the Table 2 statistics.
 //!
 //! ```text
-//! cargo run --release -p ecolb-bench --bin sweep -- [--seed N] [--sizes 100,1000] [--intervals 40] [--quick]
+//! cargo run --release -p ecolb-bench --bin sweep -- [--seed N] [--sizes 100,1000] [--intervals 40]
 //! ```
 //!
 //! Runs the experiment matrix over 10 seeds derived from `--seed` and
@@ -13,8 +13,9 @@ use ecolb_bench::{Args, HarnessOptions};
 use ecolb_simcore::par::default_threads;
 
 fn main() {
-    let mut args = Args::new("sweep [--seed N] [--sizes 100,1000] [--intervals 40] [--quick]");
-    // The full 10^4 x 10-seed sweep is hours; default to the quick sizes.
+    let mut args = Args::new("sweep [--seed N] [--sizes 100,1000] [--intervals 40]");
+    // The full 10^4 x 10-seed sweep is hours, so the sizes default to
+    // 100,1000 and there is no `--quick` to ask for them.
     let opts = HarnessOptions::read(&mut args, true);
     args.finish();
     let seeds: Vec<u64> = (0..10).map(|i| opts.seed.wrapping_add(i * 7919)).collect();

@@ -175,12 +175,13 @@ impl Default for HarnessOptions {
 impl HarnessOptions {
     /// Reads `--seed N`, `--sizes a,b,c` (positive integers), `--intervals
     /// N` and `--quick` (sizes 100,1000, unless `--sizes` is given). With
-    /// `quick_default` the sizes are 100,1000 whenever `--sizes` is absent,
-    /// `--quick` or not. The binaries that export results read `--csv DIR`
+    /// `quick_default` the sizes are 100,1000 whenever `--sizes` is absent
+    /// and `--quick` is not read, so [`Args::finish`] rejects it as the
+    /// no-op it would be. The binaries that export results read `--csv DIR`
     /// themselves.
     pub fn read(args: &mut Args, quick_default: bool) -> Self {
         let defaults = HarnessOptions::default();
-        let quick = args.switch("--quick") || quick_default;
+        let quick = quick_default || args.switch("--quick");
         let sizes = match args.value::<String>("--sizes") {
             Some(list) => list
                 .split(',')

@@ -30,7 +30,12 @@ pub fn emit(report: &Report) -> io::Result<()> {
 /// Runs `f` once as warm-up, then `iters` timed times, printing min /
 /// mean / max per-iteration wall-clock. Returns the last result so
 /// callers can assert on it (and so the work is not optimised away).
-pub fn time<R>(label: &str, iters: u32, mut f: impl FnMut() -> R) -> R {
+pub fn time<R>(label: &str, iters: u32, f: impl FnMut() -> R) -> R {
+    time_min(label, iters, f).0
+}
+
+/// [`time`], also returning the fastest iteration's seconds.
+pub fn time_min<R>(label: &str, iters: u32, mut f: impl FnMut() -> R) -> (R, f64) {
     assert!(iters > 0, "need at least one timed iteration");
     let mut result = f(); // warm-up, result reused so R need not be Default
     let mut min = f64::INFINITY;
@@ -50,7 +55,7 @@ pub fn time<R>(label: &str, iters: u32, mut f: impl FnMut() -> R) -> R {
         total / iters as f64 * 1e3,
         max * 1e3,
     );
-    result
+    (result, min)
 }
 
 #[cfg(test)]

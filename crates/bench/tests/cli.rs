@@ -60,6 +60,8 @@ fn flags_a_binary_does_not_read_are_rejected() {
     assert_usage_error(fig2, &["--sizes", "5", "--intervals", "1", "--csv", "D"]);
     let sweep = env!("CARGO_BIN_EXE_sweep");
     assert_usage_error(sweep, &["--sizes", "5", "--intervals", "1", "--csv", "D"]);
+    // `sweep` always runs the quick sizes, so `--quick` would change nothing.
+    assert_usage_error(sweep, &["--sizes", "5", "--intervals", "1", "--quick"]);
     assert_usage_error(env!("CARGO_BIN_EXE_policies"), &["--sizes", "5"]);
 }
 

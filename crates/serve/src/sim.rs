@@ -1097,8 +1097,8 @@ mod tests {
         )
     }
 
-    /// Every dispatched event is moved through the engine's heap, so the
-    /// retry's record must not widen the event.
+    /// Every pending event sits in a node of the engine queue's slab, so
+    /// the retry's record must not widen the event.
     #[test]
     fn serve_event_stays_small() {
         assert_eq!(std::mem::size_of::<ServeEvent>(), 32);

@@ -50,7 +50,8 @@ impl<'a, E, T: Tracer> Scheduler<'a, E, T> {
     }
 
     /// Schedules `event` at an absolute instant, which must not be in the
-    /// past (panics in debug builds otherwise).
+    /// past: debug builds panic, release builds clamp it to the current
+    /// instant.
     #[inline]
     pub fn schedule_at(&mut self, at: SimTime, event: E) {
         debug_assert!(
@@ -184,7 +185,16 @@ impl<E> Engine<E> {
     }
 
     /// Schedules an initial event before the run starts (or between runs).
+    ///
+    /// `at` must not be before [`Engine::now`], the last dispatched
+    /// instant: debug builds panic, release builds clamp it to `now`, so
+    /// the clock never runs backwards.
     pub fn schedule_at(&mut self, at: SimTime, event: E) {
+        debug_assert!(
+            at >= self.now,
+            "scheduling into the past: {at} < {}",
+            self.now
+        );
         self.queue.schedule(at, event);
     }
 
@@ -455,6 +465,38 @@ mod tests {
             *last = s.now();
             Control::Continue
         });
+    }
+
+    #[test]
+    fn an_event_scheduled_after_the_horizon_fires_before_later_ones() {
+        let mut engine = Engine::new().with_horizon(SimTime::from_secs(5));
+        engine.schedule_at(SimTime::from_secs(3), Ev::Tick(3));
+        engine.schedule_at(SimTime::from_secs(20), Ev::Tick(20));
+        let record = |seen: &mut Vec<u32>, _: &mut Scheduler<'_, Ev>, ev| {
+            if let Ev::Tick(i) = ev {
+                seen.push(i);
+            }
+            Control::Continue
+        };
+        let mut seen = Vec::new();
+        assert_eq!(engine.run(&mut seen, record), RunOutcome::HorizonReached);
+        assert_eq!(engine.now(), SimTime::from_secs(3));
+        // The loop peeked at t = 20 to find the horizon; the peek must not
+        // have moved the queue past t = 4.
+        engine.schedule_at(SimTime::from_secs(4), Ev::Tick(4));
+        let mut engine = engine.with_horizon(SimTime::MAX);
+        assert_eq!(engine.run(&mut seen, record), RunOutcome::Drained);
+        assert_eq!(seen, vec![3, 4, 20]);
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "scheduling into the past")]
+    fn scheduling_before_now_panics_in_debug_builds() {
+        let mut engine = Engine::new();
+        engine.schedule_at(SimTime::from_secs(2), Ev::Tick(2));
+        engine.run(&mut (), |_, _, _| Control::Continue);
+        engine.schedule_at(SimTime::from_secs(1), Ev::Tick(1));
     }
 
     #[test]
