@@ -177,10 +177,13 @@ impl TimedClusterSim {
         let realloc_interval = self.cluster.config().realloc_interval;
         let horizon = SimTime::ZERO
             + SimDuration::from_ticks(realloc_interval.ticks().saturating_mul(self.intervals));
-        // Pre-size the queue for the tick plus a typical interval's burst
-        // of in-flight migration/wake events; the dispatch loop then never
-        // reallocates it.
-        let mut engine: Engine<SimEvent> = Engine::with_capacity(64);
+        // Pre-size the queue for the tick, the scheduled faults and the VM
+        // images on the wire, which peaked at n/6 over 4 000 servers and 40
+        // intervals and at n/3 over 400 intervals (the `perf_scale` cells),
+        // so the dispatch loop does not regrow it on those runs.
+        let faults = faults.into_iter();
+        let mut engine: Engine<SimEvent> =
+            Engine::with_capacity(1 + faults.size_hint().0 + n_servers / 3);
         // A zero-interval run has no tick, so it drains at once.
         if self.intervals > 0 {
             engine.schedule_at(SimTime::ZERO + realloc_interval, SimEvent::ReallocationTick);

@@ -490,6 +490,35 @@ mod tests {
     }
 
     #[test]
+    fn an_event_past_the_horizon_waits_on_level_1_or_in_a_far_bucket() {
+        // 10 ms and 20 s after the last dispatch at t = 1 s: a level-1 page
+        // and a far bucket of the pending-event set.
+        for (wait, level) in [(10_000, 1), (20_000_000, 2)] {
+            let last = SimTime::from_secs(1);
+            let pending = SimTime::from_ticks(last.ticks() + wait);
+            let mut engine = Engine::new().with_horizon(last);
+            engine.schedule_at(last, Ev::Tick(0));
+            engine.schedule_at(pending, Ev::Tick(2));
+            let record = |seen: &mut Vec<(SimTime, u32)>, s: &mut Scheduler<'_, Ev>, ev| {
+                if let Ev::Tick(i) = ev {
+                    seen.push((s.now(), i));
+                }
+                Control::Continue
+            };
+            let mut seen = Vec::new();
+            assert_eq!(engine.run(&mut seen, record), RunOutcome::HorizonReached);
+            assert_eq!(engine.now(), last);
+            assert_eq!(engine.queue.level_of_next(), Some(level));
+            // Between the horizon and the pending event.
+            let between = SimTime::from_ticks(last.ticks() + wait / 2);
+            engine.schedule_at(between, Ev::Tick(1));
+            let mut engine = engine.with_horizon(SimTime::MAX);
+            assert_eq!(engine.run(&mut seen, record), RunOutcome::Drained);
+            assert_eq!(seen, vec![(last, 0), (between, 1), (pending, 2)]);
+        }
+    }
+
+    #[test]
     #[cfg(debug_assertions)]
     #[should_panic(expected = "scheduling into the past")]
     fn scheduling_before_now_panics_in_debug_builds() {

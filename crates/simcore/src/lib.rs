@@ -10,8 +10,9 @@
 //! * [`rng`]/[`dist`] — a self-contained, seedable xoshiro256++ generator
 //!   and the distributions used by the workload models;
 //! * [`event`]/[`engine`] — a deterministic pending-event set (a monotone
-//!   radix heap whose same-instant events fire in insertion order) and
-//!   the run-loop, whose clock never runs backwards;
+//!   radix queue, two 4 096-slot timing wheels in front of binary radix
+//!   buckets, whose same-instant events fire in insertion order) and the
+//!   run-loop, whose clock never runs backwards;
 //! * [`par`] — order-preserving `std::thread` fan-out for experiment
 //!   matrices (bit-identical at any thread count);
 //! * [`proptest_lite`] — a shrink-free, seed-replayable property harness.

@@ -95,13 +95,14 @@ impl SimDuration {
     }
 
     /// Creates a duration from fractional seconds, rounding to the nearest
-    /// tick. Negative values saturate to zero.
+    /// tick (halves away from zero). Negative values and NaN give zero;
+    /// spans past the last tick saturate to it.
     #[inline]
     pub fn from_secs_f64(secs: f64) -> Self {
         if secs <= 0.0 {
             return SimDuration::ZERO;
         }
-        SimDuration((secs * TICKS_PER_SECOND as f64).round() as u64)
+        SimDuration(nearest_tick(secs * TICKS_PER_SECOND as f64))
     }
 
     /// Raw microsecond ticks.
@@ -121,6 +122,17 @@ impl SimDuration {
     pub const fn is_zero(self) -> bool {
         self.0 == 0
     }
+}
+
+/// `x.round() as u64` without `f64::round`, which the baseline x86-64
+/// target compiles to a call into a software routine. `x - trunc(x)` is
+/// exact for every finite `x`, so comparing it with one half rounds as
+/// `round` does, and the casts saturate as before: NaN and negatives give
+/// 0, +∞ and values ≥ 2⁶⁴ give `u64::MAX`.
+#[inline]
+fn nearest_tick(x: f64) -> u64 {
+    let t = x as u64;
+    t.saturating_add(u64::from(x - t as f64 >= 0.5))
 }
 
 impl fmt::Display for SimDuration {
@@ -192,6 +204,7 @@ impl std::iter::Sum for SimDuration {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::proptest_lite::check;
 
     #[test]
     fn construction_round_trips() {
@@ -205,6 +218,60 @@ mod tests {
         let d = SimDuration::from_secs_f64(1.234_567_8);
         assert_eq!(d.ticks(), 1_234_568);
         assert_eq!(SimDuration::from_secs_f64(-1.0), SimDuration::ZERO);
+    }
+
+    /// The rounding `nearest_tick` replaced: the oracle of its property.
+    fn round_oracle(x: f64) -> u64 {
+        x.round() as u64
+    }
+
+    #[test]
+    fn nearest_tick_matches_round() {
+        check("nearest_tick_matches_round", |g| {
+            let probe = |x: f64| {
+                assert_eq!(nearest_tick(x), round_oracle(x), "x = {x:e}");
+                let secs = x / TICKS_PER_SECOND as f64;
+                let oracle = if secs <= 0.0 {
+                    0
+                } else {
+                    round_oracle(secs * TICKS_PER_SECOND as f64)
+                };
+                assert_eq!(SimDuration::from_secs_f64(secs).ticks(), oracle);
+            };
+            for _ in 0..1000 {
+                // Any bit pattern: every sign, exponent, NaN and ∞.
+                probe(f64::from_bits(g.u64()));
+                // Halfway between two ticks, and one ulp either side.
+                let half = g.u64_in(0, 1 << 52) as f64 + 0.5;
+                let bits = half.to_bits();
+                for x in [half, f64::from_bits(bits + 1), f64::from_bits(bits - 1)] {
+                    probe(x);
+                    probe(-x);
+                }
+                // 2⁵² to 2⁶⁴, where every value is a whole tick, and past
+                // the last tick.
+                probe(g.f64_in(2f64.powi(52), 2f64.powi(64)));
+                probe(g.f64_in(2f64.powi(64), 2f64.powi(80)));
+                // Subnormals.
+                probe(f64::from_bits(g.u64_in(1, 1 << 52)));
+            }
+        });
+        for x in [
+            0.0,
+            -0.0,
+            0.5,
+            f64::from_bits(0.5f64.to_bits() - 1),
+            2f64.powi(52) + 1.0,
+            2f64.powi(64),
+            f64::from_bits(2f64.powi(64).to_bits() - 1),
+            f64::MAX,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::NAN,
+            f64::MIN_POSITIVE,
+        ] {
+            assert_eq!(nearest_tick(x), round_oracle(x), "x = {x:e}");
+        }
     }
 
     #[test]
