@@ -7,8 +7,8 @@
 //! `TimedClusterSim` on the same seeds with the paired-median probe and
 //! asserts the overhead stays under the 8 % budget, then emits
 //! `BENCH_chaos.json` through the standard report path. On a 2-vCPU
-//! x86-64 host the paired statistic reads a median +6.9 % over 10 runs
-//! (+2.9 to +10.6 %), and 3 of the 10 runs miss the budget: the
+//! x86-64 host the paired statistic read a median +9.5 % over 20 runs
+//! (+2.4 to +13.0 %), and 15 of the 20 runs missed the budget: the
 //! checker's per-event work (a window clone for every regime sample) is
 //! still open (ROADMAP item 2).
 //!

@@ -4,11 +4,11 @@
 //! whose methods are empty `#[inline(always)]` bodies, so there is
 //! nothing to time. What this smoke test bounds is the **enabled** cost:
 //! a `RingTracer` on the same seeds must stay within the overhead budget
-//! of 10 %. On a 2-vCPU x86-64 host the paired statistic reads a median
-//! +4.6 % on the 400-server run over 10 runs (+2.6 to +7.3 %); most of
-//! what is left is the per-event ring push for every regime sample and
-//! the string-keyed counter map (ROADMAP item 2). `BENCH_trace.json`
-//! goes through the standard report path.
+//! of 10 %. On a 2-vCPU x86-64 host the paired statistic read a median
+//! +7.6 % on the 400-server run over 38 runs (−0.5 to +16.9 %, 12 of them
+//! over budget); most of what is left is the per-event ring push for
+//! every regime sample and the string-keyed counter map (ROADMAP item 2).
+//! `BENCH_trace.json` goes through the standard report path.
 //!
 //! ```text
 //! cargo test -p ecolb-bench --release -- --ignored perf_trace

@@ -16,7 +16,6 @@
 //! applies at their fire time; the injection crate builds plans of them.
 
 use crate::server::ServerId;
-use ecolb_simcore::engine::Disposition;
 use ecolb_simcore::time::SimDuration;
 
 /// What a scheduled fault does when it fires.
@@ -76,11 +75,12 @@ pub trait FaultHooks {
     }
 
     /// Called by the timed driver's engine interceptor when a migrated
-    /// VM image is about to arrive at `to`: `Deliver` it now, or `Delay`
-    /// it on the wire. The cluster never observes the verdict.
-    fn arrival_disposition(&mut self, to: ServerId) -> Disposition {
+    /// VM image is about to arrive at `to`: how much longer it stays on
+    /// the wire, zero to deliver it now. The cluster never observes the
+    /// delay.
+    fn arrival_delay(&mut self, to: ServerId) -> SimDuration {
         let _ = to;
-        Disposition::Deliver
+        SimDuration::ZERO
     }
 }
 
@@ -137,7 +137,7 @@ mod tests {
             assert!(!h.report_lost(ServerId(0), attempt));
         }
         assert!(!h.wake_fails(ServerId(3)));
-        assert_eq!(h.arrival_disposition(ServerId(1)), Disposition::Deliver);
+        assert_eq!(h.arrival_delay(ServerId(1)), SimDuration::ZERO);
     }
 
     #[test]

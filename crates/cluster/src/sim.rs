@@ -31,7 +31,7 @@ use crate::server::ServerId;
 use ecolb_metrics::summary::OnlineStats;
 use ecolb_metrics::timeseries::TimeSeries;
 use ecolb_metrics::DegradationSummary;
-use ecolb_simcore::engine::{Control, Disposition, Engine, RunOutcome, Scheduler};
+use ecolb_simcore::engine::{Control, Engine, RunOutcome, Scheduler};
 use ecolb_simcore::time::{SimDuration, SimTime};
 use ecolb_trace::{NoTrace, TraceEventKind, Tracer};
 use ecolb_workload::application::AppId;
@@ -214,9 +214,9 @@ impl TimedClusterSim {
         let outcome = engine.run_with(
             &mut state,
             tracer,
-            |state, _, event| match event {
-                SimEvent::MigrationArrive { to, .. } => state.hooks.arrival_disposition(*to),
-                _ => Disposition::Deliver,
+            |state, event| match event {
+                SimEvent::MigrationArrive { to, .. } => state.hooks.arrival_delay(*to),
+                _ => SimDuration::ZERO,
             },
             |state, sched, event| match event {
                 SimEvent::ReallocationTick => on_tick(state, sched),

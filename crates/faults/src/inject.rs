@@ -18,7 +18,6 @@
 use crate::plan::{fault_stream, FaultKind, FaultPlan};
 use ecolb_cluster::recovery::FaultHooks;
 use ecolb_cluster::server::ServerId;
-use ecolb_simcore::engine::Disposition;
 use ecolb_simcore::rng::Rng;
 use ecolb_simcore::time::SimDuration;
 
@@ -106,23 +105,22 @@ impl FaultHooks for FaultInjector {
         failed
     }
 
-    /// `Deliver` untouched, or `Delay` by a uniform draw in
-    /// `[0, max_message_delay)` from the receiver's stream.
-    fn arrival_disposition(&mut self, to: ServerId) -> Disposition {
+    /// No delay, or a uniform draw in `[0, max_message_delay)` from the
+    /// receiver's stream.
+    fn arrival_delay(&mut self, to: ServerId) -> SimDuration {
         if self.delay_prob <= 0.0 {
-            return Disposition::Deliver;
+            return SimDuration::ZERO;
         }
         let rng = &mut self.delay[to.index()];
         if !rng.chance(self.delay_prob) {
-            return Disposition::Deliver;
+            return SimDuration::ZERO;
         }
         let extra = SimDuration::from_secs_f64(rng.uniform(0.0, self.max_delay.as_secs_f64()));
-        if extra.is_zero() {
-            return Disposition::Deliver;
+        if !extra.is_zero() {
+            self.stats.migrations_delayed += 1;
+            self.stats.injected_delay_seconds += extra.as_secs_f64();
         }
-        self.stats.migrations_delayed += 1;
-        self.stats.injected_delay_seconds += extra.as_secs_f64();
-        Disposition::Delay(extra)
+        extra
     }
 }
 
@@ -137,7 +135,7 @@ mod tests {
             let id = ServerId(i);
             assert!(!inj.report_lost(id, 1));
             assert!(!inj.wake_fails(id));
-            assert_eq!(inj.arrival_disposition(id), Disposition::Deliver);
+            assert_eq!(inj.arrival_delay(id), SimDuration::ZERO);
         }
         assert_eq!(inj.stats(), InjectionStats::default());
     }
@@ -165,7 +163,7 @@ mod tests {
                 trace.push((
                     inj.report_lost(id, 1),
                     inj.wake_fails(id),
-                    inj.arrival_disposition(id),
+                    inj.arrival_delay(id),
                 ));
             }
             (trace, inj.stats())
@@ -197,13 +195,11 @@ mod tests {
         let mut inj = FaultInjector::new(&plan, 1);
         let mut delayed = 0u32;
         for _ in 0..100 {
-            match inj.arrival_disposition(ServerId(0)) {
-                Disposition::Delay(d) => {
-                    assert!(d < max);
-                    delayed += 1;
-                }
-                Disposition::Deliver => {} // no-fault draw or zero-length delay
-                Disposition::Drop => unreachable!("injector never drops transfers"),
+            let d = inj.arrival_delay(ServerId(0));
+            assert!(d < max);
+            // A no-fault draw and a zero-length draw both deliver now.
+            if !d.is_zero() {
+                delayed += 1;
             }
         }
         assert!(

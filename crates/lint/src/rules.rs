@@ -52,7 +52,7 @@ pub struct FileContext {
     /// Workspace-relative path with forward slashes.
     pub path: String,
     /// Owning crate: the directory name under `crates/` (e.g. `cluster`),
-    /// or `root` for the façade package's own `src/` and `tests/`.
+    /// or `root` for the root package's own `src/` and `tests/`.
     pub krate: String,
     /// True for binary targets: `src/bin/*`, `src/main.rs`, `examples/*`.
     pub is_bin: bool,

@@ -38,7 +38,7 @@ fn walk_dir(dir: &Path, out: &mut Vec<PathBuf>) -> io::Result<()> {
 /// Collects every workspace `.rs` source under `root`, returned as
 /// workspace-relative forward-slash paths in sorted order.
 ///
-/// The scan covers the façade package (`src/`, `tests/`, `examples/`),
+/// The scan covers the root package (`src/`, `tests/`, `examples/`),
 /// every member under `crates/`, and `benchmark/src/`, which only the
 /// `unreached-pub-fn` rule reads (as roots).
 pub fn workspace_sources(root: &Path) -> io::Result<Vec<String>> {

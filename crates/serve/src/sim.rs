@@ -51,7 +51,7 @@ use ecolb_faults::inject::FaultInjector;
 use ecolb_faults::plan::{FaultEventKind, FaultPlan};
 use ecolb_metrics::latency::{LatencyRecorder, SlaClassCounters};
 use ecolb_metrics::resilience::ResilienceCounters;
-use ecolb_simcore::engine::{Control, Disposition, Engine, RunOutcome};
+use ecolb_simcore::engine::{Control, Engine, RunOutcome};
 use ecolb_simcore::time::{SimDuration, SimTime};
 use ecolb_trace::{NoTrace, TraceEventKind, Tracer};
 use ecolb_workload::processes::{RateModulation, SourceProfile};
@@ -475,7 +475,7 @@ impl ServeSim {
         let outcome = engine.run_with(
             &mut state,
             tracer,
-            |_, _, _| Disposition::Deliver,
+            |_, _| SimDuration::ZERO,
             |state, sched, event| match event {
                 ServeEvent::ReallocationTick => on_tick(state, sched),
                 ServeEvent::Arrival { source } => on_arrival(state, sched, &cfg, source),

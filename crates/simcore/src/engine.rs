@@ -20,8 +20,8 @@ use crate::time::{SimDuration, SimTime};
 ///
 /// A thin wrapper over the queue that also knows the current instant, so
 /// handlers schedule with relative delays. The tracer parameter defaults
-/// to [`NoTrace`], so pre-trace `Scheduler<'_, E>` annotations keep
-/// compiling and the untraced path monomorphizes to the original code.
+/// to [`NoTrace`], so an untraced handler writes `Scheduler<'_, E>` and
+/// its counter calls compile to nothing.
 pub struct Scheduler<'a, E, T: Tracer = NoTrace> {
     now: SimTime,
     queue: &'a mut EventQueue<E>,
@@ -75,8 +75,6 @@ impl<'a, E, T: Tracer> Scheduler<'a, E, T> {
 pub enum RunOutcome {
     /// The pending-event set drained before any limit was hit.
     Drained,
-    /// The time horizon was reached.
-    HorizonReached,
     /// The event-count budget was exhausted (runaway-schedule backstop).
     EventBudgetExhausted,
     /// A handler requested an early stop.
@@ -88,7 +86,6 @@ impl RunOutcome {
     pub fn label(self) -> &'static str {
         match self {
             RunOutcome::Drained => "drained",
-            RunOutcome::HorizonReached => "horizon",
             RunOutcome::EventBudgetExhausted => "budget",
             RunOutcome::Stopped => "stopped",
         }
@@ -105,28 +102,11 @@ pub enum Control {
     Stop,
 }
 
-/// An interceptor's verdict on an event about to be delivered — the
-/// injection seam of [`Engine::run_with`]. Fault layers use it to
-/// model lossy or slow links without the handler ever knowing.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Disposition {
-    /// Hand the event to the handler normally.
-    #[default]
-    Deliver,
-    /// Silently discard the event (it still counts as processed).
-    Drop,
-    /// Requeue the event this far in the future instead of delivering it
-    /// now. A zero delay delivers immediately (no requeue), so an
-    /// interceptor cannot live-lock the loop.
-    Delay(SimDuration),
-}
-
 /// A discrete-event simulation engine over event payload type `E`.
 #[derive(Debug)]
 pub struct Engine<E> {
     now: SimTime,
     queue: EventQueue<E>,
-    horizon: SimTime,
     event_budget: u64,
     events_processed: u64,
 }
@@ -138,12 +118,11 @@ impl<E> Default for Engine<E> {
 }
 
 impl<E> Engine<E> {
-    /// Creates an engine with no horizon and a very large event budget.
+    /// Creates an engine with a very large event budget.
     pub fn new() -> Self {
         Engine {
             now: SimTime::ZERO,
             queue: EventQueue::new(),
-            horizon: SimTime::MAX,
             event_budget: u64::MAX,
             events_processed: 0,
         }
@@ -158,13 +137,6 @@ impl<E> Engine<E> {
             queue: EventQueue::with_capacity(capacity),
             ..Self::new()
         }
-    }
-
-    /// Sets the time horizon: events strictly after `horizon` are not
-    /// processed (they stay pending).
-    pub fn with_horizon(mut self, horizon: SimTime) -> Self {
-        self.horizon = horizon;
-        self
     }
 
     /// Sets a hard cap on the number of processed events.
@@ -198,17 +170,17 @@ impl<E> Engine<E> {
         self.queue.schedule(at, event);
     }
 
-    /// Runs the loop until drained, horizon, budget, or handler stop.
+    /// Runs the loop until drained, budget, or handler stop.
     ///
     /// The handler receives each event together with a [`Scheduler`] for
     /// follow-up scheduling and a `&mut S` simulation state. This is
-    /// [`Engine::run_with`] with no tracer and no interceptor.
+    /// [`Engine::run_with`] with no tracer and no wire delay.
     pub fn run<S>(
         &mut self,
         state: &mut S,
         handler: impl FnMut(&mut S, &mut Scheduler<'_, E>, E) -> Control,
     ) -> RunOutcome {
-        self.run_with(state, &mut NoTrace, |_, _, _| Disposition::Deliver, handler)
+        self.run_with(state, &mut NoTrace, |_, _| SimDuration::ZERO, handler)
     }
 
     /// [`Engine::run`] with both seams explicit.
@@ -216,28 +188,26 @@ impl<E> Engine<E> {
     /// * `tracer` sees `engine_started` / `engine_finished` events, an
     ///   `engine` span and per-dispatch counters; with [`NoTrace`] this
     ///   monomorphizes back to the plain loop.
-    /// * `intercept` runs before each event reaches the handler and may
-    ///   [`Disposition::Drop`] it (lossy link) or [`Disposition::Delay`]
-    ///   it (slow link, requeued at `now + d`). Its verdicts become
-    ///   `event_dropped` / `event_delayed` trace events, so fault
-    ///   dispositions are visible without the fault layer knowing about
-    ///   the tracer. An interceptor that always answers
-    ///   [`Disposition::Deliver`] leaves the clock, the event order and
-    ///   the `events_processed` count exactly as in [`Engine::run`].
+    /// * `delay` runs before each event reaches the handler and returns
+    ///   how much longer the event stays on the simulated wire. Zero
+    ///   delivers it now; a longer delay requeues it at `now + d` (a slow
+    ///   link) and becomes an `event_delayed` trace event, so fault delays
+    ///   are visible without the fault layer knowing about the tracer. A
+    ///   delay that is always zero leaves the clock, the event order and
+    ///   the `events_processed` count exactly as in [`Engine::run`], and a
+    ///   zero delay never requeues, so it cannot live-lock the loop.
     pub fn run_with<S, T: Tracer>(
         &mut self,
         state: &mut S,
         tracer: &mut T,
-        mut intercept: impl FnMut(&mut S, SimTime, &E) -> Disposition,
+        mut delay: impl FnMut(&mut S, &E) -> SimDuration,
         mut handler: impl FnMut(&mut S, &mut Scheduler<'_, E, T>, E) -> Control,
     ) -> RunOutcome {
         tracer.span_enter(self.now.ticks(), SpanKind::Engine);
         tracer.event(self.now.ticks(), TraceEventKind::EngineStarted);
         let outcome = loop {
-            match self.queue.peek_time() {
-                None => break RunOutcome::Drained,
-                Some(t) if t > self.horizon => break RunOutcome::HorizonReached,
-                Some(_) => {}
+            if self.queue.is_empty() {
+                break RunOutcome::Drained;
             }
             if self.events_processed >= self.event_budget {
                 break RunOutcome::EventBudgetExhausted;
@@ -248,8 +218,8 @@ impl<E> Engine<E> {
             if tracer.abort_requested() {
                 break RunOutcome::Stopped;
             }
-            // The peek above saw an event; a racing-free single-threaded
-            // queue cannot lose it, but drain gracefully rather than panic.
+            // The queue is not empty, so this pops; drain gracefully
+            // rather than panic all the same.
             let Some((at, event)) = self.queue.pop() else {
                 break RunOutcome::Drained;
             };
@@ -257,25 +227,17 @@ impl<E> Engine<E> {
             self.now = at;
             self.events_processed += 1;
             tracer.counter("engine.dispatched", 1);
-            match intercept(state, self.now, &event) {
-                Disposition::Deliver => {}
-                Disposition::Drop => {
-                    tracer.event(self.now.ticks(), TraceEventKind::EventDropped);
-                    tracer.counter("engine.dropped", 1);
-                    continue;
-                }
-                Disposition::Delay(d) if !d.is_zero() => {
-                    tracer.event(
-                        self.now.ticks(),
-                        TraceEventKind::EventDelayed {
-                            delay_us: d.ticks(),
-                        },
-                    );
-                    tracer.counter("engine.delayed", 1);
-                    self.queue.schedule(self.now + d, event);
-                    continue;
-                }
-                Disposition::Delay(_) => {} // zero delay: deliver now
+            let d = delay(state, &event);
+            if !d.is_zero() {
+                tracer.event(
+                    self.now.ticks(),
+                    TraceEventKind::EventDelayed {
+                        delay_us: d.ticks(),
+                    },
+                );
+                tracer.counter("engine.delayed", 1);
+                self.queue.schedule(self.now + d, event);
+                continue;
             }
             let mut sched = Scheduler {
                 now: self.now,
@@ -328,16 +290,18 @@ mod tests {
 
     #[test]
     fn self_scheduling_chain_advances_clock() {
-        let mut engine = Engine::new().with_horizon(SimTime::from_secs(10));
+        let mut engine = Engine::new();
         engine.schedule_at(SimTime::ZERO, Ev::Tick(0));
         let mut count = 0u32;
         let outcome = engine.run(&mut count, |count, s, _ev| {
             *count += 1;
-            s.schedule_in(SimDuration::from_secs(1), Ev::Tick(*count));
+            if *count <= 10 {
+                s.schedule_in(SimDuration::from_secs(1), Ev::Tick(*count));
+            }
             Control::Continue
         });
-        assert_eq!(outcome, RunOutcome::HorizonReached);
-        // Events at t = 0..=10 inclusive fire; t = 11 exceeds the horizon.
+        assert_eq!(outcome, RunOutcome::Drained);
+        // Events at t = 0..=10 inclusive fire; the last schedules nothing.
         assert_eq!(count, 11);
         assert_eq!(engine.now(), SimTime::from_secs(10));
     }
@@ -375,29 +339,14 @@ mod tests {
     }
 
     #[test]
-    fn dropped_events_never_reach_the_handler() {
-        let mut engine = Engine::new();
-        for i in 0..6 {
+    fn a_drained_queue_wins_over_a_spent_budget() {
+        let mut engine = Engine::new().with_event_budget(3);
+        for i in 0..3 {
             engine.schedule_at(SimTime::from_secs(i), Ev::Tick(i as u32));
         }
-        let mut seen = Vec::new();
-        let outcome = engine.run_with(
-            &mut seen,
-            &mut NoTrace,
-            |_, _, ev| match ev {
-                Ev::Tick(i) if i % 2 == 1 => Disposition::Drop,
-                _ => Disposition::Deliver,
-            },
-            |seen, _s, ev| {
-                if let Ev::Tick(i) = ev {
-                    seen.push(i);
-                }
-                Control::Continue
-            },
-        );
+        let outcome = engine.run(&mut (), |_, _, _| Control::Continue);
         assert_eq!(outcome, RunOutcome::Drained);
-        assert_eq!(seen, vec![0, 2, 4], "odd ticks dropped on the link");
-        assert_eq!(engine.events_processed(), 6, "drops still count");
+        assert_eq!(engine.events_processed(), 3);
     }
 
     #[test]
@@ -417,12 +366,12 @@ mod tests {
         engine.run_with(
             &mut st,
             &mut NoTrace,
-            |st, _, ev| {
+            |st, ev| {
                 if matches!(ev, Ev::Tick(1)) && !st.delayed_once {
                     st.delayed_once = true;
-                    return Disposition::Delay(SimDuration::from_secs(3));
+                    return SimDuration::from_secs(3);
                 }
-                Disposition::Deliver
+                SimDuration::ZERO
             },
             |st, s, ev| {
                 if let Ev::Tick(i) = ev {
@@ -443,7 +392,7 @@ mod tests {
         let outcome = engine.run_with(
             &mut count,
             &mut NoTrace,
-            |_, _, _| Disposition::Delay(SimDuration::ZERO),
+            |_, _| SimDuration::ZERO,
             |count, _s, _ev| {
                 *count += 1;
                 Control::Continue
@@ -468,57 +417,6 @@ mod tests {
     }
 
     #[test]
-    fn an_event_scheduled_after_the_horizon_fires_before_later_ones() {
-        let mut engine = Engine::new().with_horizon(SimTime::from_secs(5));
-        engine.schedule_at(SimTime::from_secs(3), Ev::Tick(3));
-        engine.schedule_at(SimTime::from_secs(20), Ev::Tick(20));
-        let record = |seen: &mut Vec<u32>, _: &mut Scheduler<'_, Ev>, ev| {
-            if let Ev::Tick(i) = ev {
-                seen.push(i);
-            }
-            Control::Continue
-        };
-        let mut seen = Vec::new();
-        assert_eq!(engine.run(&mut seen, record), RunOutcome::HorizonReached);
-        assert_eq!(engine.now(), SimTime::from_secs(3));
-        // The loop peeked at t = 20 to find the horizon; the peek must not
-        // have moved the queue past t = 4.
-        engine.schedule_at(SimTime::from_secs(4), Ev::Tick(4));
-        let mut engine = engine.with_horizon(SimTime::MAX);
-        assert_eq!(engine.run(&mut seen, record), RunOutcome::Drained);
-        assert_eq!(seen, vec![3, 4, 20]);
-    }
-
-    #[test]
-    fn an_event_past_the_horizon_waits_on_level_1_or_in_a_far_bucket() {
-        // 10 ms and 20 s after the last dispatch at t = 1 s: a level-1 page
-        // and a far bucket of the pending-event set.
-        for (wait, level) in [(10_000, 1), (20_000_000, 2)] {
-            let last = SimTime::from_secs(1);
-            let pending = SimTime::from_ticks(last.ticks() + wait);
-            let mut engine = Engine::new().with_horizon(last);
-            engine.schedule_at(last, Ev::Tick(0));
-            engine.schedule_at(pending, Ev::Tick(2));
-            let record = |seen: &mut Vec<(SimTime, u32)>, s: &mut Scheduler<'_, Ev>, ev| {
-                if let Ev::Tick(i) = ev {
-                    seen.push((s.now(), i));
-                }
-                Control::Continue
-            };
-            let mut seen = Vec::new();
-            assert_eq!(engine.run(&mut seen, record), RunOutcome::HorizonReached);
-            assert_eq!(engine.now(), last);
-            assert_eq!(engine.queue.level_of_next(), Some(level));
-            // Between the horizon and the pending event.
-            let between = SimTime::from_ticks(last.ticks() + wait / 2);
-            engine.schedule_at(between, Ev::Tick(1));
-            let mut engine = engine.with_horizon(SimTime::MAX);
-            assert_eq!(engine.run(&mut seen, record), RunOutcome::Drained);
-            assert_eq!(seen, vec![(last, 0), (between, 1), (pending, 2)]);
-        }
-    }
-
-    #[test]
     #[cfg(debug_assertions)]
     #[should_panic(expected = "scheduling into the past")]
     fn scheduling_before_now_panics_in_debug_builds() {
@@ -539,7 +437,7 @@ mod tests {
         let outcome = engine.run_with(
             &mut (),
             &mut tracer,
-            |_, _, _| Disposition::Deliver,
+            |_, _| SimDuration::ZERO,
             |_, s, _| {
                 s.tracer().counter("test.handled", 1);
                 Control::Continue
@@ -578,13 +476,12 @@ mod tests {
         engine.run_with(
             &mut seen,
             &mut tracer,
-            |_, _, ev| match ev {
-                Ev::Tick(1) => Disposition::Drop,
+            |_, ev| match ev {
                 Ev::Tick(2) if !delayed_once => {
                     delayed_once = true;
-                    Disposition::Delay(SimDuration::from_secs(5))
+                    SimDuration::from_secs(5)
                 }
-                _ => Disposition::Deliver,
+                _ => SimDuration::ZERO,
             },
             |seen: &mut Vec<u32>, _s, ev| {
                 if let Ev::Tick(i) = ev {
@@ -593,8 +490,7 @@ mod tests {
                 Control::Continue
             },
         );
-        assert_eq!(seen, vec![0, 3, 2], "tick 2 requeued past tick 3");
-        assert_eq!(tracer.counter_value("engine.dropped"), 1);
+        assert_eq!(seen, vec![0, 1, 3, 2], "tick 2 requeued past tick 3");
         assert_eq!(tracer.counter_value("engine.delayed"), 1);
         assert!(tracer.events().any(|e| e.kind
             == TraceEventKind::EventDelayed {
@@ -623,7 +519,7 @@ mod tests {
         let traced_outcome = traced.run_with(
             &mut 0u32,
             &mut rt,
-            |_, _, _| Disposition::Deliver,
+            |_, _| SimDuration::ZERO,
             |n, s, _| {
                 *n += 1;
                 if *n < 10 {

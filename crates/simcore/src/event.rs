@@ -130,11 +130,6 @@ impl Level {
         }
         self.ends[s]
     }
-
-    fn clear(&mut self) {
-        self.words.fill(0);
-        self.summary = 0;
-    }
 }
 
 /// Deterministic pending-event set.
@@ -291,21 +286,6 @@ impl<T> EventQueue<T> {
         Some((self.base.ticks() & DIGIT) as usize)
     }
 
-    /// The firing time of the earliest pending event. Peeking never moves
-    /// the base: an event scheduled after a peek, at or after the last
-    /// popped instant, still fires in time order.
-    pub fn peek_time(&self) -> Option<SimTime> {
-        if let Some(s) = self.near.first() {
-            return Some(self.near_instant(s));
-        }
-        let level = if self.mid.summary != 0 {
-            &self.mid
-        } else {
-            &self.far
-        };
-        level.first().map(|s| level.min[s])
-    }
-
     /// Number of pending events.
     pub fn len(&self) -> usize {
         self.len
@@ -314,19 +294,6 @@ impl<T> EventQueue<T> {
     /// True when no events are pending.
     pub fn is_empty(&self) -> bool {
         self.len == 0
-    }
-
-    /// Drops every pending event. The last popped instant stays the floor
-    /// for later schedules.
-    pub fn clear(&mut self) {
-        self.at.clear();
-        self.next.clear();
-        self.payload.clear();
-        self.free = NIL;
-        self.near.clear();
-        self.mid.clear();
-        self.far.clear();
-        self.len = 0;
     }
 
     /// The level holding the earliest pending event: 0, 1, or 2 for the
@@ -374,36 +341,6 @@ mod tests {
         }
         let order: Vec<_> = std::iter::from_fn(|| q.pop()).map(|(_, p)| p).collect();
         assert_eq!(order, (0..100).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn peek_does_not_consume() {
-        let mut q = EventQueue::new();
-        q.schedule(t(4), ());
-        assert_eq!(q.peek_time(), Some(t(4)));
-        assert_eq!(q.len(), 1);
-        q.pop();
-        assert_eq!(q.peek_time(), None);
-    }
-
-    #[test]
-    fn clear_empties() {
-        let mut q = EventQueue::new();
-        for at in [3, 5000, 1 << 25] {
-            q.schedule(ticks(at), at);
-        }
-        assert_eq!(q.pop(), Some((ticks(3), 3)));
-        q.clear();
-        assert!(q.is_empty());
-        assert_eq!(q.peek_time(), None);
-        assert_eq!(q.pop(), None);
-        // Only the bitmaps were reset: stale slot tables must not
-        // resurface when the queue is reused.
-        for at in [5000, 4, 1 << 25] {
-            q.schedule(ticks(at), at + 1);
-        }
-        let order: Vec<_> = std::iter::from_fn(|| q.pop()).map(|(_, p)| p).collect();
-        assert_eq!(order, vec![5, 5001, (1 << 25) + 1]);
     }
 
     #[test]
@@ -455,7 +392,6 @@ mod tests {
         let mut sorted: Vec<_> = edges.iter().copied().zip(1..).collect();
         sorted.sort();
         for (at, i) in sorted {
-            assert_eq!(q.peek_time(), Some(ticks(at)));
             assert_eq!(q.pop(), Some((ticks(at), i)));
             // A zero-delay reschedule fires before the next edge.
             q.schedule(ticks(at), 0);
@@ -530,10 +466,6 @@ mod tests {
         fn pop(&mut self) -> Option<(SimTime, u32)> {
             self.heap.pop().map(|Reverse((at, _, p))| (at, p))
         }
-
-        fn peek_time(&self) -> Option<SimTime> {
-            self.heap.peek().map(|Reverse((at, _, _))| *at)
-        }
     }
 
     /// An instant at or after `floor`, at most `spread` ticks later.
@@ -572,7 +504,7 @@ mod tests {
                 next_payload += 1;
             };
             for _ in 0..g.usize_in(1, 400) {
-                match g.u8_in(0, 20) {
+                match g.u8_in(0, 17) {
                     // A plain schedule.
                     0..=5 => {
                         let at = later(g, last, spread);
@@ -595,14 +527,8 @@ mod tests {
                             schedule(&mut q, &mut oracle, at);
                         }
                     }
-                    // `clear`, after which the loop reuses the queue.
-                    9 => {
-                        q.clear();
-                        oracle.heap.clear();
-                    }
-                    10 | 11 => assert_eq!(q.peek_time(), oracle.peek_time()),
                     // A few ticks either side of a wheel edge.
-                    12 => {
+                    9 => {
                         for _ in 0..g.usize_in(1, 6) {
                             let at = near_an_edge(g, last);
                             schedule(&mut q, &mut oracle, at);
@@ -610,7 +536,7 @@ mod tests {
                     }
                     // More of an earlier burst, once the base may have
                     // entered its page (or moved past it).
-                    13 => {
+                    10 => {
                         if let Some(&at) = marks.get(g.usize_in(0, marks.len() + 1)) {
                             if at >= last {
                                 for _ in 0..g.usize_in(1, 5) {
@@ -621,7 +547,7 @@ mod tests {
                     }
                     // An event past level 1, with stepping stones in its
                     // block and page, so it travels far → 1 → 0.
-                    14 => {
+                    11 => {
                         let far = later(g, last, 1 << 30).ticks().saturating_add(1 << 24);
                         let block = far & !((1 << 24) - 1);
                         let page = far & !DIGIT;
@@ -641,7 +567,6 @@ mod tests {
                 assert_eq!(q.is_empty(), oracle.heap.is_empty());
             }
             while let Some(popped) = oracle.pop() {
-                assert_eq!(q.peek_time(), Some(popped.0));
                 assert_eq!(q.pop(), Some(popped));
             }
             assert_eq!(q.pop(), None);

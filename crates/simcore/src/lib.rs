@@ -4,7 +4,7 @@
 //! reproduction of *"Energy-aware Load Balancing Policies for the Cloud
 //! Ecosystem"* (Paya & Marinescu, 2014).
 //!
-//! The crate provides the three primitives every experiment builds on:
+//! The crate provides the primitives every experiment builds on:
 //!
 //! * [`time`] — fixed-point simulated time ([`SimTime`], [`SimDuration`]);
 //! * [`rng`]/[`dist`] — a self-contained, seedable xoshiro256++ generator
@@ -24,15 +24,19 @@
 //! ```
 //! use ecolb_simcore::prelude::*;
 //!
-//! let mut engine: Engine<u32> = Engine::new().with_horizon(SimTime::from_secs(5));
+//! let mut engine: Engine<u32> = Engine::new();
 //! engine.schedule_at(SimTime::ZERO, 0);
 //! let mut fired = 0u32;
-//! engine.run(&mut fired, |fired, sched, _ev| {
+//! let outcome = engine.run(&mut fired, |fired, sched, _ev| {
 //!     *fired += 1;
-//!     sched.schedule_in(SimDuration::from_secs(1), *fired);
+//!     if *fired < 6 {
+//!         sched.schedule_in(SimDuration::from_secs(1), *fired);
+//!     }
 //!     Control::Continue
 //! });
+//! assert_eq!(outcome, RunOutcome::Drained);
 //! assert_eq!(fired, 6); // t = 0,1,2,3,4,5
+//! assert_eq!(engine.now(), SimTime::from_secs(5));
 //! ```
 
 #![deny(missing_docs)]
@@ -49,14 +53,14 @@ pub mod time;
 /// One-stop imports for simulation authors.
 pub mod prelude {
     pub use crate::dist::{Distribution, Normal, Pareto, Poisson, Zipf};
-    pub use crate::engine::{Control, Disposition, Engine, RunOutcome, Scheduler};
+    pub use crate::engine::{Control, Engine, RunOutcome, Scheduler};
     pub use crate::event::EventQueue;
     pub use crate::rng::Rng;
     pub use crate::time::{SimDuration, SimTime};
 }
 
 pub use dist::Distribution;
-pub use engine::{Control, Disposition, Engine, RunOutcome, Scheduler};
+pub use engine::{Control, Engine, RunOutcome, Scheduler};
 pub use event::EventQueue;
 pub use rng::Rng;
 pub use time::{SimDuration, SimTime};

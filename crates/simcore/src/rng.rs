@@ -6,12 +6,12 @@
 //! identified by a single `u64` seed; the same seed always yields the same
 //! event schedule and therefore bit-identical reports.
 //!
-//! The generator also supports cheap *stream splitting* ([`Rng::split`]):
-//! each server or application can own an independent sub-stream derived from
-//! the parent seed, so adding instrumentation that draws extra numbers in one
-//! component does not perturb any other component.
+//! Components that need their own randomness key a stream from the run's
+//! seed with [`splitmix64`] (e.g. one stream per fault kind and server), so
+//! adding instrumentation that draws extra numbers in one component does
+//! not perturb any other component.
 
-/// SplitMix64 step; used for seeding and stream splitting.
+/// SplitMix64 step; used for seeding and for keying streams.
 ///
 /// Reference: Sebastiano Vigna, <https://prng.di.unimi.it/splitmix64.c>.
 #[inline]
@@ -45,13 +45,6 @@ impl Rng {
             splitmix64(&mut sm),
         ];
         Rng { s }
-    }
-
-    /// Derives an independent child generator. The child stream is a
-    /// function of the parent's current state, so successive `split` calls
-    /// produce distinct streams, and the parent advances by one draw.
-    pub fn split(&mut self) -> Rng {
-        Rng::new(self.next_u64())
     }
 
     /// Next raw 64-bit output.
@@ -126,15 +119,6 @@ impl Rng {
             xs.swap(i, j);
         }
     }
-
-    /// Picks a uniformly random element, or `None` for an empty slice.
-    pub fn choose<'a, T>(&mut self, xs: &'a [T]) -> Option<&'a T> {
-        if xs.is_empty() {
-            None
-        } else {
-            Some(&xs[self.index(xs.len())])
-        }
-    }
 }
 
 #[cfg(test)]
@@ -176,18 +160,6 @@ mod tests {
         let mut b = Rng::new(2);
         let same = (0..64).filter(|_| a.next_u64() == b.next_u64()).count();
         assert_eq!(same, 0);
-    }
-
-    #[test]
-    fn split_streams_are_independent_of_parent_consumption() {
-        let mut parent1 = Rng::new(7);
-        let child1 = parent1.split();
-        let mut parent2 = Rng::new(7);
-        let child2 = parent2.split();
-        assert_eq!(child1, child2);
-        // Consuming the parent after the split does not affect the child.
-        parent1.next_u64();
-        assert_eq!(child1, child2);
     }
 
     #[test]
@@ -254,14 +226,6 @@ mod tests {
             (0..100).collect::<Vec<_>>(),
             "astronomically unlikely identity"
         );
-    }
-
-    #[test]
-    fn choose_handles_empty_and_singleton() {
-        let mut rng = Rng::new(9);
-        let empty: [u8; 0] = [];
-        assert_eq!(rng.choose(&empty), None);
-        assert_eq!(rng.choose(&[42]), Some(&42));
     }
 
     #[test]

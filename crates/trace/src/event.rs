@@ -28,14 +28,12 @@ pub enum TraceEventKind {
     EngineStarted,
     /// The engine run-loop ended with the given outcome label.
     EngineFinished {
-        /// `"drained"`, `"horizon"`, `"budget"` or `"stopped"`.
+        /// `"drained"`, `"budget"` or `"stopped"`.
         outcome: &'static str,
         /// Total events the engine has processed (lifetime counter).
         events: u64,
     },
-    /// An interceptor dropped an event on the simulated wire.
-    EventDropped,
-    /// An interceptor delayed an event on the simulated wire.
+    /// The engine's wire delay requeued an event instead of delivering it.
     EventDelayed {
         /// Injected delay, microseconds.
         delay_us: u64,
@@ -254,7 +252,6 @@ impl TraceEventKind {
         match self {
             TraceEventKind::EngineStarted => "engine_started",
             TraceEventKind::EngineFinished { .. } => "engine_finished",
-            TraceEventKind::EventDropped => "event_dropped",
             TraceEventKind::EventDelayed { .. } => "event_delayed",
             TraceEventKind::IntervalStarted { .. } => "interval_started",
             TraceEventKind::IntervalClosed { .. } => "interval_closed",
@@ -291,7 +288,7 @@ impl TraceEventKind {
     /// Appends the variant's payload fields to an open object writer.
     fn write_fields<'a>(&self, w: ObjectWriter<'a>) -> ObjectWriter<'a> {
         match *self {
-            TraceEventKind::EngineStarted | TraceEventKind::EventDropped => w,
+            TraceEventKind::EngineStarted => w,
             TraceEventKind::EngineFinished { outcome, events } => {
                 w.field("outcome", &outcome).field("events", &events)
             }
@@ -460,7 +457,6 @@ mod tests {
                 events: 0,
             }
             .name(),
-            TraceEventKind::EventDropped.name(),
             TraceEventKind::EventDelayed { delay_us: 1 }.name(),
             TraceEventKind::IntervalStarted { index: 0 }.name(),
             TraceEventKind::IntervalClosed {

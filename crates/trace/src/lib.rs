@@ -28,7 +28,7 @@
 //! over it (or takes `&mut dyn Tracer` on cold paths); the default
 //! [`NoTrace`] implementation is a zero-sized type whose inlined empty
 //! methods compile to nothing, so the untraced path is *structurally*
-//! identical to the pre-trace code — reports stay byte-identical, which
+//! a loop with no tracer at all — reports stay byte-identical, which
 //! the workspace golden-trace and determinism suites assert.
 //!
 //! Everything a [`RingTracer`] collects renders deterministically:

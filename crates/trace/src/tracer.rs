@@ -135,7 +135,8 @@ pub struct StateDigest {
 
 /// The disabled tracer: a zero-sized type whose inlined empty methods
 /// compile to nothing. `Scheduler` defaults its tracer parameter to
-/// this, so pre-trace call sites build unchanged and pay nothing.
+/// this, so an untraced handler need not name a tracer and pays nothing
+/// for the seam.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct NoTrace;
 

@@ -1,17 +1,9 @@
 //! # energy-aware-lb
 //!
-//! Façade crate for the reproduction of *"Energy-aware Load Balancing
+//! Root package of the reproduction of *"Energy-aware Load Balancing
 //! Policies for the Cloud Ecosystem"* (Paya & Marinescu, 2014).
 //!
-//! This crate re-exports the whole `ecolb` workspace so the runnable
-//! `examples/` and the cross-crate integration tests in `tests/` have a
-//! single dependency root. Library users should depend on the individual
-//! crates (`ecolb`, `ecolb-cluster`, …) directly.
-
-pub use ecolb;
-pub use ecolb_cluster as cluster;
-pub use ecolb_energy as energy;
-pub use ecolb_metrics as metrics;
-pub use ecolb_policies as policies;
-pub use ecolb_simcore as simcore;
-pub use ecolb_workload as workload;
+//! The library is empty: it exists so the package can host the runnable
+//! `examples/` and the cross-crate integration tests in `tests/`, which
+//! import the member crates (`ecolb`, `ecolb-cluster`, …) directly, as
+//! library users should.
