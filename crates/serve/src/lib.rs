@@ -57,6 +57,7 @@
 #![forbid(unsafe_code)]
 
 pub mod discover;
+mod handoff;
 pub mod picker;
 pub mod queue;
 pub mod resilience;

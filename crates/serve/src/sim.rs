@@ -37,9 +37,10 @@
 //! picker comparison isolates the routing policy: same migrations, same
 //! sleeps — different latency and different serve-side energy.
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
 
 use crate::discover::{Change, ClusterDiscover, Discover, InstanceSet};
+use crate::handoff::{self, Handoff};
 use crate::picker::{HorizonIndex, Picker, PickerKind};
 use crate::queue::QueueModel;
 use crate::resilience::{BackoffSchedule, BreakerBank, ResiliencePolicy, RetryBudget};
@@ -55,7 +56,7 @@ use ecolb_simcore::engine::{Control, Engine, RunOutcome};
 use ecolb_simcore::time::{SimDuration, SimTime};
 use ecolb_trace::{NoTrace, TraceEventKind, Tracer};
 use ecolb_workload::processes::{RateModulation, SourceProfile};
-use ecolb_workload::requests::{service_time_s, OpenLoopSource, RequestId, RequestLoadSpec};
+use ecolb_workload::requests::{OpenLoopSource, RequestId, RequestLoadSpec};
 
 /// Admission bound: a request is rejected when the chosen server already
 /// queues more than this many seconds of work.
@@ -192,6 +193,14 @@ pub enum ServeEvent {
 /// Attempt-id flag marking the hedged (duplicate) attempt of a request.
 const HEDGE_BIT: u32 = 1 << 31;
 
+/// Attempt-id flag marking the primary of a hedged request, set on its
+/// ledger entry when the twin is queued.
+const HEDGED: u32 = 1 << 30;
+
+/// The attempt-id bits under either flag: the hedged request's slot in
+/// [`Hedges`]. Both attempts of a hedged request are its attempt 0.
+const HEDGE_SLOT: u32 = HEDGED - 1;
+
 /// One dispatch attempt of a request: what a retry carries and what a
 /// server's queue holds until the attempt completes or a crash kills it.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -202,9 +211,27 @@ pub struct Attempt {
     /// First admission instant, integer ticks: deadlines and latency are
     /// measured from it, not from a retry.
     admitted_ticks: u64,
-    /// 0 = original; retries count up; the hedge twin carries
-    /// [`HEDGE_BIT`].
+    /// 0 = original; retries count up. The two attempts of a hedged
+    /// request carry a flag over its [`HEDGE_SLOT`] instead: the twin
+    /// [`HEDGE_BIT`], and the primary [`HEDGED`] once the twin is queued.
     attempt: u32,
+}
+
+impl Attempt {
+    /// The hedge slot of a flagged attempt; `None` for every attempt of
+    /// an unhedged request.
+    fn hedge_slot(&self) -> Option<usize> {
+        (self.attempt & (HEDGE_BIT | HEDGED) != 0).then_some((self.attempt & HEDGE_SLOT) as usize)
+    }
+
+    /// The ordinal of the retry that follows this attempt. A flagged
+    /// attempt is attempt 0.
+    fn next_ordinal(&self) -> u32 {
+        match self.hedge_slot() {
+            Some(_) => 1,
+            None => self.attempt + 1,
+        }
+    }
 }
 
 /// One server's queued attempts in enqueue order, plus its crash epoch.
@@ -220,12 +247,73 @@ struct Ledger {
     epoch: u32,
 }
 
-/// Outstanding-attempt bookkeeping of a hedged request: the first
-/// completion resolves it, the straggler is absorbed silently.
+/// Outstanding-attempt bookkeeping of the hedged requests in flight: the
+/// first completion resolves a request, the straggler is absorbed
+/// silently. A request's track lives in the slot its two flagged
+/// attempts carry, so settling an attempt never searches, and an
+/// unhedged attempt touches nothing. A settled request's slot is reused.
+#[derive(Debug, Default)]
+struct Hedges {
+    tracks: Vec<HedgeTrack>,
+    free: Vec<u32>,
+}
+
 #[derive(Debug, Clone, Copy)]
 struct HedgeTrack {
+    request: u64,
     outstanding: u8,
     resolved: bool,
+}
+
+impl Hedges {
+    /// Opens the track of `request`'s two attempts and returns its slot.
+    fn open(&mut self, request: u64) -> u32 {
+        let track = HedgeTrack {
+            request,
+            outstanding: 2,
+            resolved: false,
+        };
+        let slot = match self.free.pop() {
+            Some(slot) => {
+                self.tracks[slot as usize] = track;
+                slot
+            }
+            None => {
+                self.tracks.push(track);
+                (self.tracks.len() - 1) as u32
+            }
+        };
+        debug_assert!(slot <= HEDGE_SLOT, "hedge slot {slot} overflows");
+        slot
+    }
+
+    /// Settles one attempt, completed or crash-killed. For an attempt of
+    /// a hedged request, returns whether the request was already resolved
+    /// and whether its twin is still outstanding; `None` otherwise.
+    fn settle(&mut self, a: &Attempt, completed: bool) -> Option<(bool, bool)> {
+        // The oracle of the flags: no live track belongs to an unflagged
+        // attempt.
+        #[cfg(test)]
+        assert!(
+            a.hedge_slot().is_some()
+                || !self
+                    .tracks
+                    .iter()
+                    .any(|t| t.outstanding > 0 && t.request == a.request),
+            "unflagged attempt {a:?} has a hedge track"
+        );
+        let slot = a.hedge_slot()?;
+        let track = &mut self.tracks[slot];
+        debug_assert_eq!(track.request, a.request, "{a:?} settles another track");
+        track.outstanding -= 1;
+        let resolved = track.resolved;
+        track.resolved |= completed;
+        let twin_alive = track.outstanding > 0;
+        if !twin_alive {
+            self.free.push(slot as u32);
+        }
+        Some((resolved, twin_alive))
+    }
 }
 
 /// Why a dispatch attempt could not be served — decides both the retry
@@ -345,7 +433,7 @@ struct ServeState {
     breakers: BreakerBank,
     budget: Option<RetryBudget>,
     ledgers: Vec<Ledger>,
-    hedges: BTreeMap<u64, HedgeTrack>,
+    hedges: Hedges,
     /// Zero-penalty horizon index answering the hedge alternate; built
     /// on the first hedge.
     hedge_index: HorizonIndex,
@@ -359,7 +447,6 @@ struct ServeState {
     rejected: u64,
     failed: u64,
     counters: ResilienceCounters,
-    latency: LatencyRecorder,
     sla: SlaClassCounters,
     violation_seconds: [f64; 2],
     per_instance_served: Vec<u64>,
@@ -376,7 +463,10 @@ impl ServeSim {
         ServeSim { config, seed }
     }
 
-    /// Runs to completion and returns the serving report.
+    /// Runs to completion and returns the serving report. The run spawns
+    /// one helper thread, which folds completion latencies and pre-draws
+    /// service times beside the engine loop; the report does not depend
+    /// on how the two threads are scheduled.
     pub fn run(self) -> ServeReport {
         self.run_traced(&mut NoTrace)
     }
@@ -424,7 +514,7 @@ impl ServeSim {
             breakers: BreakerBank::new(n_servers),
             budget: cfg.resilience.retry.map(|r| RetryBudget::new(r.budget)),
             ledgers: vec![Ledger::default(); n_servers],
-            hedges: BTreeMap::new(),
+            hedges: Hedges::default(),
             hedge_index: HorizonIndex::default(),
             filtered: InstanceSet::default(),
             filter_scratch: Vec::new(),
@@ -435,7 +525,6 @@ impl ServeSim {
             rejected: 0,
             failed: 0,
             counters: ResilienceCounters::default(),
-            latency: LatencyRecorder::new(cfg.latency_hi_s, cfg.latency_bins),
             sla: SlaClassCounters::new(),
             violation_seconds: [0.0; 2],
             per_instance_served: vec![0; n_servers],
@@ -472,23 +561,31 @@ impl ServeSim {
             }
         }
 
-        let outcome = engine.run_with(
-            &mut state,
-            tracer,
-            |_, _| SimDuration::ZERO,
-            |state, sched, event| match event {
-                ServeEvent::ReallocationTick => on_tick(state, sched),
-                ServeEvent::Arrival { source } => on_arrival(state, sched, &cfg, source),
-                ServeEvent::Completion { server, epoch } => {
-                    on_completion(state, sched, &cfg, server, epoch)
-                }
-                ServeEvent::Retry(attempt) => {
-                    dispatch_attempt(state, sched, &cfg, attempt);
-                    stop_check(state, sched)
-                }
-                ServeEvent::Fault(kind) => on_fault(state, sched, &cfg, kind),
-            },
-        );
+        // A helper thread beside the loop folds the completion latencies
+        // into the recorder and pre-draws service times (`handoff`).
+        let latency = LatencyRecorder::new(cfg.latency_hi_s, cfg.latency_bins);
+        let (outcome, latency) =
+            handoff::beside(seed, cfg.load.mean_service_s, latency, |handoff| {
+                engine.run_with(
+                    &mut state,
+                    tracer,
+                    |_, _| SimDuration::ZERO,
+                    |state, sched, event| match event {
+                        ServeEvent::ReallocationTick => on_tick(state, sched),
+                        ServeEvent::Arrival { source } => {
+                            on_arrival(state, handoff, sched, &cfg, source)
+                        }
+                        ServeEvent::Completion { server, epoch } => {
+                            on_completion(state, handoff, sched, &cfg, server, epoch)
+                        }
+                        ServeEvent::Retry(attempt) => {
+                            dispatch_attempt(state, handoff, sched, &cfg, attempt);
+                            stop_check(state, sched)
+                        }
+                        ServeEvent::Fault(kind) => on_fault(state, sched, &cfg, kind),
+                    },
+                )
+            });
         debug_assert!(matches!(outcome, RunOutcome::Stopped | RunOutcome::Drained));
 
         let base = state.cluster.run_report();
@@ -499,7 +596,7 @@ impl ServeSim {
             requests_completed: state.completed,
             requests_rejected: state.rejected,
             requests_failed: state.failed,
-            latency: state.latency,
+            latency,
             sla: state.sla,
             violation_seconds: state.violation_seconds,
             per_instance_served: state.per_instance_served,
@@ -574,6 +671,7 @@ fn refresh_discovery(state: &mut ServeState) {
 
 fn on_arrival<T: Tracer>(
     state: &mut ServeState,
+    handoff: &mut Handoff,
     sched: &mut Sched<'_, T>,
     cfg: &ServeConfig,
     source: u32,
@@ -608,7 +706,7 @@ fn on_arrival<T: Tracer>(
         admitted_ticks: now_ticks,
         attempt: 0,
     };
-    dispatch_attempt(state, sched, cfg, first);
+    dispatch_attempt(state, handoff, sched, cfg, first);
 
     // Open loop: the next arrival of this source is independent of how
     // this request fared. The gap inverts the source's modulation
@@ -633,6 +731,7 @@ fn on_arrival<T: Tracer>(
 /// trace events.
 fn dispatch_attempt<T: Tracer>(
     state: &mut ServeState,
+    handoff: &mut Handoff,
     sched: &mut Sched<'_, T>,
     cfg: &ServeConfig,
     a: Attempt,
@@ -725,8 +824,8 @@ fn dispatch_attempt<T: Tracer>(
     }
 
     // The service draw is keyed on the original request id, identical
-    // across attempts.
-    let service = service_time_s(state.seed, RequestId(a.request), cfg.load.mean_service_s);
+    // across attempts; the handoff's window holds it precomputed.
+    let service = handoff.service_s(RequestId(a.request));
     let (eff, regime) = effective_service(state, server, service);
 
     // Deadline guard: fail at dispatch what would miss its deadline
@@ -778,18 +877,18 @@ fn dispatch_attempt<T: Tracer>(
         assert_eq!(alt, hedge_alternate(hedge_set, &state.queues, now, server));
         if let Some(alt) = alt {
             let alt_service = effective_service(state, alt, service);
+            let slot = state.hedges.open(a.request);
             let twin = Attempt {
-                attempt: HEDGE_BIT,
+                attempt: HEDGE_BIT | slot,
                 ..a
             };
             enqueue(state, sched, alt, alt_service, twin);
-            state.hedges.insert(
-                a.request,
-                HedgeTrack {
-                    outstanding: 2,
-                    resolved: false,
-                },
-            );
+            // The twin went to another server, so the primary is still
+            // the back of its own ledger.
+            if let Some(primary) = state.ledgers[server.index()].queued.back_mut() {
+                debug_assert_eq!(primary.request, a.request);
+                primary.attempt = HEDGED | slot;
+            }
             state.counters.hedges += 1;
             sched.tracer().event(
                 now_ticks,
@@ -873,7 +972,7 @@ fn fail_attempt<T: Tracer>(
 ) {
     let now_ticks = sched.now().ticks();
     let res = &cfg.resilience;
-    let next = (a.attempt & !HEDGE_BIT) + 1;
+    let next = a.next_ordinal();
     let retry = res.retry.filter(|r| next <= r.max_attempts);
     if let (Some(retry), Some(budget)) = (retry, &mut state.budget) {
         if budget.try_withdraw() {
@@ -924,6 +1023,7 @@ fn stop_check<T: Tracer>(state: &ServeState, sched: &Sched<'_, T>) -> Control {
 
 fn on_completion<T: Tracer>(
     state: &mut ServeState,
+    handoff: &mut Handoff,
     sched: &mut Sched<'_, T>,
     cfg: &ServeConfig,
     server: ServerId,
@@ -935,38 +1035,29 @@ fn on_completion<T: Tracer>(
     } else {
         None
     };
-    let Some(Attempt {
-        request,
-        class,
-        admitted_ticks,
-        ..
-    }) = head
-    else {
+    let Some(done) = head else {
         // Crash-killed after its completion was scheduled; the crash
         // already settled it.
         return stop_check(state, sched);
     };
+    let Attempt {
+        request,
+        class,
+        admitted_ticks,
+        ..
+    } = done;
     if cfg.resilience.breaker.is_some() {
         state.breakers.record_success(server);
     }
-    // Only hedged requests are tracked (none unless hedging is on).
-    if let Some(track) = state.hedges.get_mut(&request) {
-        track.outstanding -= 1;
-        let first = !track.resolved;
-        track.resolved = true;
-        if track.outstanding == 0 {
-            state.hedges.remove(&request);
-        }
-        if !first {
-            // The straggler of a resolved hedge: the work was done
-            // (energy already charged) but the request has settled.
-            return stop_check(state, sched);
-        }
+    if let Some((true, _)) = state.hedges.settle(&done, true) {
+        // The straggler of a resolved hedge: the work was done (energy
+        // already charged) but the request has settled.
+        return stop_check(state, sched);
     }
     let now_ticks = sched.now().ticks();
     let latency_ticks = now_ticks.saturating_sub(admitted_ticks);
     let latency_s = latency_ticks as f64 / 1e6;
-    state.latency.record(latency_s);
+    handoff.record(latency_s);
     let objective = cfg.objective_s(class);
     state.sla.record(class as usize, latency_s > objective);
     state.violation_seconds[(class as usize).min(1)] += (latency_s - objective).max(0.0);
@@ -1062,18 +1153,12 @@ fn apply_serve_crash<T: Tracer>(
     let victims = std::mem::take(&mut ledger.queued);
     state.queues.reset(server);
     for victim in &victims {
-        let mut terminal = true;
-        if let Some(track) = state.hedges.get_mut(&victim.request) {
-            track.outstanding -= 1;
-            let resolved = track.resolved;
-            let twin_alive = track.outstanding > 0;
-            if !twin_alive {
-                state.hedges.remove(&victim.request);
-            }
-            // A live twin (or an already-resolved race) settles the
-            // request without this attempt.
-            terminal = !resolved && !twin_alive;
-        }
+        // A live twin (or an already-resolved race) settles the request
+        // without this attempt.
+        let terminal = match state.hedges.settle(victim, false) {
+            Some((resolved, twin_alive)) => !resolved && !twin_alive,
+            None => true,
+        };
         if terminal {
             fail_attempt(state, sched, cfg, *victim, FailCause::Crash);
         }
@@ -1114,6 +1199,51 @@ mod tests {
             let b = ServeSim::new(config(20, kind, 4), 11).run();
             assert_eq!(a, b, "{}", kind.label());
         }
+    }
+
+    /// Runs `cfg` traced with every event kept, and checks the report's
+    /// recorder against the traced completions folded into a fresh one in
+    /// trace order: the handoff must fold the loop's samples in the
+    /// loop's order, the last partial batch included.
+    fn latency_matches_the_traced_completions(cfg: ServeConfig, seed: u64) -> ServeReport {
+        let mut tracer = ecolb_trace::RingTracer::with_capacity(1 << 24);
+        let report = ServeSim::new(cfg.clone(), seed).run_traced(&mut tracer);
+        assert_eq!(tracer.recorded(), tracer.events().count() as u64);
+        let mut oracle = LatencyRecorder::new(cfg.latency_hi_s, cfg.latency_bins);
+        for event in tracer.events() {
+            if let TraceEventKind::RequestCompleted { latency_us, .. } = event.kind {
+                oracle.record(latency_us as f64 / 1e6);
+            }
+        }
+        assert_eq!(report.latency, oracle);
+        assert_eq!(report.latency.count(), report.requests_completed);
+        report
+    }
+
+    #[test]
+    fn the_latency_handoff_matches_the_trace() {
+        let batch = crate::handoff::LATENCIES as u64;
+        // Completions span several batches and end in a partial one, on
+        // the full stack: retries draw behind the service window.
+        let mut full = config(20, PickerKind::LeastLoaded, 5);
+        full.faults = Some(FaultPlan::empty(13).with_server_crash(
+            SimTime::from_secs(300),
+            ServerId(2),
+            Some(SimDuration::from_secs(200)),
+        ));
+        full.resilience = ResiliencePolicy::full();
+        let r = latency_matches_the_traced_completions(full, 13);
+        assert!(r.requests_completed > 3 * batch, "{}", r.requests_completed);
+        assert_ne!(r.requests_completed % batch, 0);
+        assert!(r.resilience.retries > 0 && r.resilience.hedges > 0);
+        // Fewer completions than one batch.
+        let mut small = config(4, PickerKind::RoundRobin, 1);
+        small.load.requests_per_demand /= 20.0;
+        let r = latency_matches_the_traced_completions(small, 3);
+        assert!(r.requests_completed > 0 && r.requests_completed < batch);
+        // No interval, no completion.
+        let r = latency_matches_the_traced_completions(config(20, PickerKind::RoundRobin, 0), 11);
+        assert_eq!(r.requests_completed, 0);
     }
 
     #[test]
